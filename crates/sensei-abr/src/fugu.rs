@@ -10,44 +10,21 @@
 //!
 //! This module implements exactly that: exhaustive enumeration of bitrate
 //! plans over the horizon, a per-scenario buffer walk, and the canonical
-//! KSQI chunk quality. Five structural optimizations keep the enumeration
-//! fast without changing a single result bit (asserted against a flat
-//! reference odometer in this module's tests and the warm-vs-cold parity
-//! suite):
+//! KSQI chunk quality. The enumeration runs on the shared branch-and-bound
+//! core in the private `plan` module; what is Fugu's own is its transition:
 //!
-//! 1. **Prefix sharing** — plans are enumerated as a depth-first tree so
-//!    every shared prefix is scored once (an ~h-fold cut).
-//! 2. **Hoisted tables** — the per-(chunk, level, scenario) download time
-//!    `rtt + size/rate` and the per-(chunk, level) size/vq lookups are
-//!    state-independent within one decision, so they are computed once
-//!    into reusable scratch instead of once per tree node.
-//! 3. **Exact branch-and-bound with guided order** — subtrees are
-//!    explored most-promising-first and skipped when a floating-point-
-//!    monotone upper bound on every leaf they contain shows they cannot
-//!    change the result. The update rule tracks exactly the pair the
-//!    lexicographic reference returns — the maximum score and the
-//!    smallest first action attaining it — so neither the visit order
-//!    nor the pruning can move a single result bit.
-//! 4. **Cross-chunk warm starts** — consecutive decisions solve almost
-//!    the same problem shifted by one chunk, so the shifted suffix of
-//!    step *t*'s winning plan is a feasible leaf of step *t+1*'s tree.
-//!    It is scored first with the exact leaf arithmetic and seeds the
-//!    incumbent, so the very first `descend` already prunes against a
-//!    near-optimal bound. Seeding is indistinguishable from the search
-//!    having visited that leaf first: the tie machinery (`==` wins only
-//!    with a smaller first action) guarantees the lexicographic winner
-//!    is still reached even when the seed's first action is larger.
-//! 5. **Block leaf scoring** — the `n_levels` sibling leaves under one
-//!    parent share everything but the level, so they are scored as one
-//!    straight-line pass over dense per-scenario slices (shaped for the
-//!    autovectorizer) and then reduced in the exact visit order, each
-//!    element computing precisely one reference walk step.
+//! - **Scenario table** — the per-(chunk, level, scenario) download time
+//!   `rtt + size/rate` is state-independent within one decision, so it is
+//!   computed once into reusable scratch instead of once per tree node,
+//!   and shared by every pause candidate of SENSEI-Fugu.
+//! - **Stall-aware bound** — per-scenario buffer caps give a stall lower
+//!   bound at every depth, so the switch bound bites on constrained links
+//!   and the guided order leads with the best stall-bounded level.
 
+use crate::plan::{self, switch_penalty, switch_row, ChunkTables, PlanCore, Planner, Transition};
 use crate::predictor::ThroughputPredictor;
-use crate::WarmSlot;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
-use sensei_telemetry as telemetry;
 use sensei_trace::ThroughputTrace;
 
 /// The paper's planning horizon ("We pick h = 5 since we observe that QoE
@@ -58,69 +35,41 @@ pub const DEFAULT_HORIZON: usize = 5;
 /// of several per decision. All tables are flat row-major arrays sized at
 /// the start of each plan search.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PlanScratch {
+struct FuguScratch {
     /// `(h + 1) × scenarios` rows of running walk state, indexed by depth.
     stack: Vec<ScenarioWalk>,
     /// Per-decision scenario `(probability, kbps)` pairs.
     rates: Vec<(f64, f64)>,
+    /// Scenario probabilities `rates[si].0`, densely packed.
+    probs: Vec<f64>,
     /// `dt[depth·L·S + level·S + si]`: download time of `(chunk, level)`
     /// under scenario `si` — state-independent within one decision.
     dt: Vec<f64>,
-    /// `sizes[depth·L + level]`: chunk size in bits.
-    sizes: Vec<f64>,
-    /// `vqs[depth·L + level]`: visual quality.
-    vqs: Vec<f64>,
     /// `umax[depth·S + si]`: upper bound on the weighted quality any
     /// level can contribute at `depth` under scenario `si`, maximized
     /// over every (previous level, level) pair — switch penalty and
-    /// stall lower bound included (branch-and-bound).
+    /// stall lower bound included.
     umax: Vec<f64>,
     /// `ufirst[(depth·S + si)·L + lprev]`: the same bound conditioned on
     /// the *actual* previous level `lprev`, used for the first remaining
-    /// step of a node (whose last chosen level the search knows).
+    /// step of a node.
     ufirst: Vec<f64>,
-    /// `ufirst0[depth·L + lprev]`: the no-stall (buffer-independent)
-    /// value of `ufirst`, filled lazily once per chunk step and shared by
-    /// every lane and pause candidate of that step — valid because every
-    /// `plan_prepared` call between two `fill_chunk_tables` calls uses
-    /// the same vq tables, weights, and chunk duration. Rows of `ufirst`
-    /// whose buffer cap proves no level can stall copy from here (the
-    /// stall lower bound is exactly `0.0` there, so the copied values
-    /// are bit-identical to recomputation).
-    ufirst0: Vec<f64>,
-    /// `umax0[depth]`: the no-stall value of `umax` (see `ufirst0`).
-    umax0: Vec<f64>,
     /// `caps[depth·S + si]`: upper bound on scenario `si`'s buffer
     /// entering `depth`, accounting for the cheapest possible download
-    /// at every prior depth (branch-and-bound).
+    /// at every prior depth.
     caps: Vec<f64>,
     /// `ord[depth·L + k]`: the levels of `depth` in descending
     /// estimated-score order — the exploration order of the pruned
-    /// search. Any order yields identical results (see
-    /// [`PlanSearch::descend`]); a good first guess raises `best_q`
-    /// early so later subtrees prune at the root.
+    /// search.
     ord: Vec<usize>,
     /// Per-level expected score accumulator used to build `ord`.
     scores: Vec<f64>,
-    /// Scenario probabilities `rates[si].0`, densely packed for the
-    /// straight-line leaf pass.
-    probs: Vec<f64>,
     /// Dense per-scenario copy of the leaf-parent row's buffers.
     pbuf: Vec<f64>,
     /// Dense per-scenario copy of the leaf-parent row's running totals.
     ptot: Vec<f64>,
     /// Per-scenario expected-score terms of one sibling leaf.
     terms: Vec<f64>,
-    /// `leaf_q[level]`: each sibling leaf's expected score at the last
-    /// depth, produced by the block scorer and consumed in visit order.
-    leaf_q: Vec<f64>,
-    /// The DFS path (one level per depth) above the current node.
-    cur_plan: Vec<usize>,
-    /// The full winning plan of the last search (its first element is the
-    /// returned `best_plan0`) — the next chunk step's warm-start seed.
-    last_plan: Vec<usize>,
-    /// Warm-start seed scratch (shifted suffix of the previous plan).
-    seed: Vec<usize>,
 }
 
 /// The Fugu MPC policy.
@@ -136,16 +85,11 @@ pub struct Fugu {
     /// because real raters judge sessions by their worst moment; planning
     /// risk-neutrally against a mean-additive model stalls too often.
     risk_aversion: f64,
-    scratch: PlanScratch,
-    /// Cross-chunk warm-start carry for the scalar lifecycle (the batched
-    /// path swaps per-lane slots through here).
-    warm: WarmSlot,
-    /// Per-lane warm-start carries for [`AbrPolicy::select_batch`].
-    lane_warm: Vec<WarmSlot>,
-    /// When false, searches never seed from or commit to the carry slots
-    /// — the "cold" reference mode the warm-vs-cold parity suite compares
-    /// against.
-    warm_start_enabled: bool,
+    tables: ChunkTables,
+    /// The search scratch and warm carry, shared with SENSEI-Fugu, which
+    /// drives this planner per pause candidate.
+    pub(crate) core: PlanCore,
+    scratch: FuguScratch,
 }
 
 impl Fugu {
@@ -158,10 +102,9 @@ impl Fugu {
             rtt_s: 0.08,
             max_buffer_s: 24.0,
             risk_aversion: 3.0,
-            scratch: PlanScratch::default(),
-            warm: WarmSlot::default(),
-            lane_warm: Vec::new(),
-            warm_start_enabled: true,
+            tables: ChunkTables::default(),
+            core: PlanCore::default(),
+            scratch: FuguScratch::default(),
         }
     }
 
@@ -170,43 +113,8 @@ impl Fugu {
     /// nodes — which is exactly what the warm-vs-cold parity suite runs
     /// as its reference.
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start_enabled = enabled;
-        if !enabled {
-            self.warm.invalidate();
-            self.lane_warm.clear();
-        }
+        self.core.carry.set_enabled(enabled);
         self
-    }
-
-    /// The full winning plan of the last [`Self::plan_prepared`] call.
-    /// SENSEI-Fugu reads this per pause candidate to remember the winning
-    /// candidate's plan.
-    pub(crate) fn last_plan(&self) -> &[usize] {
-        &self.scratch.last_plan
-    }
-
-    /// Commits the last search's winning plan as the warm-start carry for
-    /// the chunk step after `next_chunk`. No-op in cold mode.
-    pub(crate) fn commit_warm_from_last(&mut self, next_chunk: usize) {
-        if self.warm_start_enabled {
-            self.warm.commit(next_chunk, &self.scratch.last_plan);
-        }
-    }
-
-    /// Commits an explicit winning plan (SENSEI-Fugu commits the winning
-    /// pause candidate's plan, which is not necessarily the last plan
-    /// searched). No-op in cold mode.
-    pub(crate) fn commit_warm_plan(&mut self, next_chunk: usize, plan: &[usize]) {
-        if self.warm_start_enabled {
-            self.warm.commit(next_chunk, plan);
-        }
-    }
-
-    /// The scalar-lifecycle warm slot — wrappers that keep per-lane carry
-    /// state (SENSEI-Fugu) swap their lane slots through here around each
-    /// prepared search, mirroring the pause-ledger swap.
-    pub(crate) fn warm_slot_mut(&mut self) -> &mut WarmSlot {
-        &mut self.warm
     }
 
     /// Overrides the stall risk-aversion multiplier used during planning.
@@ -244,6 +152,11 @@ impl Fugu {
         self
     }
 
+    /// The QoE model used as the objective.
+    pub(crate) fn qoe(&self) -> &Ksqi {
+        &self.qoe
+    }
+
     /// Overrides the planning horizon.
     ///
     /// # Panics
@@ -255,106 +168,32 @@ impl Fugu {
         self
     }
 
-    /// The effective horizon at `next_chunk` (truncated at the video end).
-    fn effective_horizon(&self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
-        self.horizon.min(ctx.num_chunks() - next_chunk)
-    }
-
-    /// Fills the per-(depth, level) size/vq lookup tables for the horizon
-    /// starting at `next_chunk`. These are pure manifest lookups shared by
-    /// every lane of a batch at the same chunk step, so the batched entry
-    /// point fills them once per chunk instead of once per lane.
-    pub(crate) fn fill_chunk_tables(
-        &mut self,
-        next_chunk: usize,
-        h: usize,
-        ctx: &SessionContext<'_>,
-    ) {
-        let n_levels = ctx.num_levels();
-        self.scratch.sizes.clear();
-        self.scratch.vqs.clear();
-        // The vq tables (and, at the callers' next step, the weight
-        // window) change with the chunk position, so the hoisted no-stall
-        // bound table is invalidated here and lazily refilled by the
-        // first prunable search of the new step.
-        self.scratch.ufirst0.clear();
-        self.scratch.umax0.clear();
-        for depth in 0..h {
-            let chunk = next_chunk + depth;
-            for level in 0..n_levels {
-                self.scratch.sizes.push(
-                    ctx.encoded
-                        .size_bits(chunk, level)
-                        .expect("plan stays in range"),
-                );
-                self.scratch.vqs.push(ctx.vq[chunk][level]);
-            }
-        }
-    }
-
-    /// Enumerates all plans over the effective horizon; returns the best
-    /// plan's first action and its expected quality.
-    ///
-    /// The enumeration runs as a depth-first walk over the plan *tree*
-    /// rather than a flat odometer over the `levels^h` plan list: the
-    /// `levels^(j+1)` plans sharing a length-`j+1` prefix share that
-    /// prefix's buffer walk, so each prefix is scored **once** instead of
-    /// once per completion — `Σ_j levels^j ≈ levels^h · levels/(levels−1)`
-    /// chunk evaluations instead of `levels^h · h`, an ~`h`-fold cut at
-    /// the paper's horizon. Subtrees are explored in a guided order and
-    /// skipped under the exact bound of [`PlanSearch::descend`], whose
-    /// update rule reproduces the flat odometer's winner, score, and
-    /// tie-breaks bit for bit (asserted against a reference odometer in
-    /// this module's tests).
-    pub(crate) fn best_plan(
-        &mut self,
-        state: &PlayerState<'_>,
-        ctx: &SessionContext<'_>,
-        weights: Option<&[f64]>,
-    ) -> (usize, f64) {
-        let h = self.effective_horizon(state.next_chunk, ctx);
-        if h == 0 {
-            return (0, 0.0);
-        }
-        self.fill_chunk_tables(state.next_chunk, h, ctx);
-        self.prepare_rates(state, ctx, h);
-        let result = self.plan_prepared(state, ctx, weights, h);
-        self.commit_warm_from_last(state.next_chunk);
-        result
-    }
-
     /// Fills the scenario `(probability, kbps)` pairs and the
-    /// per-(chunk, level, scenario) download-time table for one decision.
-    /// Both depend on the throughput history but **not** on the buffer,
-    /// so SENSEI-Fugu's pause candidates — which perturb only the buffer
-    /// — share one fill across all candidate searches.
-    pub(crate) fn prepare_rates(
-        &mut self,
-        state: &PlayerState<'_>,
-        ctx: &SessionContext<'_>,
-        h: usize,
-    ) {
-        let n_levels = ctx.num_levels();
-        let PlanScratch {
-            rates, dt, sizes, ..
+    /// per-(chunk, level, scenario) download-time table for one decision,
+    /// assuming the chunk tables are prepared. Both depend on the
+    /// throughput history but **not** on the buffer, so SENSEI-Fugu's
+    /// pause candidates — which perturb only the buffer — share one fill
+    /// across all candidate searches.
+    pub(crate) fn prepare_rates(&mut self, state: &PlayerState<'_>) {
+        let FuguScratch {
+            rates, probs, dt, ..
         } = &mut self.scratch;
         self.predictor.scenario_rates_into(state, rates);
-        // Download time is a pure function of (chunk, level, scenario)
-        // within one decision — hoist it out of the tree walk. The
-        // expression is the exact one the walk used to evaluate per node.
+        probs.clear();
+        probs.extend(rates.iter().map(|r| r.0));
+        // The expression is the exact one the walk used to evaluate per
+        // node, in (depth, level, scenario) order.
         dt.clear();
-        for depth in 0..h {
-            for level in 0..n_levels {
-                let size = sizes[depth * n_levels + level];
-                for &(_, rate_kbps) in rates.iter() {
-                    dt.push(self.rtt_s + size / (rate_kbps * 1000.0));
-                }
+        for &size in &self.tables.sizes {
+            for &(_, rate_kbps) in rates.iter() {
+                dt.push(self.rtt_s + size / (rate_kbps * 1000.0));
             }
         }
     }
 
-    /// The plan search proper, assuming [`Self::fill_chunk_tables`] and
-    /// [`Self::prepare_rates`] have run for `(state.next_chunk, h)`.
+    /// The plan search proper, assuming the chunk tables and
+    /// [`Self::prepare_rates`] are prepared for `(state.next_chunk, h)`.
+    /// Returns the best plan's first action and its expected quality.
     pub(crate) fn plan_prepared(
         &mut self,
         state: &PlayerState<'_>,
@@ -364,38 +203,6 @@ impl Fugu {
     ) -> (usize, f64) {
         let n_levels = ctx.num_levels();
         let d = ctx.chunk_duration_s;
-        // Warm start: the shifted suffix of the previous chunk step's
-        // winning plan, when this search is its immediate successor. The
-        // seed is scored below with the exact leaf arithmetic before the
-        // tree walk begins, so seeding is result-invariant (module docs,
-        // optimization 4).
-        let seeded = self.warm_start_enabled
-            && self
-                .warm
-                .seed_into(state.next_chunk, h, n_levels, &mut self.scratch.seed);
-        let PlanScratch {
-            stack,
-            rates,
-            dt,
-            sizes: _,
-            vqs,
-            umax,
-            ufirst,
-            ufirst0,
-            umax0,
-            caps,
-            ord,
-            scores,
-            probs,
-            pbuf,
-            ptot,
-            terms,
-            leaf_q,
-            cur_plan,
-            last_plan,
-            seed,
-        } = &mut self.scratch;
-        let s = rates.len();
         // Branch-and-bound is sound only when every bound step is
         // floating-point monotone: nonnegative plan weights, scenario
         // probabilities, and QoE penalties. Anything else disables
@@ -405,7 +212,26 @@ impl Fugu {
             && c >= 0.0
             && state.buffer_s >= 0.0
             && weights.is_none_or(|w| w.iter().all(|&x| x >= 0.0))
-            && rates.iter().all(|r| r.0 >= 0.0);
+            && self.scratch.probs.iter().all(|&p| p >= 0.0);
+        if prunable {
+            self.tables.switch_bounds(&self.qoe, weights, d);
+        }
+        let FuguScratch {
+            stack,
+            rates: _,
+            probs,
+            dt,
+            umax,
+            ufirst,
+            caps,
+            ord,
+            scores,
+            pbuf,
+            ptot,
+            terms,
+        } = &mut self.scratch;
+        let tables = &self.tables;
+        let s = probs.len();
         umax.clear();
         ufirst.clear();
         caps.clear();
@@ -436,135 +262,68 @@ impl Fugu {
                     caps.push(((parent - dt_min).max(0.0) + d).min(self.max_buffer_s));
                 }
             }
+            // Guided order: most promising level (by expected
+            // stall-bounded score) first.
             for depth in 0..h {
                 scores.clear();
                 scores.resize(n_levels, 0.0);
                 for si in 0..s {
                     let cap = caps[depth * s + si];
-                    let p = rates[si].0;
                     for level in 0..n_levels {
                         let stall_lb = (dt[(depth * n_levels + level) * s + si] - cap).max(0.0);
                         let q = self.qoe.chunk_quality(
-                            vqs[depth * n_levels + level],
+                            tables.vqs[depth * n_levels + level],
                             stall_lb * self.risk_aversion,
                             0.0,
                             d,
                         );
                         let term = weights.map_or(q, |w| w[depth] * q);
-                        scores[level] += p * term;
+                        scores[level] += probs[si] * term;
                     }
                 }
-                // Guided order: most promising level (by expected
-                // stall-bounded score) first. Purely a search-speed
-                // heuristic — the update rule in `descend` makes the
-                // search result order-invariant.
-                let base = ord.len();
-                ord.extend(0..n_levels);
-                ord[base..].sort_by(|&a, &b| {
-                    scores[b]
-                        .partial_cmp(&scores[a])
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                });
+                plan::push_order(ord, scores);
             }
-            // Switch-aware per-depth bounds. `ufirst` conditions the
-            // bound's *first* remaining step on the node's actual previous
-            // level (the search knows it exactly, so the switch penalty is
-            // the exact one the walk will charge); `umax` relaxes deeper
-            // steps over every (previous level, level) pair. Each entry
-            // dominates the walk's corresponding per-step term as floating
-            // point: the stall lower bound comes from the buffer cap above,
-            // and `chunk_quality` is FP-monotone in both penalties. Depth 0
-            // rows stay at the placeholder (the bound is only evaluated at
-            // depth ≥ 1, where the previous level is on the DFS path).
-            if ufirst0.is_empty() {
-                // The no-stall table is buffer-independent, so it serves
-                // every lane and pause candidate of this chunk step
-                // (`fill_chunk_tables` invalidates it when the vq tables
-                // or weight window move).
-                ufirst0.resize(h * n_levels, 0.0);
-                umax0.resize(h, 0.0);
-                for depth in 1..h {
-                    let mut overall = f64::NEG_INFINITY;
-                    for lprev in 0..n_levels {
-                        let pvq = vqs[(depth - 1) * n_levels + lprev];
-                        let mut best = f64::NEG_INFINITY;
-                        for level in 0..n_levels {
-                            let vq = vqs[depth * n_levels + level];
-                            let switch = if level != lprev {
-                                (vq - pvq).abs()
-                            } else {
-                                0.0
-                            };
-                            let q = self.qoe.chunk_quality(vq, 0.0, switch, d);
-                            let term = weights.map_or(q, |w| w[depth] * q);
-                            if term > best {
-                                best = term;
-                            }
-                        }
-                        ufirst0[depth * n_levels + lprev] = best;
-                        if best > overall {
-                            overall = best;
-                        }
-                    }
-                    umax0[depth] = overall;
-                }
-            }
+            // Switch-aware, stall-aware per-(depth, scenario) bounds: the
+            // core's no-stall switch bound plus each scenario's stall
+            // lower bound from its buffer cap. `chunk_quality` is
+            // FP-monotone in both penalties, so every entry dominates the
+            // walk's per-step term as floating point.
             ufirst.resize(h * s * n_levels, 0.0);
             umax.resize(h * s, 0.0);
             for depth in 1..h {
                 for si in 0..s {
                     let cap = caps[depth * s + si];
+                    let dts = &dt[depth * n_levels * s..(depth + 1) * n_levels * s];
+                    let row = &mut ufirst[(depth * s + si) * n_levels..][..n_levels];
                     let mut dt_max = f64::NEG_INFINITY;
                     for level in 0..n_levels {
-                        dt_max = dt_max.max(dt[(depth * n_levels + level) * s + si]);
+                        dt_max = dt_max.max(dts[level * s + si]);
                     }
-                    let row = (depth * s + si) * n_levels;
                     if dt_max <= cap {
                         // No level can stall under this scenario's cap:
-                        // every `stall_lb` below would be exactly `0.0`,
-                        // so the hoisted no-stall row IS this row.
-                        ufirst[row..row + n_levels]
-                            .copy_from_slice(&ufirst0[depth * n_levels..(depth + 1) * n_levels]);
-                        umax[depth * s + si] = umax0[depth];
+                        // every stall lower bound is exactly `0.0`, so the
+                        // core's no-stall row IS this row.
+                        row.copy_from_slice(&tables.ufirst0[depth * n_levels..][..n_levels]);
+                        umax[depth * s + si] = tables.umax0[depth];
                         continue;
                     }
-                    let mut overall = f64::NEG_INFINITY;
-                    for lprev in 0..n_levels {
-                        let pvq = vqs[(depth - 1) * n_levels + lprev];
-                        let mut best = f64::NEG_INFINITY;
-                        for level in 0..n_levels {
-                            let vq = vqs[depth * n_levels + level];
-                            let stall_lb = (dt[(depth * n_levels + level) * s + si] - cap).max(0.0);
-                            let switch = if level != lprev {
-                                (vq - pvq).abs()
-                            } else {
-                                0.0
-                            };
+                    umax[depth * s + si] =
+                        switch_row(&tables.vqs, n_levels, depth, row, |level, vq, switch| {
+                            let stall_lb = (dts[level * s + si] - cap).max(0.0);
                             let q = self.qoe.chunk_quality(
                                 vq,
                                 stall_lb * self.risk_aversion,
                                 switch,
                                 d,
                             );
-                            let term = weights.map_or(q, |w| w[depth] * q);
-                            if term > best {
-                                best = term;
-                            }
-                        }
-                        ufirst[row + lprev] = best;
-                        if best > overall {
-                            overall = best;
-                        }
-                    }
-                    umax[depth * s + si] = overall;
+                            weights.map_or(q, |w| w[depth] * q)
+                        });
                 }
             }
         }
         let prev = state
             .last_level
             .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
-        // One per-scenario running state per tree depth: row 0 is the
-        // pre-plan state, row j+1 the state after the length-(j+1) prefix.
         stack.clear();
         stack.resize(
             (h + 1) * s,
@@ -574,75 +333,33 @@ impl Fugu {
                 total: 0.0,
             },
         );
-        probs.clear();
-        probs.extend(rates.iter().map(|r| r.0));
-        pbuf.clear();
-        pbuf.resize(s, 0.0);
-        ptot.clear();
-        ptot.resize(s, 0.0);
-        terms.clear();
-        terms.resize(s, 0.0);
-        leaf_q.clear();
-        leaf_q.resize(n_levels, 0.0);
-        cur_plan.clear();
-        cur_plan.resize(h, 0);
-        let mut search = PlanSearch {
+        for scratch in [&mut *pbuf, &mut *ptot, &mut *terms] {
+            scratch.clear();
+            scratch.resize(s, 0.0);
+        }
+        let mut walk = FuguWalk {
+            qoe: &self.qoe,
             risk_aversion: self.risk_aversion,
             max_buffer_s: self.max_buffer_s,
-            qoe: &self.qoe,
-            chunk_duration_s: d,
+            d,
             weights,
             h,
             n_levels,
-            rates,
+            vqs: &tables.vqs,
             dt,
-            vqs,
+            probs,
             umax,
             ufirst,
-            ord,
-            prunable,
             stack,
-            probs,
             pbuf,
             ptot,
             terms,
-            leaf_q,
-            cur_plan,
-            best_plan: last_plan,
-            seeded,
-            improved: false,
-            seeded_prunes: 0,
-            best_q: f64::NEG_INFINITY,
-            best_plan0: 0,
-            nodes: 0,
-            pruned: 0,
         };
-        if seeded {
-            // Score the seed leaf exactly: the same per-depth walk and
-            // scenario-order fold the tree search performs for any leaf,
-            // so the seeded incumbent is indistinguishable from the
-            // search having visited that leaf first.
-            for (depth, &level) in seed.iter().enumerate() {
-                search.nodes += 1;
-                search.step(depth, level);
-            }
-            let mut q = 0.0;
-            for si in 0..s {
-                q += search.rates[si].0 * search.stack[h * s + si].total;
-            }
-            search.best_q = q;
-            search.best_plan0 = seed[0];
-            search.best_plan.clear();
-            search.best_plan.extend_from_slice(seed);
-        } else {
-            search.best_plan.clear();
-        }
-        search.descend(0, 0);
-        telemetry::count(telemetry::Counter::PlanNodes, search.nodes);
-        telemetry::count(telemetry::Counter::PlanPrunes, search.pruned);
-        telemetry::count(telemetry::Counter::WarmStartHits, u64::from(seeded));
-        telemetry::count(telemetry::Counter::SeededPrunes, search.seeded_prunes);
-        (search.best_plan0, search.best_q)
+        let ord = prunable.then_some(&ord[..]);
+        let best = self
+            .core
+            .search(&mut walk, state.next_chunk, h, n_levels, ord, 1);
+        (best.first, best.q)
     }
 }
 
@@ -656,59 +373,37 @@ struct ScenarioWalk {
     total: f64,
 }
 
-/// Depth-first plan enumeration state (see [`Fugu::best_plan`]).
-struct PlanSearch<'a> {
+/// Fugu's transition: one buffer walk per predicted throughput scenario,
+/// scored in expectation over the scenario probabilities.
+struct FuguWalk<'a> {
+    qoe: &'a Ksqi,
     risk_aversion: f64,
     max_buffer_s: f64,
-    qoe: &'a Ksqi,
-    chunk_duration_s: f64,
+    d: f64,
     weights: Option<&'a [f64]>,
     h: usize,
     n_levels: usize,
-    rates: &'a [(f64, f64)],
-    dt: &'a [f64],
     vqs: &'a [f64],
+    dt: &'a [f64],
+    probs: &'a [f64],
     umax: &'a [f64],
     ufirst: &'a [f64],
-    ord: &'a [usize],
-    prunable: bool,
     /// `(h + 1) × scenarios` rows of running state, indexed by depth.
     stack: &'a mut [ScenarioWalk],
-    /// Scenario probabilities, densely packed for the leaf block pass.
-    probs: &'a mut Vec<f64>,
     /// Dense copies of the leaf-parent row's buffers / running totals.
-    pbuf: &'a mut Vec<f64>,
-    ptot: &'a mut Vec<f64>,
+    pbuf: &'a mut [f64],
+    ptot: &'a mut [f64],
     /// Per-scenario expected-score terms of one sibling leaf.
-    terms: &'a mut Vec<f64>,
-    /// Each sibling leaf's expected score, by level (block leaf scoring).
-    leaf_q: &'a mut Vec<f64>,
-    /// The DFS path (one level per depth) above the current node.
-    cur_plan: &'a mut Vec<usize>,
-    /// The full winning plan — kept for the next step's warm start.
-    best_plan: &'a mut Vec<usize>,
-    /// Whether the incumbent was seeded from the previous chunk's plan.
-    seeded: bool,
-    /// Whether any leaf has improved on the (seeded) incumbent yet.
-    improved: bool,
-    /// Prunes taken against the still-unimproved seeded incumbent.
-    seeded_prunes: u64,
-    best_q: f64,
-    best_plan0: usize,
-    /// Telemetry tallies, flushed once per decision: `(depth, level)`
-    /// expansions and bound-pruned subtrees. Plain local adds keep the
-    /// hot loop free of thread-local traffic.
-    nodes: u64,
-    pruned: u64,
+    terms: &'a mut [f64],
 }
 
-impl PlanSearch<'_> {
-    /// Extends every scenario's walk at `depth` by `level`, writing the
-    /// child row; identical arithmetic (and order) to one iteration of
-    /// the flat plan scorer's buffer walk.
+impl Transition for FuguWalk<'_> {
+    /// Extends every scenario's walk at `depth` by `level`; identical
+    /// arithmetic (and order) to one iteration of the flat plan scorer's
+    /// buffer walk.
     fn step(&mut self, depth: usize, level: usize) {
-        let s = self.rates.len();
-        let d = self.chunk_duration_s;
+        let s = self.probs.len();
+        let d = self.d;
         let vq = self.vqs[depth * self.n_levels + level];
         for si in 0..s {
             let parent = self.stack[depth * s + si];
@@ -716,10 +411,7 @@ impl PlanSearch<'_> {
             let stall = (dt - parent.buf).max(0.0);
             let mut buf = (parent.buf - dt).max(0.0) + d;
             buf = buf.min(self.max_buffer_s);
-            let switch = match parent.prev {
-                Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                _ => 0.0,
-            };
+            let switch = switch_penalty(parent.prev, vq, level);
             let q = self
                 .qoe
                 .chunk_quality(vq, stall * self.risk_aversion, switch, d);
@@ -731,113 +423,27 @@ impl PlanSearch<'_> {
         }
     }
 
-    /// Recursively enumerates levels at `depth`; `plan0` is the root
-    /// level of the current subtree (the candidate first action).
-    ///
-    /// **Why any exploration order is exact.** A leaf's computed score
-    /// depends only on its plan, and the only observables of the search
-    /// are the best score and the winner's *first* action. The flat
-    /// lexicographic reference with its strictly-greater update returns
-    /// exactly `(max leaf score, min plan0 among max-attaining leaves)`
-    /// — the root level is the odometer's most significant digit, so
-    /// "first leaf attaining the max" and "smallest first action
-    /// attaining the max" coincide. The update rule below maintains that
-    /// pair directly (`>` wins outright, `==` wins only with a smaller
-    /// `plan0`), which frees the search to visit subtrees in the guided
-    /// `ord` order without touching a single result bit.
-    ///
-    /// **Why pruning is exact.** A subtree is skipped only when an upper
-    /// bound on every leaf under it shows the subtree cannot change that
-    /// pair: strictly below `best_q`, nothing inside can win or tie;
-    /// equal to `best_q`, a tie inside matters only if it lowers the
-    /// winning `plan0`. The bound extends each scenario's running total
-    /// with the switch-aware per-depth terms — `ufirst` for the first
-    /// remaining step (conditioned on the node's actual previous level,
-    /// which is on the DFS path), `umax` for deeper steps — **through
-    /// the same left-to-right fold the leaf reduction performs**; every
-    /// operation in the chain (add, multiply by a nonnegative factor,
-    /// `max`) is monotone under IEEE-754 round-to-nearest, so the bound
-    /// dominates every leaf's computed value *as floating point*, not
-    /// just in exact arithmetic.
-    fn descend(&mut self, depth: usize, plan0: usize) {
-        let s = self.rates.len();
-        if self.prunable && depth > 0 {
-            // `prev` is scenario-invariant and always `Some` at depth ≥ 1
-            // (row `depth` was written by `step(depth − 1, …)`).
-            let prev_level = self.stack[depth * s].prev.map_or(0, |(_, l)| l);
-            let mut ub = 0.0;
-            for si in 0..s {
-                let mut bnd = self.stack[depth * s + si].total
-                    + self.ufirst[(depth * s + si) * self.n_levels + prev_level];
-                for j in depth + 1..self.h {
-                    bnd += self.umax[j * s + si];
-                }
-                ub += self.rates[si].0 * bnd;
-            }
-            if ub < self.best_q || (ub == self.best_q && plan0 >= self.best_plan0) {
-                self.pruned += 1;
-                if self.seeded && !self.improved {
-                    self.seeded_prunes += 1;
-                }
-                return;
-            }
+    /// The scenario-order expectation fold of the leaf row.
+    fn leaf_value(&self) -> f64 {
+        let s = self.probs.len();
+        let mut q = 0.0;
+        for si in 0..s {
+            q += self.probs[si] * self.stack[self.h * s + si].total;
         }
-        if depth + 1 == self.h {
-            // The `n_levels` sibling leaves under this parent are scored
-            // as one straight-line block pass, then consumed in the exact
-            // visit order below (module docs, optimization 5).
-            self.score_leaves(depth);
-            for k in 0..self.n_levels {
-                self.nodes += 1;
-                let level = if self.prunable {
-                    self.ord[depth * self.n_levels + k]
-                } else {
-                    k
-                };
-                let plan0 = if depth == 0 { level } else { plan0 };
-                let q = self.leaf_q[level];
-                if q > self.best_q || (q == self.best_q && plan0 < self.best_plan0) {
-                    self.best_q = q;
-                    self.best_plan0 = plan0;
-                    self.improved = true;
-                    self.best_plan.clear();
-                    self.best_plan.extend_from_slice(&self.cur_plan[..depth]);
-                    self.best_plan.push(level);
-                }
-            }
-            return;
-        }
-        for k in 0..self.n_levels {
-            self.nodes += 1;
-            // `ord` is only filled when pruning is active; the unpruned
-            // fallback keeps the reference's lexicographic order.
-            let level = if self.prunable {
-                self.ord[depth * self.n_levels + k]
-            } else {
-                k
-            };
-            let plan0 = if depth == 0 { level } else { plan0 };
-            self.cur_plan[depth] = level;
-            self.step(depth, level);
-            self.descend(depth + 1, plan0);
-        }
+        q
     }
 
-    /// Scores every sibling leaf under the parent row at `depth` in one
-    /// block: the per-scenario parent state is copied into dense slices
-    /// once, then each level runs a straight-line pass of pure slice
-    /// arithmetic (no struct-of-walks indirection, no branches beyond the
-    /// clamp `max`) that the autovectorizer can turn into SIMD lanes.
-    /// Every element computes **exactly** one step of the reference walk
-    /// — `probs[si] · (parent.total + w·q)` with the identical stall,
-    /// switch, and KSQI arithmetic — and the final reduction folds the
-    /// terms in scenario order from 0.0, so each `leaf_q[level]` is
-    /// bit-identical to what [`Self::step`] plus the scenario-order fold
-    /// produced before this restructuring.
-    fn score_leaves(&mut self, depth: usize) {
-        let s = self.rates.len();
+    /// The block pass: the per-scenario parent state is copied into dense
+    /// slices once, then each level runs a straight-line pass of pure
+    /// slice arithmetic (no struct-of-walks indirection, no branches
+    /// beyond the clamp `max`) that the autovectorizer can turn into SIMD
+    /// lanes. Every element computes `probs[si] · (parent.total + w·q)`
+    /// with the identical stall, switch, and KSQI arithmetic, and the
+    /// reduction folds the terms in scenario order from 0.0.
+    fn score_leaves(&mut self, depth: usize, leaf_q: &mut [f64]) {
+        let s = self.probs.len();
         let n_levels = self.n_levels;
-        let d = self.chunk_duration_s;
+        let d = self.d;
         let risk = self.risk_aversion;
         // `prev` is scenario-invariant by construction: every stack row
         // is written with the same `(vq, level)` across scenarios.
@@ -848,12 +454,9 @@ impl PlanSearch<'_> {
             self.pbuf[si] = parent.buf;
             self.ptot[si] = parent.total;
         }
-        for level in 0..n_levels {
+        for (level, slot) in leaf_q.iter_mut().enumerate() {
             let vq = self.vqs[depth * n_levels + level];
-            let switch = match prev {
-                Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                _ => 0.0,
-            };
+            let switch = switch_penalty(prev, vq, level);
             let base = (depth * n_levels + level) * s;
             for si in 0..s {
                 let stall = (self.dt[base + si] - self.pbuf[si]).max(0.0);
@@ -868,8 +471,27 @@ impl PlanSearch<'_> {
             for &term in self.terms.iter() {
                 acc += term;
             }
-            self.leaf_q[level] = acc;
+            *slot = acc;
         }
+    }
+
+    /// Each scenario's running total extended with `ufirst` for the first
+    /// remaining step (conditioned on `prev`) and `umax` for deeper steps,
+    /// then folded in scenario order exactly like the leaf reduction.
+    /// Every operation (add, multiply by a nonnegative probability) is
+    /// monotone under IEEE-754 round-to-nearest.
+    fn bound(&self, depth: usize, prev: usize) -> f64 {
+        let s = self.probs.len();
+        let mut ub = 0.0;
+        for si in 0..s {
+            let mut bnd = self.stack[depth * s + si].total
+                + self.ufirst[(depth * s + si) * self.n_levels + prev];
+            for j in depth + 1..self.h {
+                bnd += self.umax[j * s + si];
+            }
+            ub += self.probs[si] * bnd;
+        }
+        ub
     }
 }
 
@@ -879,78 +501,67 @@ impl Default for Fugu {
     }
 }
 
+impl Planner for Fugu {
+    fn prepare_step(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
+        let h = self.horizon.min(ctx.num_chunks() - next_chunk);
+        self.tables.fill(next_chunk, h, ctx);
+        h
+    }
+
+    fn decide_prepared(
+        &mut self,
+        state: &PlayerState<'_>,
+        ctx: &SessionContext<'_>,
+        h: usize,
+    ) -> Decision {
+        self.prepare_rates(state);
+        let (level, _) = self.plan_prepared(state, ctx, None, h);
+        self.core.commit_last(state.next_chunk);
+        Decision::level(level)
+    }
+
+    fn swap_lane(&mut self, lane: usize) {
+        self.core.carry.swap_lane(lane);
+    }
+}
+
 impl AbrPolicy for Fugu {
     fn name(&self) -> &str {
         "Fugu"
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        Decision::level(self.best_plan(state, ctx, None).0)
+        plan::decide(self, state, ctx)
     }
 
-    /// Session-boundary hygiene: the warm-start carry never crosses a
-    /// session, so a reused policy instance plans exactly like a fresh one.
     fn reset(&mut self) {
-        self.warm.invalidate();
+        self.core.carry.reset();
     }
 
-    /// Trace-boundary hygiene: a rebound policy plans a different network,
-    /// so every carry slot (scalar and per-lane) is dropped.
     fn rebind(&mut self, _trace: &ThroughputTrace) {
-        self.warm.invalidate();
-        for slot in &mut self.lane_warm {
-            slot.invalidate();
-        }
+        self.core.carry.rebind();
     }
 
-    /// Batch-boundary hygiene: fresh per-lane carry slots for the new
-    /// lane set, plus the scalar reset.
     fn begin_batch(&mut self, lanes: usize) {
-        self.reset();
-        self.lane_warm.clear();
-        self.lane_warm.resize_with(lanes, WarmSlot::default);
+        self.core.carry.begin_batch(lanes);
     }
 
-    /// Plans every lane of the batch in one pass. All lanes of a batch sit
-    /// at the same chunk step, so the per-(chunk, level) size/vq manifest
-    /// tables are filled once for the whole tile instead of once per lane;
-    /// the per-lane search then runs over the same prepared tables the
-    /// scalar path uses, so decisions are bit-identical to [`Self::decide`].
-    /// Each lane's warm-start carry is swapped in around its search,
-    /// exactly like SENSEI-Fugu's per-lane pause ledger.
+    /// Plans every lane over chunk tables filled once for the whole tile,
+    /// bit-identically to [`Self::decide`] per lane.
     fn select_batch(
         &mut self,
         states: &BatchStates<'_>,
         ctx: &SessionContext<'_>,
         out: &mut [Decision],
     ) {
-        let h = self.effective_horizon(states.next_chunk(), ctx);
-        if h == 0 {
-            for slot in out.iter_mut().take(states.len()) {
-                *slot = Decision::level(0);
-            }
-            return;
-        }
-        self.fill_chunk_tables(states.next_chunk(), h, ctx);
-        if self.lane_warm.len() < states.len() {
-            self.lane_warm.resize_with(states.len(), WarmSlot::default);
-        }
-        for (i, slot) in out.iter_mut().enumerate().take(states.len()) {
-            let state = states.state(i);
-            std::mem::swap(&mut self.warm, &mut self.lane_warm[i]);
-            self.prepare_rates(&state, ctx, h);
-            let (level, _q) = self.plan_prepared(&state, ctx, None, h);
-            self.commit_warm_from_last(state.next_chunk);
-            std::mem::swap(&mut self.warm, &mut self.lane_warm[i]);
-            *slot = Decision::level(level);
-        }
+        plan::select_batch(self, states, ctx, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{encoded, source};
+    use crate::test_support::{encoded, flat_best, source, FlatPlan, FlatRoot};
     use sensei_sim::{simulate, PlayerConfig};
     use sensei_trace::ThroughputTrace;
 
@@ -1046,71 +657,54 @@ mod tests {
         let _ = Fugu::new().with_horizon(0);
     }
 
-    /// The pre-refactor flat enumeration, kept as the reference the
-    /// prefix-sharing, table-hoisting, branch-and-bound DFS must reproduce
-    /// bit for bit: every plan scored from scratch by an independent
-    /// buffer walk per scenario, plans visited in odometer (lexicographic)
-    /// order, no pruning anywhere.
+    /// One scalar search with explicit objective weights: the prepared
+    /// path SENSEI-Fugu drives, returning the first action and score.
+    fn best_plan(
+        fugu: &mut Fugu,
+        state: &PlayerState<'_>,
+        ctx: &SessionContext<'_>,
+        weights: Option<&[f64]>,
+    ) -> (usize, f64) {
+        let h = fugu.prepare_step(state.next_chunk, ctx);
+        fugu.prepare_rates(state);
+        let result = fugu.plan_prepared(state, ctx, weights, h);
+        fugu.core.commit_last(state.next_chunk);
+        result
+    }
+
+    /// [`flat_best`] over Fugu's predicted throughput scenarios: one
+    /// candidate, no pause cost.
     fn reference_best_plan(
         fugu: &Fugu,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
         weights: Option<&[f64]>,
     ) -> (usize, f64) {
-        let plan_quality = |plan: &[usize], rate_kbps: f64| -> f64 {
-            let d = ctx.chunk_duration_s;
-            let mut buf = state.buffer_s;
-            let mut prev: Option<(f64, usize)> = state
-                .last_level
-                .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
-            let mut total = 0.0;
-            for (j, &level) in plan.iter().enumerate() {
-                let chunk = state.next_chunk + j;
-                let size = ctx.encoded.size_bits(chunk, level).unwrap();
-                let dt = 0.08 + size / (rate_kbps * 1000.0);
-                let stall = (dt - buf).max(0.0);
-                buf = (buf - dt).max(0.0) + d;
-                buf = buf.min(24.0);
-                let vq = ctx.vq[chunk][level];
-                let switch = match prev {
-                    Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                    _ => 0.0,
-                };
-                prev = Some((vq, level));
-                let q =
-                    Ksqi::canonical().chunk_quality(vq, stall * fugu.risk_aversion(), switch, d);
-                total += weights.map_or(q, |w| w[j] * q);
-            }
-            total
+        let rates = fugu.predictor().scenario_rates(state);
+        let plan = FlatPlan {
+            ctx,
+            qoe: Ksqi::canonical(),
+            risk_aversion: fugu.risk_aversion(),
+            max_buffer_s: 24.0,
+            h: DEFAULT_HORIZON.min(ctx.num_chunks() - state.next_chunk),
+            weights,
+            scenarios: rates.len(),
         };
-        let n_levels = ctx.num_levels();
-        let h = DEFAULT_HORIZON.min(ctx.num_chunks() - state.next_chunk);
-        let scenario_rates = fugu.predictor().scenario_rates(state);
-        let mut plan = vec![0usize; h];
-        let mut best_plan0 = 0usize;
-        let mut best_q = f64::NEG_INFINITY;
-        loop {
-            let q: f64 = scenario_rates
-                .iter()
-                .map(|&(p, rate)| p * plan_quality(&plan, rate))
-                .sum();
-            if q > best_q {
-                best_q = q;
-                best_plan0 = plan[0];
-            }
-            let mut pos = h;
-            loop {
-                if pos == 0 {
-                    return (best_plan0, best_q);
-                }
-                pos -= 1;
-                plan[pos] += 1;
-                if plan[pos] < n_levels {
-                    break;
-                }
-                plan[pos] = 0;
-            }
-        }
+        let root = FlatRoot {
+            buffer_s: state.buffer_s,
+            elapsed_s: state.elapsed_s,
+            pause_cost: 0.0,
+        };
+        let (_, first, q) = flat_best(
+            &plan,
+            state,
+            &[root],
+            |si| rates[si].0,
+            |si, _, chunk, level| {
+                0.08 + ctx.encoded.size_bits(chunk, level).unwrap() / (rates[si].1 * 1000.0)
+            },
+        );
+        (first, q)
     }
 
     #[test]
@@ -1158,7 +752,7 @@ mod tests {
                         let w = weights
                             .as_deref()
                             .map(|w| &w[..DEFAULT_HORIZON.min(src.num_chunks() - next_chunk)]);
-                        let fast = fugu.best_plan(&state, &ctx, w);
+                        let fast = best_plan(&mut fugu, &state, &ctx, w);
                         let slow = reference_best_plan(&fugu, &state, &ctx, w);
                         assert_eq!(fast.0, slow.0, "chosen level at chunk {next_chunk}");
                         assert_eq!(
@@ -1198,8 +792,8 @@ mod tests {
                     elapsed_s: 12.0,
                     playing: true,
                 };
-                let warm_plan = warm.best_plan(&state, &ctx, None);
-                let cold_plan = Fugu::new().best_plan(&state, &ctx, None);
+                let warm_plan = best_plan(&mut warm, &state, &ctx, None);
+                let cold_plan = best_plan(&mut Fugu::new(), &state, &ctx, None);
                 assert_eq!(warm_plan.0, cold_plan.0);
                 assert_eq!(warm_plan.1.to_bits(), cold_plan.1.to_bits());
             }

@@ -21,6 +21,8 @@
 //!   reweighted (§5.2).
 //! * [`offline`] — the idealistic §2.4 controllers that know the entire
 //!   throughput trace, used to bound the potential gains (Fig. 6).
+//! * `plan` — the branch-and-bound core the horizon planners (Fugu,
+//!   SENSEI-Fugu, and the oracles) share; each supplies only its walk.
 //! * [`das_ip`] — DAS-IP (Singh & Kumar, arXiv:1612.05864): a per-level
 //!   index policy that replaces the MPC horizon enumeration with an
 //!   `O(levels)` argmax, the fleet-scale cost point of the family.
@@ -37,6 +39,7 @@ pub mod das_ip;
 pub mod fugu;
 pub mod offline;
 pub mod pensieve;
+mod plan;
 pub mod predictor;
 pub mod sensei_fugu;
 pub mod sensei_pensieve;
@@ -49,72 +52,6 @@ pub use pensieve::{Pensieve, PensieveConfig};
 pub use predictor::{ThroughputPredictor, ThroughputScenario};
 pub use sensei_fugu::SenseiFugu;
 pub use sensei_pensieve::SenseiPensieve;
-
-/// Cross-chunk warm-start carry: the full winning plan of one chunk
-/// step's search, committed so the *next* step can seed its incumbent
-/// with the shifted suffix. Shared by the MPC family ([`Fugu`],
-/// [`SenseiFugu`]'s inner search, [`OracleMpc`]); batched policies keep
-/// one slot per lane, exactly like SENSEI-Fugu's per-lane pause ledger.
-///
-/// Seeding is **result-invariant**: the seed is scored with the exact
-/// leaf arithmetic of the search it primes, so it is indistinguishable
-/// from the search having visited that leaf first — a stale or
-/// mismatched slot can only cost speed, never a bit. The only
-/// correctness obligations are hygiene (invalidate on `reset`/`rebind`
-/// and at batch boundaries so state never leaks across sessions) and
-/// safety (every seeded level must index the current ladder).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WarmSlot {
-    /// Whether `plan` holds a committed plan from chunk step `next_chunk`.
-    valid: bool,
-    /// The chunk step `plan` was committed at.
-    next_chunk: usize,
-    /// The committed winning plan (one ladder level per horizon depth).
-    plan: Vec<usize>,
-}
-
-impl WarmSlot {
-    /// Drops the carried plan (session/batch/trace boundary hygiene).
-    pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Records `plan` as the winner of chunk step `next_chunk`.
-    pub(crate) fn commit(&mut self, next_chunk: usize, plan: &[usize]) {
-        self.valid = true;
-        self.next_chunk = next_chunk;
-        self.plan.clear();
-        self.plan.extend_from_slice(plan);
-    }
-
-    /// Builds the warm-start seed for a search at `next_chunk` over
-    /// horizon `h` into `seed`: the shifted suffix of the committed plan
-    /// (step `t`'s plan minus its consumed first action), padded with its
-    /// last level to fill the horizon. Returns false — and leaves the
-    /// search unseeded — unless the slot holds the *immediately
-    /// preceding* chunk step's plan and every seeded level indexes the
-    /// ladder (`< n_levels`). Seed *quality* is irrelevant to
-    /// correctness (any in-range plan is a real leaf); the guards only
-    /// keep indexing safe and the carry per-session.
-    pub(crate) fn seed_into(
-        &self,
-        next_chunk: usize,
-        h: usize,
-        n_levels: usize,
-        seed: &mut Vec<usize>,
-    ) -> bool {
-        if !self.valid || h == 0 || next_chunk != self.next_chunk.wrapping_add(1) {
-            return false;
-        }
-        seed.clear();
-        if self.plan.len() > 1 {
-            seed.extend_from_slice(&self.plan[1..]);
-        }
-        let pad = seed.last().copied().unwrap_or(0);
-        seed.resize(h, pad);
-        seed.iter().all(|&level| level < n_levels)
-    }
-}
 
 /// Errors produced by ABR construction and training.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +109,8 @@ impl From<sensei_sim::SimError> for AbrError {
 #[cfg(test)]
 pub(crate) mod test_support {
     //! Shared fixtures for ABR tests.
+    use sensei_qoe::Ksqi;
+    use sensei_sim::{PlayerState, SessionContext};
     use sensei_video::content::{Genre, SceneKind, SceneSpec};
     use sensei_video::{BitrateLadder, EncodedVideo, SourceVideo};
 
@@ -193,5 +132,88 @@ pub(crate) mod test_support {
 
     pub fn encoded(src: &SourceVideo) -> EncodedVideo {
         EncodedVideo::encode(src, &BitrateLadder::default_paper(), 5)
+    }
+
+    /// The shared setting of one flat reference enumeration.
+    pub struct FlatPlan<'a> {
+        pub ctx: &'a SessionContext<'a>,
+        pub qoe: Ksqi,
+        pub risk_aversion: f64,
+        pub max_buffer_s: f64,
+        pub h: usize,
+        /// Per-depth objective weights (`None` scores plain quality).
+        pub weights: Option<&'a [f64]>,
+        /// Throughput scenarios walked per plan.
+        pub scenarios: usize,
+    }
+
+    /// One candidate's root: the walk's starting buffer and wall clock,
+    /// and the cost subtracted from each of its plans.
+    pub struct FlatRoot {
+        pub buffer_s: f64,
+        pub elapsed_s: f64,
+        pub pause_cost: f64,
+    }
+
+    /// The flat reference every planner search must reproduce bit for
+    /// bit: each `(candidate, plan)` pair scored from scratch by an
+    /// independent buffer walk per scenario (no prefix sharing, no memo,
+    /// no pruning), candidates in order, plans in odometer (lexicographic)
+    /// order, strictly-greater winner updates. `prob(si)` is scenario
+    /// `si`'s probability and `download_time(si, t, chunk, level)` its
+    /// download time at wall clock `t`. Returns the winner's candidate,
+    /// first action, and score.
+    pub fn flat_best(
+        plan: &FlatPlan<'_>,
+        state: &PlayerState<'_>,
+        roots: &[FlatRoot],
+        prob: impl Fn(usize) -> f64,
+        download_time: impl Fn(usize, f64, usize, usize) -> f64,
+    ) -> (usize, usize, f64) {
+        let ctx = plan.ctx;
+        let d = ctx.chunk_duration_s;
+        let prev0 = state
+            .last_level
+            .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
+        let mut best = (0, 0, f64::NEG_INFINITY);
+        for (cand, root) in roots.iter().enumerate() {
+            let mut levels = vec![0usize; plan.h];
+            loop {
+                let mut q = 0.0;
+                for si in 0..plan.scenarios {
+                    let (mut t, mut buf, mut prev) = (root.elapsed_s, root.buffer_s, prev0);
+                    let mut total = 0.0;
+                    for (j, &level) in levels.iter().enumerate() {
+                        let chunk = state.next_chunk + j;
+                        let dt = download_time(si, t, chunk, level);
+                        let stall = (dt - buf).max(0.0);
+                        buf = ((buf - dt).max(0.0) + d).min(plan.max_buffer_s);
+                        let vq = ctx.vq[chunk][level];
+                        let switch = match prev {
+                            Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
+                            _ => 0.0,
+                        };
+                        prev = Some((vq, level));
+                        let cq = plan
+                            .qoe
+                            .chunk_quality(vq, stall * plan.risk_aversion, switch, d);
+                        total += plan.weights.map_or(cq, |w| w[j] * cq);
+                        t += dt;
+                    }
+                    q += prob(si) * total;
+                }
+                let q = q - root.pause_cost;
+                if q > best.2 {
+                    best = (cand, levels[0], q);
+                }
+                // Odometer increment; a full wrap ends this candidate.
+                let Some(pos) = levels.iter().rposition(|&l| l + 1 < ctx.num_levels()) else {
+                    break;
+                };
+                levels[pos] += 1;
+                levels[pos + 1..].fill(0);
+            }
+        }
+        best
     }
 }

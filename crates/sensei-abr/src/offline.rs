@@ -13,52 +13,29 @@
 //! ## Planning cost, and where it goes
 //!
 //! The horizon enumeration is the fleet's throughput cliff: `levels^h`
-//! leaves per decision, each leaf historically re-walking the trace. Five
-//! structural moves cut it without changing one result bit (asserted
-//! against a flat reference odometer in this module's tests):
-//!
-//! 1. **Prefix sharing** — plans enumerate as a depth-first tree, so a
-//!    shared prefix is walked once (inherited from the earlier refactor).
-//! 2. **Download-time memoization** — the trace walk's step
-//!    `rtt + download_time(t + rtt, size)` is a pure function of
-//!    `(t, chunk, level)` for a fixed trace, so results are cached in a
-//!    per-instance table keyed by the *exact bits* of `t`. Pause
-//!    candidates share the entire wall-clock tree (a pause shifts buffer,
-//!    not wall clock), lanes of a tile replay the same network, and the
-//!    chosen subtree recurs across chunk steps — all hits. A hit returns
-//!    exactly what recomputation would, so caching is bit-invisible.
-//! 3. **Exact branch-and-bound with guided order** — subtrees are
-//!    explored most-promising-first and skipped when a floating-point-
-//!    monotone no-stall upper bound shows they cannot change the
-//!    decision. The winner update tracks exactly the tuple the flat
-//!    reference returns — the maximum score, the earliest pause
-//!    candidate attaining it, and the smallest first action within that
-//!    candidate — so neither the visit order nor the pruning can move a
-//!    result bit.
-//! 4. **Cross-chunk warm starts** — the shifted suffix of step *t*'s
-//!    winning plan is a feasible leaf of step *t+1*'s tree under the
-//!    no-pause candidate (which always runs first). It is scored first
-//!    with the exact walk arithmetic and seeds the incumbent, so the
-//!    very first `descend` prunes against a near-optimal bound. Seeding
-//!    is indistinguishable from the search having visited that leaf
-//!    first: the tie rule (`==` wins only inside the best's own pause
-//!    candidate with a smaller first action) still steers every tie to
-//!    the reference winner.
-//! 5. **Block leaf scoring** — the `n_levels` sibling leaves under one
-//!    parent share the entire walk prefix, so their download times are
-//!    prefetched in one memo pass and their scores computed in one
-//!    straight-line loop, each element exactly one reference walk step,
-//!    consumed in the unchanged visit order.
+//! leaves per decision, each leaf historically re-walking the trace. The
+//! search runs on the shared branch-and-bound core in the private `plan`
+//! module, all pause candidates through one search sharing one incumbent.
+//! What is the oracle's own is its transition, an exact trace walk whose
+//! step `rtt + download_time(t + rtt, size)` is a pure function of
+//! `(t, chunk, level)` for a fixed trace. Results are cached in a
+//! per-instance **download-time memo** keyed by the *exact bits* of `t`.
+//! Pause candidates share the entire wall-clock tree (a pause shifts
+//! buffer, not wall clock), lanes of a tile replay the same network, and
+//! the chosen subtree recurs across chunk steps — all hits. A hit returns
+//! exactly what recomputation would, so caching is bit-invisible.
 
 // sensei-lint: allow(no-unordered-iteration) — the memo below is keyed lookups only, never iterated
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
-use crate::WarmSlot;
+use crate::plan::{self, switch_penalty, ChunkTables, PlanCore, Planner, Transition};
+use crate::sensei_fugu::PAUSE_LEVELS_S;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
 use sensei_telemetry as telemetry;
 use sensei_trace::{CumulativeTrace, ThroughputTrace};
+use sensei_video::SensitivityWeights;
 
 /// Memo entries above this count trigger a wholesale clear (the table is a
 /// pure cache, so clearing at any point is bit-invisible). Sized so one
@@ -66,7 +43,8 @@ use sensei_trace::{CumulativeTrace, ThroughputTrace};
 /// two orders of magnitude to spare.
 const MEMO_CAP: usize = 1 << 18;
 
-/// Download-time memo: `(t.to_bits(), chunk·256 + level) → dt`.
+/// Download-time memo: `(t.to_bits(), chunk·L + level) → dt` for an
+/// `L`-level ladder, an injective key for every ladder length.
 ///
 /// A `HashMap` is sound here because the memo is only ever probed by
 /// key (`get`/`insert`/`clear`): iteration order can never reach a
@@ -125,44 +103,15 @@ struct OracleScratch {
     stack: Vec<OracleWalk>,
     /// The horizon's chunk weights (uniform for the unaware variant).
     weights: Vec<f64>,
-    /// `sizes[depth·L + level]`: chunk size in bits.
-    sizes: Vec<f64>,
-    /// `vqs[depth·L + level]`: visual quality.
-    vqs: Vec<f64>,
-    /// `umax[depth]`: no-stall upper bound on the weighted quality any
-    /// level can contribute at `depth`, maximized over every (previous
-    /// level, level) pair — switch penalty included (branch-and-bound).
-    umax: Vec<f64>,
-    /// `ufirst[depth·L + lprev]`: the same bound conditioned on the
-    /// *actual* previous level `lprev`, used for the first remaining step
-    /// of a node (whose last chosen level the search knows).
-    ufirst: Vec<f64>,
-    /// Whether the bound in `umax` is floating-point monotone (all
-    /// weights and QoE penalties nonnegative); pruning is disabled
-    /// otherwise.
-    prunable: bool,
     /// `ord[depth·L + k]`: the levels of `depth` in descending no-stall
-    /// score order — the exploration order of the pruned search. Any
-    /// order yields identical results (see [`OracleSearch::descend`]);
-    /// leading with the bound's own argmax makes a feasible no-stall
-    /// plan prune everything else near the root.
+    /// score order — the exploration order of the pruned search, empty
+    /// when pruning is disabled. Leading with the bound's own argmax makes
+    /// a feasible no-stall plan prune everything else near the root.
     ord: Vec<usize>,
     /// Per-level score accumulator used to build `ord`.
     scores: Vec<f64>,
     /// The download-time memo (see module docs).
     memo: DtMemo,
-    /// The DFS path (one level per depth) above the current node.
-    cur_plan: Vec<usize>,
-    /// The full winning plan of the last search — the next chunk step's
-    /// warm-start seed.
-    best_plan: Vec<usize>,
-    /// Warm-start seed scratch (shifted suffix of the previous plan).
-    seed: Vec<usize>,
-    /// Per-level download times of one sibling-leaf block.
-    dts: Vec<f64>,
-    /// `leaf_q[level]`: each sibling leaf's score at the last depth,
-    /// produced by the block scorer and consumed in visit order.
-    leaf_q: Vec<f64>,
 }
 
 /// Oracle-throughput receding-horizon controller.
@@ -183,15 +132,9 @@ pub struct OracleMpc {
     /// the same miscalibration [`crate::Fugu`] corrects.
     risk_aversion: f64,
     name: String,
+    tables: ChunkTables,
+    core: PlanCore,
     scratch: OracleScratch,
-    /// Cross-chunk warm-start carry for the scalar lifecycle (the batched
-    /// path swaps per-lane slots through here).
-    warm: WarmSlot,
-    /// Per-lane warm-start carries for [`AbrPolicy::select_batch`].
-    lane_warm: Vec<WarmSlot>,
-    /// When false, searches never seed from or commit to the carry slots
-    /// — the warm-vs-cold parity suite's reference mode.
-    warm_start_enabled: bool,
 }
 
 impl OracleMpc {
@@ -207,10 +150,9 @@ impl OracleMpc {
             sensitivity_aware: true,
             risk_aversion: 3.0,
             name: "Oracle(aware)".to_string(),
+            tables: ChunkTables::default(),
+            core: PlanCore::default(),
             scratch: OracleScratch::default(),
-            warm: WarmSlot::default(),
-            lane_warm: Vec::new(),
-            warm_start_enabled: true,
         }
     }
 
@@ -218,11 +160,7 @@ impl OracleMpc {
     /// forces every search to start cold — bit-identical results, more
     /// nodes — which is the warm-vs-cold parity suite's reference.
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start_enabled = enabled;
-        if !enabled {
-            self.warm.invalidate();
-            self.lane_warm.clear();
-        }
+        self.core.carry.set_enabled(enabled);
         self
     }
 
@@ -237,197 +175,96 @@ impl OracleMpc {
         }
     }
 
-    /// Fills every per-decision table that depends only on the chunk
-    /// position — the horizon's weight window, the per-(depth, level)
-    /// size/vq manifest lookups, and the branch-and-bound quality caps.
-    /// All lanes of a batch sit at the same chunk step, so the batched
-    /// entry point runs this once per chunk instead of once per lane.
-    /// Returns the effective horizon (0 at the video end).
-    fn prepare(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
-        let remaining = ctx.num_chunks() - next_chunk;
-        let h = self.horizon.min(remaining);
-        if h == 0 {
-            return 0;
-        }
-        if self.scratch.memo.len() > MEMO_CAP {
-            self.scratch.memo.clear();
-        }
-        let weights = &mut self.scratch.weights;
-        weights.clear();
-        if self.sensitivity_aware {
-            if let Some(w) = ctx.weights {
-                weights.extend_from_slice(w.window(next_chunk, h));
-            }
-        }
-        weights.resize(h, 1.0);
+    /// The manifest weights this variant plans with.
+    fn weights<'a>(&self, ctx: &SessionContext<'a>) -> Option<&'a SensitivityWeights> {
+        ctx.weights.filter(|_| self.sensitivity_aware)
+    }
+}
+
+impl Planner for OracleMpc {
+    /// Fills every table that depends only on the chunk position: the
+    /// horizon's weight window, the core's chunk tables and switch bound,
+    /// and the guided order.
+    fn prepare_step(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
+        let h = self.horizon.min(ctx.num_chunks() - next_chunk);
         let n_levels = ctx.num_levels();
-        self.scratch.sizes.clear();
-        self.scratch.vqs.clear();
-        for depth in 0..h {
-            let chunk = next_chunk + depth;
-            for level in 0..n_levels {
-                self.scratch.sizes.push(
-                    ctx.encoded
-                        .size_bits(chunk, level)
-                        .expect("plan stays in range"),
-                );
-                self.scratch.vqs.push(ctx.vq[chunk][level]);
-            }
+        let d = ctx.chunk_duration_s;
+        let window = self.weights(ctx);
+        let OracleScratch {
+            weights,
+            ord,
+            scores,
+            memo,
+            ..
+        } = &mut self.scratch;
+        if memo.len() > MEMO_CAP {
+            memo.clear();
         }
+        plan::fill_window(weights, window, next_chunk, h);
+        self.tables.fill(next_chunk, h, ctx);
         // The bound is sound only when every bound step is FP-monotone:
         // nonnegative weights and nonnegative stall/switch penalties.
         // A fitted KSQI could in principle have negative penalties, in
         // which case pruning is simply disabled (full enumeration).
         let (_, b, c, _) = self.qoe.coefficients();
-        self.scratch.prunable = b >= 0.0 && c >= 0.0 && weights.iter().all(|&w| w >= 0.0);
-        self.scratch.umax.clear();
-        self.scratch.ufirst.clear();
-        self.scratch.ord.clear();
-        if self.scratch.prunable {
-            let d = ctx.chunk_duration_s;
-            let OracleScratch {
-                weights,
-                vqs,
-                umax,
-                ufirst,
-                ord,
-                scores,
-                ..
-            } = &mut self.scratch;
-            for depth in 0..h {
+        ord.clear();
+        if b >= 0.0 && c >= 0.0 && weights.iter().all(|&w| w >= 0.0) {
+            // Guided order: highest no-stall, no-switch score first; with
+            // nonnegative penalties it dominates the quality any walk can
+            // realize here.
+            for (&w, vqs) in weights.iter().zip(self.tables.vqs.chunks(n_levels)) {
                 scores.clear();
-                for level in 0..n_levels {
-                    // No stall, no switch: with nonnegative penalties this
-                    // dominates the quality any walk can realize here.
-                    let q = self
-                        .qoe
-                        .chunk_quality(vqs[depth * n_levels + level], 0.0, 0.0, d);
-                    scores.push(weights[depth] * q);
+                for &vq in vqs {
+                    scores.push(w * self.qoe.chunk_quality(vq, 0.0, 0.0, d));
                 }
-                // Guided order: highest no-stall score first. Purely a
-                // search-speed heuristic — the update rule in `descend`
-                // makes the search result order-invariant.
-                let base = ord.len();
-                ord.extend(0..n_levels);
-                ord[base..].sort_by(|&a, &b| {
-                    scores[b]
-                        .partial_cmp(&scores[a])
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                });
+                plan::push_order(ord, scores);
             }
-            // Switch-aware per-depth bounds (no stall term — the oracle's
-            // download times depend on the wall clock, which the bound
-            // cannot know). `ufirst` conditions the first remaining step
-            // on the node's actual previous level so its switch penalty is
-            // the exact one the walk charges; `umax` relaxes deeper steps
-            // over every (previous level, level) pair. `chunk_quality` is
-            // FP-monotone in the switch penalty, so every entry dominates
-            // the walk's corresponding per-step term as floating point.
-            // Depth 0 rows stay at the placeholder (the bound is only
-            // evaluated at depth ≥ 1).
-            ufirst.resize(h * n_levels, 0.0);
-            umax.resize(h, 0.0);
-            for depth in 1..h {
-                let mut overall = f64::NEG_INFINITY;
-                for lprev in 0..n_levels {
-                    let pvq = vqs[(depth - 1) * n_levels + lprev];
-                    let mut best = f64::NEG_INFINITY;
-                    for level in 0..n_levels {
-                        let vq = vqs[depth * n_levels + level];
-                        let switch = if level != lprev {
-                            (vq - pvq).abs()
-                        } else {
-                            0.0
-                        };
-                        let term = weights[depth] * self.qoe.chunk_quality(vq, 0.0, switch, d);
-                        if term > best {
-                            best = term;
-                        }
-                    }
-                    ufirst[depth * n_levels + lprev] = best;
-                    if best > overall {
-                        overall = best;
-                    }
-                }
-                umax[depth] = overall;
-            }
+            // No stall term: the oracle's download times depend on the
+            // wall clock, which the bound cannot know.
+            self.tables.switch_bounds(&self.qoe, Some(weights), d);
         }
         h
     }
 
-    /// The per-lane decision, assuming [`Self::prepare`] has run for
-    /// `(state.next_chunk, h)`.
+    /// The per-lane decision: every pause candidate runs through one
+    /// search sharing one incumbent.
     fn decide_prepared(
         &mut self,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
         h: usize,
     ) -> Decision {
-        let playhead_w = if self.sensitivity_aware {
-            ctx.weights
-                .map(|w| {
-                    let buffered = (state.buffer_s / ctx.chunk_duration_s).ceil() as usize;
-                    let playhead = state.next_chunk.saturating_sub(buffered);
-                    w.get(playhead.min(w.len() - 1)).unwrap_or(1.0)
-                })
-                .unwrap_or(1.0)
-        } else {
-            1.0
-        };
+        // Charged at the same risk multiplier the planner applies to
+        // predicted stalls, so relocating a stall is never spuriously
+        // profitable (mirrors SENSEI-Fugu's accounting).
         let (_, stall_penalty, _, _) = self.qoe.coefficients();
+        let pause_unit_cost = plan::playhead_weight(state, self.weights(ctx), ctx.chunk_duration_s)
+            * stall_penalty
+            * self.risk_aversion;
         let pauses: &[f64] = if self.allow_pause && state.playing {
-            &[0.0, 1.0, 2.0]
+            &PAUSE_LEVELS_S
         } else {
-            &[0.0]
+            &PAUSE_LEVELS_S[..1]
         };
-        let prev = state
-            .last_level
-            .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
         let n_levels = ctx.num_levels();
-        // Warm start: the shifted suffix of the previous chunk step's
-        // winning plan, when this search is its immediate successor. The
-        // seed is scored below with the exact walk arithmetic under the
-        // no-pause candidate, so seeding is result-invariant (module
-        // docs, optimization 4).
-        let seeded = self.warm_start_enabled
-            && self
-                .warm
-                .seed_into(state.next_chunk, h, n_levels, &mut self.scratch.seed);
+        let root = OracleWalk {
+            t: state.elapsed_s,
+            buf: state.buffer_s,
+            prev: state
+                .last_level
+                .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l)),
+            total: 0.0,
+        };
         let OracleScratch {
             stack,
             weights,
-            sizes,
-            vqs,
-            umax,
-            ufirst,
-            prunable,
             ord,
-            scores: _,
             memo,
-            cur_plan,
-            best_plan,
-            seed,
-            dts,
-            leaf_q,
+            ..
         } = &mut self.scratch;
         stack.clear();
-        stack.resize(
-            h + 1,
-            OracleWalk {
-                t: 0.0,
-                buf: 0.0,
-                prev: None,
-                total: 0.0,
-            },
-        );
-        cur_plan.clear();
-        cur_plan.resize(h, 0);
-        best_plan.clear();
-        dts.clear();
-        dts.resize(n_levels, 0.0);
-        leaf_q.clear();
-        leaf_q.resize(n_levels, 0.0);
-        let mut search = OracleSearch {
+        stack.resize(h + 1, root);
+        let mut walk = TraceWalk {
             cum: &self.cum,
             qoe: &self.qoe,
             rtt_s: self.rtt_s,
@@ -436,84 +273,33 @@ impl OracleMpc {
             d: ctx.chunk_duration_s,
             next_chunk: state.next_chunk,
             h,
-            n_levels: ctx.num_levels(),
+            n_levels,
             weights,
-            sizes,
-            vqs,
-            umax,
-            ufirst,
-            ord,
-            prunable: *prunable,
+            tables: &self.tables,
             stack,
             memo,
-            cur_plan,
-            best_plan,
-            dts,
-            leaf_q,
-            seeded,
-            improved: false,
-            seeded_prunes: 0,
-            pause: 0.0,
+            root,
+            pauses,
+            pause_unit_cost,
             pause_cost: 0.0,
-            pause_idx: 0,
-            best_pause_idx: 0,
-            best_q: f64::NEG_INFINITY,
-            best: Decision::level(0),
-            nodes: 0,
-            pruned: 0,
             memo_lookups: 0,
             memo_hits: 0,
         };
-        for (pause_idx, &pause) in pauses.iter().enumerate() {
-            // Charged at the same risk multiplier the planner applies to
-            // predicted stalls, so relocating a stall is never spuriously
-            // profitable (mirrors SENSEI-Fugu's accounting).
-            search.pause = pause;
-            search.pause_idx = pause_idx;
-            search.pause_cost = playhead_w
-                * stall_penalty
-                * self.risk_aversion
-                * (pause / ctx.chunk_duration_s).clamp(0.0, 1.0);
-            search.stack[0] = OracleWalk {
-                t: state.elapsed_s,
-                buf: state.buffer_s + pause,
-                prev,
-                total: 0.0,
-            };
-            if pause_idx == 0 && seeded {
-                // Score the seed leaf exactly under the no-pause
-                // candidate (which always runs, and runs first): the
-                // same walk steps and final pause-cost subtraction the
-                // tree search performs for any leaf, so the seeded
-                // incumbent is indistinguishable from the search having
-                // visited that leaf first.
-                for (depth, &level) in seed.iter().enumerate() {
-                    search.nodes += 1;
-                    search.step(depth, level);
-                }
-                let q = search.stack[h].total - search.pause_cost;
-                search.best_q = q;
-                search.best_pause_idx = 0;
-                search.best = Decision {
-                    level: seed[0],
-                    pause_s: pause,
-                };
-                search.best_plan.clear();
-                search.best_plan.extend_from_slice(seed);
-            }
-            search.descend(0, 0);
+        let ord = (!ord.is_empty()).then_some(&ord[..]);
+        let best = self
+            .core
+            .search(&mut walk, state.next_chunk, h, n_levels, ord, pauses.len());
+        telemetry::count(telemetry::Counter::DtMemoLookups, walk.memo_lookups);
+        telemetry::count(telemetry::Counter::DtMemoHits, walk.memo_hits);
+        self.core.commit_last(state.next_chunk);
+        Decision {
+            level: best.first,
+            pause_s: pauses[best.cand],
         }
-        telemetry::count(telemetry::Counter::PlanNodes, search.nodes);
-        telemetry::count(telemetry::Counter::PlanPrunes, search.pruned);
-        telemetry::count(telemetry::Counter::DtMemoLookups, search.memo_lookups);
-        telemetry::count(telemetry::Counter::DtMemoHits, search.memo_hits);
-        telemetry::count(telemetry::Counter::WarmStartHits, u64::from(seeded));
-        telemetry::count(telemetry::Counter::SeededPrunes, search.seeded_prunes);
-        let decision = search.best;
-        if self.warm_start_enabled {
-            self.warm.commit(state.next_chunk, &self.scratch.best_plan);
-        }
-        decision
+    }
+
+    fn swap_lane(&mut self, lane: usize) {
+        self.core.carry.swap_lane(lane);
     }
 }
 
@@ -527,13 +313,10 @@ struct OracleWalk {
     total: f64,
 }
 
-/// Depth-first enumeration of every length-`h` plan under one pause
-/// candidate, with exact-throughput walks shared across plan prefixes —
-/// the oracle-side counterpart of [`crate::Fugu`]'s prefix-sharing search.
-/// Subtrees are visited in the guided `ord` order; the update and pruning
-/// rules in [`Self::descend`] keep the decision bit-identical to scoring
-/// each `(pause, plan)` pair from scratch in the flat reference order.
-struct OracleSearch<'a> {
+/// The oracle's transition: one exact-throughput walk per prefix under
+/// the current pause candidate, whose cost is subtracted from every leaf
+/// and bound.
+struct TraceWalk<'a> {
     cum: &'a CumulativeTrace,
     qoe: &'a Ksqi,
     rtt_s: f64,
@@ -544,145 +327,54 @@ struct OracleSearch<'a> {
     h: usize,
     n_levels: usize,
     weights: &'a [f64],
-    sizes: &'a [f64],
-    vqs: &'a [f64],
-    umax: &'a [f64],
-    ufirst: &'a [f64],
-    ord: &'a [usize],
-    prunable: bool,
+    /// The chunk tables; the no-stall switch bound is the oracle's bound.
+    tables: &'a ChunkTables,
     stack: &'a mut [OracleWalk],
     memo: &'a mut DtMemo,
-    /// The DFS path (one level per depth) above the current node.
-    cur_plan: &'a mut Vec<usize>,
-    /// The full winning plan — kept for the next step's warm start.
-    best_plan: &'a mut Vec<usize>,
-    /// Per-level download times of one sibling-leaf block.
-    dts: &'a mut Vec<f64>,
-    /// Each sibling leaf's score, by level (block leaf scoring).
-    leaf_q: &'a mut Vec<f64>,
-    /// Whether the incumbent was seeded from the previous chunk's plan.
-    seeded: bool,
-    /// Whether any leaf has improved on the (seeded) incumbent yet.
-    improved: bool,
-    /// Prunes taken against the still-unimproved seeded incumbent.
-    seeded_prunes: u64,
-    pause: f64,
+    /// The no-pause root; candidate `i` adds `pauses[i]` of buffer.
+    root: OracleWalk,
+    pauses: &'a [f64],
+    /// Playhead weight × stall penalty × risk aversion: a full chunk's
+    /// pause cost.
+    pause_unit_cost: f64,
+    /// The current candidate's pause cost.
     pause_cost: f64,
-    /// Index of the pause candidate currently being searched (candidates
-    /// run in declaration order).
-    pause_idx: usize,
-    /// Index of the pause candidate that produced `best`.
-    best_pause_idx: usize,
-    best_q: f64,
-    best: Decision,
-    /// Telemetry tallies, flushed once per decision: `(depth, level)`
-    /// expansions, bound-pruned subtrees, and download-time memo traffic.
-    /// Plain local adds keep the hot loop free of thread-local traffic.
-    nodes: u64,
-    pruned: u64,
+    /// Telemetry tallies of download-time memo traffic, flushed once per
+    /// decision.
     memo_lookups: u64,
     memo_hits: u64,
 }
 
-impl OracleSearch<'_> {
-    /// Recursively enumerates levels at `depth`, updating `(best_q, best)`
-    /// on leaves; `plan0` is the candidate first action of this subtree.
-    ///
-    /// **Why any exploration order is exact.** A leaf's computed score
-    /// depends only on its `(pause, plan)` pair, and the only observables
-    /// are the best score and the winner's `(pause, first action)`. The
-    /// flat reference — pauses in declaration order, plans lexicographic,
-    /// strictly-greater updates — returns exactly the maximum score, the
-    /// earliest pause candidate attaining it, and the smallest first
-    /// action within that candidate (the root level is the odometer's
-    /// most significant digit). The update rule below maintains that
-    /// tuple directly: `>` wins outright, `==` wins only inside the
-    /// best's own pause candidate with a smaller `plan0` (candidates run
-    /// in order, so a tie from a *later* candidate never wins). That
-    /// frees the search to visit subtrees in the guided `ord` order.
-    ///
-    /// **Why pruning is exact.** A subtree is skipped only when the
-    /// no-stall bound shows it cannot change that tuple: strictly below
-    /// `best_q` nothing inside can win or tie; equal to `best_q`, a tie
-    /// inside matters only if it could lower the winning `plan0` within
-    /// the best's own pause candidate. The bound extends the node's
-    /// running total with the switch-aware per-depth caps — `ufirst` for
-    /// the first remaining step (conditioned on the node's actual
-    /// previous level, which is on the DFS path), `umax` for deeper
-    /// steps — through the same left-to-right fold (and final pause-cost
-    /// subtraction) the leaf computation performs; each operation is
-    /// monotone under IEEE-754 round-to-nearest, so the bound dominates
-    /// every leaf's *computed* value as floating point.
-    fn descend(&mut self, depth: usize, plan0: usize) {
-        if self.prunable && depth > 0 {
-            // `prev` is always `Some` at depth ≥ 1 (row `depth` was
-            // written by `step(depth − 1, …)`).
-            let prev_level = self.stack[depth].prev.map_or(0, |(_, l)| l);
-            let mut bnd = self.stack[depth].total + self.ufirst[depth * self.n_levels + prev_level];
-            for j in depth + 1..self.h {
-                bnd += self.umax[j];
-            }
-            let ub = bnd - self.pause_cost;
-            let tie_can_improve = self.pause_idx == self.best_pause_idx && plan0 < self.best.level;
-            if ub < self.best_q || (ub == self.best_q && !tie_can_improve) {
-                self.pruned += 1;
-                if self.seeded && !self.improved {
-                    self.seeded_prunes += 1;
-                }
-                return;
-            }
+impl TraceWalk<'_> {
+    /// The memoized walk step `rtt + download_time(t + rtt, size)`, keyed
+    /// by the *exact bits* of `t`. A hit returns exactly what
+    /// recomputation would, so caching is bit-invisible.
+    fn download_time(&mut self, t: f64, depth: usize, level: usize) -> f64 {
+        let chunk = self.next_chunk + depth;
+        let key = (t.to_bits(), (chunk * self.n_levels + level) as u64);
+        self.memo_lookups += 1;
+        if let Some(&dt) = self.memo.get(&key) {
+            self.memo_hits += 1;
+            return dt;
         }
-        if depth + 1 == self.h {
-            // The `n_levels` sibling leaves under this parent are scored
-            // as one block pass, then consumed in the exact visit order
-            // below (module docs, optimization 5).
-            self.score_leaves(depth);
-            for k in 0..self.n_levels {
-                self.nodes += 1;
-                let level = if self.prunable {
-                    self.ord[depth * self.n_levels + k]
-                } else {
-                    k
-                };
-                let plan0 = if depth == 0 { level } else { plan0 };
-                let q = self.leaf_q[level];
-                if q > self.best_q
-                    || (q == self.best_q
-                        && self.pause_idx == self.best_pause_idx
-                        && plan0 < self.best.level)
-                {
-                    self.best_q = q;
-                    self.best_pause_idx = self.pause_idx;
-                    self.best = Decision {
-                        level: plan0,
-                        pause_s: self.pause,
-                    };
-                    self.improved = true;
-                    self.best_plan.clear();
-                    self.best_plan.extend_from_slice(&self.cur_plan[..depth]);
-                    self.best_plan.push(level);
-                }
-            }
-            return;
-        }
-        for k in 0..self.n_levels {
-            self.nodes += 1;
-            // `ord` is only filled when pruning is active; the unpruned
-            // fallback keeps the reference's lexicographic order.
-            let level = if self.prunable {
-                self.ord[depth * self.n_levels + k]
-            } else {
-                k
-            };
-            let plan0 = if depth == 0 { level } else { plan0 };
-            self.cur_plan[depth] = level;
-            self.step(depth, level);
-            self.descend(depth + 1, plan0);
-        }
+        let size = self.tables.sizes[depth * self.n_levels + level];
+        let dt = self.rtt_s + self.cum.download_time(t + self.rtt_s, size);
+        self.memo.insert(key, dt);
+        dt
+    }
+}
+
+impl Transition for TraceWalk<'_> {
+    fn begin_candidate(&mut self, cand: usize) {
+        let pause = self.pauses[cand];
+        self.pause_cost = self.pause_unit_cost * (pause / self.d).clamp(0.0, 1.0);
+        self.stack[0] = OracleWalk {
+            buf: self.root.buf + pause,
+            ..self.root
+        };
     }
 
-    /// Extends the walk at `depth` by `level`, writing the child row —
-    /// identical arithmetic (and memo traffic) to one step of the
+    /// Identical arithmetic (and memo traffic) to one step of the
     /// reference trace walk.
     fn step(&mut self, depth: usize, level: usize) {
         let parent = self.stack[depth];
@@ -690,11 +382,8 @@ impl OracleSearch<'_> {
         let stall = (dt - parent.buf).max(0.0);
         let mut buf = (parent.buf - dt).max(0.0) + self.d;
         buf = buf.min(self.max_buffer_s);
-        let vq = self.vqs[depth * self.n_levels + level];
-        let switch = match parent.prev {
-            Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-            _ => 0.0,
-        };
+        let vq = self.tables.vqs[depth * self.n_levels + level];
+        let switch = switch_penalty(parent.prev, vq, level);
         self.stack[depth + 1] = OracleWalk {
             t: parent.t + dt,
             buf,
@@ -707,57 +396,42 @@ impl OracleSearch<'_> {
         };
     }
 
-    /// The memoized walk step `rtt + download_time(t + rtt, size)` — a
-    /// pure function of `(t, chunk, level)` for a fixed trace, keyed by
-    /// the *exact bits* of `t`. A hit returns exactly what recomputation
-    /// would, so caching is bit-invisible (module docs, optimization 2).
-    fn download_time(&mut self, t: f64, depth: usize, level: usize) -> f64 {
-        let chunk = self.next_chunk + depth;
-        let key = (t.to_bits(), ((chunk as u64) << 8) | level as u64);
-        self.memo_lookups += 1;
-        match self.memo.get(&key) {
-            Some(&dt) => {
-                self.memo_hits += 1;
-                dt
-            }
-            None => {
-                let size = self.sizes[depth * self.n_levels + level];
-                let dt = self.rtt_s + self.cum.download_time(t + self.rtt_s, size);
-                self.memo.insert(key, dt);
-                dt
-            }
+    fn leaf_value(&self) -> f64 {
+        self.stack[self.h].total - self.pause_cost
+    }
+
+    /// The per-level download times are prefetched through the memo into
+    /// `leaf_q` first, then each level's slot is rewritten in place with
+    /// one straight-line walk step plus the pause-cost subtraction. (Memo
+    /// *insertion* order is level order rather than visit order; the memo
+    /// is keyed exactly, so insertion order is unobservable.)
+    fn score_leaves(&mut self, depth: usize, leaf_q: &mut [f64]) {
+        let parent = self.stack[depth];
+        for (level, slot) in leaf_q.iter_mut().enumerate() {
+            *slot = self.download_time(parent.t, depth, level);
+        }
+        let w = self.weights[depth];
+        for (level, slot) in leaf_q.iter_mut().enumerate() {
+            let stall = (*slot - parent.buf).max(0.0);
+            let vq = self.tables.vqs[depth * self.n_levels + level];
+            let switch = switch_penalty(parent.prev, vq, level);
+            let q = self
+                .qoe
+                .chunk_quality(vq, stall * self.risk_aversion, switch, self.d);
+            *slot = (parent.total + w * q) - self.pause_cost;
         }
     }
 
-    /// Scores every sibling leaf under the parent row at `depth` in one
-    /// block: the per-level download times are prefetched through the
-    /// memo first, then each level runs one straight-line walk step plus
-    /// the final pause-cost subtraction. Every element computes
-    /// **exactly** one reference step — `(parent.total + w·q) −
-    /// pause_cost` with the identical stall, switch, and KSQI arithmetic
-    /// — so each `leaf_q[level]` is bit-identical to what the per-leaf
-    /// walk produced before this restructuring. (Memo *insertion* order
-    /// changes from visit order to level order; the memo is keyed
-    /// exactly, so insertion order is unobservable.)
-    fn score_leaves(&mut self, depth: usize) {
-        let parent = self.stack[depth];
-        for level in 0..self.n_levels {
-            self.dts[level] = self.download_time(parent.t, depth, level);
+    /// The node's running total extended with the core's no-stall switch
+    /// bound (`ufirst` for the first remaining step, `umax` deeper), then
+    /// the pause-cost subtraction the leaf performs; each operation is
+    /// monotone under IEEE-754 round-to-nearest.
+    fn bound(&self, depth: usize, prev: usize) -> f64 {
+        let mut bnd = self.stack[depth].total + self.tables.ufirst0[depth * self.n_levels + prev];
+        for j in depth + 1..self.h {
+            bnd += self.tables.umax0[j];
         }
-        let n_levels = self.n_levels;
-        let w = self.weights[depth];
-        let risk = self.risk_aversion;
-        let d = self.d;
-        for level in 0..n_levels {
-            let stall = (self.dts[level] - parent.buf).max(0.0);
-            let vq = self.vqs[depth * n_levels + level];
-            let switch = match parent.prev {
-                Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                _ => 0.0,
-            };
-            let q = self.qoe.chunk_quality(vq, stall * risk, switch, d);
-            self.leaf_q[level] = (parent.total + w * q) - self.pause_cost;
-        }
+        bnd - self.pause_cost
     }
 }
 
@@ -769,84 +443,51 @@ impl AbrPolicy for OracleMpc {
     /// Oracles are constructed around a specific trace, so reusing one
     /// instance across sessions requires re-indexing the new network. The
     /// cumulative index rebuilds into its existing buffers, keeping the
-    /// per-session cost allocation-free — and the download-time memo is
-    /// invalidated, because its entries are only valid for the trace they
-    /// were computed against.
+    /// per-session cost allocation-free — and the download-time memo and
+    /// every warm carry are invalidated, because they are only valid for
+    /// the trace they were computed against.
     fn rebind(&mut self, trace: &ThroughputTrace) {
         self.cum.rebind(trace);
         self.scratch.memo.clear();
-        // A rebound oracle plans a different network, so every warm-start
-        // carry (scalar and per-lane) is dropped.
-        self.warm.invalidate();
-        for slot in &mut self.lane_warm {
-            slot.invalidate();
-        }
+        self.core.carry.rebind();
     }
 
-    /// Session-boundary hygiene: the warm-start carry never crosses a
-    /// session, so a reused instance plans exactly like a fresh one.
     fn reset(&mut self) {
-        self.warm.invalidate();
+        self.core.carry.reset();
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        let h = self.prepare(state.next_chunk, ctx);
-        if h == 0 {
-            return Decision::level(0);
-        }
-        self.decide_prepared(state, ctx, h)
+        plan::decide(self, state, ctx)
     }
 
     /// Recycles the memo at the batch boundary: entries from the previous
     /// batch's trace (already cleared by `rebind`) or from far-away chunk
     /// positions rarely hit again, and a bounded table keeps lookups hot.
     fn begin_batch(&mut self, lanes: usize) {
-        self.reset();
+        self.core.carry.begin_batch(lanes);
         self.scratch.memo.clear();
-        // Fresh per-lane warm-start carry slots for the new lane set.
-        self.lane_warm.clear();
-        self.lane_warm.resize_with(lanes, WarmSlot::default);
     }
 
-    /// Plans every lane of the batch in one pass: the horizon weight
-    /// window, manifest tables, and bound caps are prepared once per
-    /// chunk step (they depend only on the shared chunk position), and
-    /// every lane's search then runs over the same prepared tables the
-    /// scalar path uses — plus a download-time memo that lets lanes reuse
-    /// each other's trace walks. Decisions are bit-identical to
-    /// [`Self::decide`] per lane.
+    /// Plans every lane over tables prepared once per chunk step, with a
+    /// download-time memo that lets lanes reuse each other's trace walks.
+    /// Decisions are bit-identical to [`Self::decide`] per lane.
     fn select_batch(
         &mut self,
         states: &BatchStates<'_>,
         ctx: &SessionContext<'_>,
         out: &mut [Decision],
     ) {
-        let h = self.prepare(states.next_chunk(), ctx);
-        if h == 0 {
-            for slot in out.iter_mut().take(states.len()) {
-                *slot = Decision::level(0);
-            }
-            return;
-        }
-        if self.lane_warm.len() < states.len() {
-            self.lane_warm.resize_with(states.len(), WarmSlot::default);
-        }
-        for (i, slot) in out.iter_mut().enumerate().take(states.len()) {
-            let state = states.state(i);
-            std::mem::swap(&mut self.warm, &mut self.lane_warm[i]);
-            *slot = self.decide_prepared(&state, ctx, h);
-            std::mem::swap(&mut self.warm, &mut self.lane_warm[i]);
-        }
+        plan::select_batch(self, states, ctx, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{encoded, source};
+    use crate::test_support::{encoded, flat_best, source, FlatPlan, FlatRoot};
     use sensei_crowd::TrueQoe;
     use sensei_sim::{simulate, PlayerConfig};
-    use sensei_video::SensitivityWeights;
+    use sensei_video::{BitrateLadder, EncodedVideo, SensitivityWeights};
 
     #[test]
     fn oracle_avoids_stalls_a_predictor_cannot_foresee() {
@@ -935,112 +576,66 @@ mod tests {
         assert_eq!(intentional, 0.0);
     }
 
-    /// The pre-optimization semantics, restated as a flat reference: every
-    /// `(pause, plan)` pair scored by an independent exact-throughput walk
-    /// (fresh trace integration per plan, no prefix sharing, no memo, no
-    /// pruning), pauses in declaration order, plans in odometer
-    /// (lexicographic) order, strictly-greater winner updates. The
-    /// memoized branch-and-bound search must reproduce its decisions —
-    /// level, pause, and score provenance — exactly.
+    /// [`flat_best`] over the exact trace: one scenario of probability 1,
+    /// one root per pause candidate in declaration order.
     fn reference_decide(
         mpc: &OracleMpc,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
     ) -> Decision {
-        let remaining = ctx.num_chunks() - state.next_chunk;
-        let h = mpc.horizon.min(remaining);
-        if h == 0 {
-            return Decision::level(0);
+        let h = mpc.horizon.min(ctx.num_chunks() - state.next_chunk);
+        let mut weights = vec![1.0; h];
+        if let Some(w) = mpc.weights(ctx) {
+            weights = w.window(state.next_chunk, h).to_vec();
+            weights.resize(h, 1.0);
         }
-        let weights: Vec<f64> = if mpc.sensitivity_aware {
-            match ctx.weights {
-                Some(w) => {
-                    let mut v = w.window(state.next_chunk, h).to_vec();
-                    v.resize(h, 1.0);
-                    v
-                }
-                None => vec![1.0; h],
-            }
-        } else {
-            vec![1.0; h]
-        };
-        let playhead_w = if mpc.sensitivity_aware {
-            ctx.weights
-                .map(|w| {
-                    let buffered = (state.buffer_s / ctx.chunk_duration_s).ceil() as usize;
-                    let playhead = state.next_chunk.saturating_sub(buffered);
-                    w.get(playhead.min(w.len() - 1)).unwrap_or(1.0)
-                })
-                .unwrap_or(1.0)
-        } else {
-            1.0
-        };
         let (_, stall_penalty, _, _) = mpc.qoe.coefficients();
         let pauses: &[f64] = if mpc.allow_pause && state.playing {
             &[0.0, 1.0, 2.0]
         } else {
             &[0.0]
         };
-        let n_levels = ctx.num_levels();
         let d = ctx.chunk_duration_s;
-        let mut best = Decision::level(0);
-        let mut best_q = f64::NEG_INFINITY;
-        for &pause in pauses {
-            let pause_cost =
-                playhead_w * stall_penalty * mpc.risk_aversion * (pause / d).clamp(0.0, 1.0);
-            let mut plan = vec![0usize; h];
-            'plans: loop {
-                // Score this plan from scratch.
-                let mut t = state.elapsed_s;
-                let mut buf = state.buffer_s + pause;
-                let mut prev = state
-                    .last_level
-                    .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
-                let mut total = 0.0;
-                for (j, &level) in plan.iter().enumerate() {
-                    let chunk = state.next_chunk + j;
-                    let size = ctx.encoded.size_bits(chunk, level).unwrap();
-                    let dt = mpc.rtt_s + mpc.cum.download_time(t + mpc.rtt_s, size);
-                    let stall = (dt - buf).max(0.0);
-                    buf = (buf - dt).max(0.0) + d;
-                    buf = buf.min(mpc.max_buffer_s);
-                    let vq = ctx.vq[chunk][level];
-                    let switch = match prev {
-                        Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                        _ => 0.0,
-                    };
-                    prev = Some((vq, level));
-                    total += weights[j]
-                        * mpc
-                            .qoe
-                            .chunk_quality(vq, stall * mpc.risk_aversion, switch, d);
-                    t += dt;
-                }
-                let q = total - pause_cost;
-                if q > best_q {
-                    best_q = q;
-                    best = Decision {
-                        level: plan[0],
-                        pause_s: pause,
-                    };
-                }
-                // Odometer increment (lexicographic plan order); a full
-                // wrap ends this pause candidate's enumeration.
-                let mut pos = h;
-                loop {
-                    if pos == 0 {
-                        break 'plans;
-                    }
-                    pos -= 1;
-                    plan[pos] += 1;
-                    if plan[pos] < n_levels {
-                        break;
-                    }
-                    plan[pos] = 0;
-                }
-            }
+        let playhead_w = mpc.weights(ctx).map_or(1.0, |w| {
+            let playhead = state
+                .next_chunk
+                .saturating_sub((state.buffer_s / d).ceil() as usize);
+            w.get(playhead.min(w.len() - 1)).unwrap_or(1.0)
+        });
+        let roots: Vec<FlatRoot> = pauses
+            .iter()
+            .map(|&pause| FlatRoot {
+                buffer_s: state.buffer_s + pause,
+                elapsed_s: state.elapsed_s,
+                pause_cost: playhead_w
+                    * stall_penalty
+                    * mpc.risk_aversion
+                    * (pause / d).clamp(0.0, 1.0),
+            })
+            .collect();
+        let plan = FlatPlan {
+            ctx,
+            qoe: mpc.qoe.clone(),
+            risk_aversion: mpc.risk_aversion,
+            max_buffer_s: mpc.max_buffer_s,
+            h,
+            weights: Some(&weights),
+            scenarios: 1,
+        };
+        let (cand, level, _) = flat_best(
+            &plan,
+            state,
+            &roots,
+            |_| 1.0,
+            |_, t, chunk, level| {
+                let size = ctx.encoded.size_bits(chunk, level).unwrap();
+                mpc.rtt_s + mpc.cum.download_time(t + mpc.rtt_s, size)
+            },
+        );
+        Decision {
+            level,
+            pause_s: pauses[cand],
         }
-        best
     }
 
     #[test]
@@ -1153,5 +748,44 @@ mod tests {
             !warm.scratch.memo.is_empty(),
             "the memo should actually be exercised"
         );
+    }
+
+    #[test]
+    fn memo_keys_do_not_alias_across_chunks_on_long_ladders() {
+        // A 257-level ladder: with a `chunk << 8 | level` key, level 256
+        // of chunk c and level 0 of chunk c + 1 would share one memo slot.
+        let src = source();
+        let ladder: Vec<f64> = (0..257).map(|i| 300.0 + 50.0 * f64::from(i)).collect();
+        let enc = EncodedVideo::encode(&src, &BitrateLadder::new(ladder).unwrap(), 5);
+        let trace = ThroughputTrace::constant("slow", 1000.0, 600.0).unwrap();
+        let ctx = SessionContext {
+            encoded: &enc,
+            vq: enc.vq_table(),
+            weights: None,
+            chunk_duration_s: src.chunk_duration_s(),
+        };
+        let state = |next_chunk| PlayerState {
+            next_chunk,
+            buffer_s: 1.0,
+            last_level: None,
+            throughput_history_kbps: &[1000.0; 3],
+            download_time_history_s: &[1.0; 3],
+            elapsed_s: 30.0,
+            playing: true,
+        };
+        let oracle = || {
+            let mut mpc = OracleMpc::unaware(&trace);
+            mpc.horizon = 1;
+            mpc
+        };
+        let c = 4;
+        let mut reused = oracle();
+        let _ = reused.decide(&state(c + 1), &ctx);
+        let second = reused.decide(&state(c), &ctx);
+        let fresh = oracle().decide(&state(c), &ctx);
+        // On a 1000 kbps link with a 1 s buffer the top level stalls for
+        // most of a minute; only an aliased (tiny) download time picks it.
+        assert!(fresh.level < 10, "fresh oracle chose level {}", fresh.level);
+        assert_eq!(second, fresh, "memo entries leaked across chunks");
     }
 }

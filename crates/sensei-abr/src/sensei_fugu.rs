@@ -12,7 +12,7 @@
 //!    "borrow from low-sensitivity chunks" optimization of Fig. 11(d).
 
 use crate::fugu::Fugu;
-use crate::WarmSlot;
+use crate::plan::{self, Planner};
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
 use sensei_trace::ThroughputTrace;
@@ -25,22 +25,19 @@ pub const PAUSE_LEVELS_S: [f64; 3] = [0.0, 1.0, 2.0];
 #[derive(Debug, Clone)]
 pub struct SenseiFugu {
     inner: Fugu,
-    qoe: Ksqi,
     /// When false, the policy only reweights the objective and never
     /// pauses — the "only bitrate adaptation" ablation of Fig. 18b.
     allow_pause: bool,
     /// Intentional stall spent so far this session, seconds.
     pause_spent_s: f64,
     /// Per-lane pause ledgers when the instance serves a batch: the pause
-    /// budget is **per-session** state, so each lane keeps its own spend
-    /// (see [`AbrPolicy::select_batch`] below).
+    /// budget is **per-session** state, so each lane keeps its own spend,
+    /// swapped into the scalar ledger around that lane's decision
+    /// together with the inner MPC's warm carry.
     lane_pause_spent_s: Vec<f64>,
     /// Horizon weight scratch, refilled per decision — one long-lived
     /// buffer instead of a `Vec` allocation per decision.
     weights_scratch: Vec<f64>,
-    /// Per-lane warm-start carries, swapped into the inner MPC's scalar
-    /// slot around each lane's search — same pattern as the pause ledger.
-    lane_warm: Vec<WarmSlot>,
     /// The winning pause candidate's full plan: every candidate runs its
     /// own search, so the carry must commit the *winner's* plan, not the
     /// last one searched.
@@ -57,12 +54,10 @@ impl SenseiFugu {
     pub fn new() -> Self {
         Self {
             inner: Fugu::new(),
-            qoe: Ksqi::canonical(),
             allow_pause: true,
             pause_spent_s: 0.0,
             lane_pause_spent_s: Vec::new(),
             weights_scratch: Vec::new(),
-            lane_warm: Vec::new(),
             winner_plan: Vec::new(),
         }
     }
@@ -71,9 +66,6 @@ impl SenseiFugu {
     /// see [`Fugu::with_warm_start`].
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
         self.inner = self.inner.with_warm_start(enabled);
-        if !enabled {
-            self.lane_warm.clear();
-        }
         self
     }
 
@@ -85,10 +77,9 @@ impl SenseiFugu {
         }
     }
 
-    /// Overrides the objective QoE model (kept in sync with the inner MPC).
+    /// Overrides the objective QoE model of the inner MPC.
     pub fn with_qoe(mut self, qoe: Ksqi) -> Self {
-        self.inner = self.inner.with_qoe(qoe.clone());
-        self.qoe = qoe;
+        self.inner = self.inner.with_qoe(qoe);
         self
     }
 
@@ -106,28 +97,6 @@ impl SenseiFugu {
     pub fn with_predictor(mut self, predictor: crate::ThroughputPredictor) -> Self {
         self.inner = self.inner.with_predictor(predictor);
         self
-    }
-
-    /// Fills the scratch weight vector covering the horizon starting at
-    /// `next_chunk`; falls back to uniform when the manifest carried no
-    /// weights. Lane-invariant within a batch tile, so the batched path
-    /// fills it once per chunk step.
-    fn fill_horizon_weights(&mut self, next_chunk: usize, ctx: &SessionContext<'_>, h: usize) {
-        self.weights_scratch.clear();
-        if let Some(w) = ctx.weights {
-            self.weights_scratch
-                .extend_from_slice(w.window(next_chunk, h));
-        }
-        self.weights_scratch.resize(h, 1.0);
-    }
-
-    /// Weight of the chunk currently at the playhead (where an intentional
-    /// pause would land).
-    fn playhead_weight(state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> f64 {
-        let Some(w) = ctx.weights else { return 1.0 };
-        let buffered_chunks = (state.buffer_s / ctx.chunk_duration_s).ceil() as usize;
-        let playhead = state.next_chunk.saturating_sub(buffered_chunks);
-        w.get(playhead.min(w.len() - 1)).unwrap_or(1.0)
     }
 }
 
@@ -148,90 +117,66 @@ impl AbrPolicy for SenseiFugu {
 
     fn reset(&mut self) {
         self.pause_spent_s = 0.0;
-        // Session-boundary hygiene for the inner MPC's warm-start carry.
         self.inner.reset();
     }
 
-    /// Trace-boundary hygiene: drop every warm-start carry (the inner
-    /// scalar slot and all lane slots) along with the inner rebind.
     fn rebind(&mut self, trace: &ThroughputTrace) {
         self.inner.rebind(trace);
-        for slot in &mut self.lane_warm {
-            slot.invalidate();
-        }
     }
 
     /// The pause budget is per-session state, so a batch keeps one ledger
-    /// slot per lane — and likewise one warm-start carry slot per lane.
+    /// slot per lane (and the inner MPC one warm carry slot per lane).
     fn begin_batch(&mut self, lanes: usize) {
-        self.reset();
+        self.pause_spent_s = 0.0;
+        self.inner.begin_batch(lanes);
         self.lane_pause_spent_s.clear();
         self.lane_pause_spent_s.resize(lanes, 0.0);
-        self.lane_warm.clear();
-        self.lane_warm.resize_with(lanes, WarmSlot::default);
     }
 
-    /// Plans every lane of the batch over shared per-tile tables, swapping
-    /// each lane's pause ledger into the scalar slot so every lane sees
-    /// exactly the budget state a dedicated per-session instance would.
-    /// All lanes of a batch sit at the same chunk step, so the manifest
-    /// size/vq tables and the horizon weight window are filled once for
-    /// the whole tile — byte-identical decisions to the scalar path.
+    /// Plans every lane over shared per-tile tables (manifest size/vq
+    /// tables and the horizon weight window), with each lane's pause
+    /// ledger and warm carry swapped in, so every lane sees exactly the
+    /// state a dedicated per-session instance would.
     fn select_batch(
         &mut self,
         states: &BatchStates<'_>,
         ctx: &SessionContext<'_>,
         out: &mut [Decision],
     ) {
-        let remaining = ctx.num_chunks() - states.next_chunk();
-        let h = crate::fugu::DEFAULT_HORIZON.min(remaining);
-        if h == 0 {
-            for slot in out.iter_mut().take(states.len()) {
-                *slot = Decision::level(0);
-            }
-            return;
-        }
-        self.inner.fill_chunk_tables(states.next_chunk(), h, ctx);
-        self.fill_horizon_weights(states.next_chunk(), ctx, h);
-        if self.lane_warm.len() < states.len() {
-            self.lane_warm.resize_with(states.len(), WarmSlot::default);
-        }
-        for (i, slot) in out.iter_mut().enumerate().take(states.len()) {
-            self.pause_spent_s = self.lane_pause_spent_s[i];
-            std::mem::swap(self.inner.warm_slot_mut(), &mut self.lane_warm[i]);
-            *slot = self.decide_prepared(&states.state(i), ctx, h);
-            std::mem::swap(self.inner.warm_slot_mut(), &mut self.lane_warm[i]);
-            self.lane_pause_spent_s[i] = self.pause_spent_s;
-        }
+        plan::select_batch(self, states, ctx, out);
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        let remaining = ctx.num_chunks() - state.next_chunk;
-        let h = crate::fugu::DEFAULT_HORIZON.min(remaining);
-        if h == 0 {
-            return Decision::level(0);
-        }
-        self.inner.fill_chunk_tables(state.next_chunk, h, ctx);
-        self.fill_horizon_weights(state.next_chunk, ctx, h);
-        self.decide_prepared(state, ctx, h)
+        plan::decide(self, state, ctx)
     }
 }
 
-impl SenseiFugu {
-    /// One decision over prepared tables: assumes the inner MPC's chunk
-    /// tables and the horizon weight window are filled for
-    /// `(state.next_chunk, h)`. The scenario rates and download times are
-    /// filled here once and shared by every pause candidate — a candidate
-    /// perturbs only the buffer, which neither table reads.
+impl Planner for SenseiFugu {
+    /// The inner MPC's chunk tables and horizon, plus the horizon weight
+    /// window, which is lane-invariant within a batch tile.
+    fn prepare_step(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
+        let h = self.inner.prepare_step(next_chunk, ctx);
+        plan::fill_window(&mut self.weights_scratch, ctx.weights, next_chunk, h);
+        h
+    }
+
+    fn swap_lane(&mut self, lane: usize) {
+        self.inner.swap_lane(lane);
+        std::mem::swap(&mut self.pause_spent_s, &mut self.lane_pause_spent_s[lane]);
+    }
+
+    /// One decision over prepared tables. The scenario rates and download
+    /// times are filled here once and shared by every pause candidate — a
+    /// candidate perturbs only the buffer, which neither table reads.
     fn decide_prepared(
         &mut self,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
         h: usize,
     ) -> Decision {
-        self.inner.prepare_rates(state, ctx, h);
-        let playhead_w = Self::playhead_weight(state, ctx);
-        let (_, stall_penalty, _, _) = self.qoe.coefficients();
+        self.inner.prepare_rates(state);
+        let playhead_w = plan::playhead_weight(state, ctx.weights, ctx.chunk_duration_s);
+        let (_, stall_penalty, _, _) = self.inner.qoe().coefficients();
         let budget = Self::PAUSE_BUDGET_FRACTION * ctx.num_chunks() as f64 * ctx.chunk_duration_s;
 
         let mut best = (0usize, 0.0f64);
@@ -275,14 +220,17 @@ impl SenseiFugu {
                 // Remember the winning candidate's full plan: the pause
                 // 0.0 candidate always runs, so this is always set.
                 self.winner_plan.clear();
-                self.winner_plan.extend_from_slice(self.inner.last_plan());
+                self.winner_plan
+                    .extend_from_slice(self.inner.core.last_plan());
             }
         }
         // Carry the *winner's* plan to the next chunk step — a later
         // candidate's search may have overwritten the inner last-plan
         // scratch with a losing plan.
         self.inner
-            .commit_warm_plan(state.next_chunk, &self.winner_plan);
+            .core
+            .carry
+            .commit(state.next_chunk, &self.winner_plan);
         self.pause_spent_s += best.1;
         Decision {
             level: best.0,

@@ -502,6 +502,17 @@ fn main() {
         proc_report.sessions_per_sec / scale_report.sessions_per_sec.max(1e-9)
     );
 
+    // The MPC run must have real throughput before it lands in the
+    // trajectory: a planner that silently fell off a cliff (or out of the
+    // line-up) fails the bench instead of recording the regression. The
+    // planners' exact work is pinned by `sensei-abr`'s `plan_counters`.
+    assert!(
+        mpc_report.sessions_per_sec > 0.0,
+        "the MPC run reported no throughput: {} sessions in {:.3} s",
+        mpc_report.stats.sessions,
+        mpc_report.wall_time_s
+    );
+
     // --- Machine-readable perf trajectory. -----------------------------
     // Anchor the artifact at the workspace root regardless of the CWD
     // cargo hands the bench binary (package dir under `cargo bench`).
