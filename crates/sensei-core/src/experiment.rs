@@ -14,7 +14,7 @@ use sensei_sim::{
     simulate_batch_in, AbrPolicy, BatchLanes, PlayerConfig, SessionBatch, SessionResult,
 };
 use sensei_telemetry as telemetry;
-use sensei_trace::{generate, ThroughputTrace};
+use sensei_trace::{generate, Network, ThroughputTrace};
 use sensei_video::{
     corpus, BitrateLadder, CorpusEntry, EncodedVideo, SensitivityWeights, SourceVideo,
 };
@@ -165,6 +165,16 @@ impl PolicyKind {
         )
     }
 
+    /// Whether the policy indexes the whole future trace — at
+    /// construction and at every [`AbrPolicy::rebind`]. Only the two
+    /// idealistic oracles do; every other kind observes the network
+    /// solely through the player state, so the batch path builds and runs
+    /// it without a trace (and never rebinds it), and a tile without an
+    /// oracle lane can draw its network on demand.
+    pub fn reads_trace(self) -> bool {
+        matches!(self, PolicyKind::OracleAware | PolicyKind::OracleUnaware)
+    }
+
     /// Every policy kind, in declaration order — the index space of
     /// [`SessionRuntime`]'s policy table.
     pub const ALL: [PolicyKind; 9] = [
@@ -223,6 +233,41 @@ pub struct CellResult {
     /// Number of ladder-level changes across the session (quality
     /// switches), for switch-rate distributions at fleet scale.
     pub bitrate_switches: usize,
+}
+
+/// One lane's scored session: everything a [`CellResult`] carries
+/// beyond the identifying video, trace and policy fields. The fleet's
+/// stats path folds these directly; [`Experiment::run_batch_in`] wraps
+/// them into cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneScore {
+    /// True QoE in `[0, 1]`.
+    pub qoe01: f64,
+    /// Mean streamed bitrate (kbps).
+    pub avg_bitrate_kbps: f64,
+    /// Rebuffering ratio.
+    pub rebuffer_ratio: f64,
+    /// Bits delivered.
+    pub delivered_bits: f64,
+    /// Intentional stall seconds.
+    pub intentional_stall_s: f64,
+    /// Number of ladder-level changes across the session.
+    pub bitrate_switches: usize,
+}
+
+impl CellResult {
+    /// The cell's scored outcome.
+    #[must_use]
+    pub fn score(&self) -> LaneScore {
+        LaneScore {
+            qoe01: self.qoe01,
+            avg_bitrate_kbps: self.avg_bitrate_kbps,
+            rebuffer_ratio: self.rebuffer_ratio,
+            delivered_bits: self.delivered_bits,
+            intentional_stall_s: self.intentional_stall_s,
+            bitrate_switches: self.bitrate_switches,
+        }
+    }
 }
 
 /// The built experiment environment.
@@ -413,6 +458,17 @@ impl Experiment {
         kind: PolicyKind,
         trace: &ThroughputTrace,
     ) -> Result<Box<dyn AbrPolicy>, CoreError> {
+        self.build_policy(kind, Some(trace))
+    }
+
+    /// [`Self::policy`] with the trace optional: kinds that do not
+    /// [read it](PolicyKind::reads_trace) are built without one.
+    fn build_policy(
+        &self,
+        kind: PolicyKind,
+        trace: Option<&ThroughputTrace>,
+    ) -> Result<Box<dyn AbrPolicy>, CoreError> {
+        let whole_trace = || trace.ok_or_else(|| missing_trace(kind));
         Ok(match kind {
             PolicyKind::Bba => Box::new(Bba::paper_default()),
             PolicyKind::Fugu => Box::new(Fugu::new().with_warm_start(self.mpc_warm_start)),
@@ -433,10 +489,10 @@ impl Experiment {
                 })?)
             }
             PolicyKind::OracleAware => {
-                Box::new(OracleMpc::aware(trace).with_warm_start(self.mpc_warm_start))
+                Box::new(OracleMpc::aware(whole_trace()?).with_warm_start(self.mpc_warm_start))
             }
             PolicyKind::OracleUnaware => {
-                Box::new(OracleMpc::unaware(trace).with_warm_start(self.mpc_warm_start))
+                Box::new(OracleMpc::unaware(whole_trace()?).with_warm_start(self.mpc_warm_start))
             }
             PolicyKind::DasIp => Box::new(DasIp::new()),
         })
@@ -512,19 +568,13 @@ impl Experiment {
     }
 
     /// Runs one **batch** of sessions — every `(policy, player)` lane of
-    /// one `(video, trace)` pair — through the structure-of-arrays batch
-    /// engine ([`sensei_sim::simulate_batch_in`]), scoring each lane with
-    /// the true-QoE oracle and appending one [`CellResult`] per lane to
-    /// `out` **in lane order**.
+    /// one `(video, trace)` pair — and appends one [`CellResult`] per
+    /// lane to `out` **in lane order**: [`Self::score_batch_in`] over the
+    /// whole trace, plus the trace's name and realized mean.
     ///
-    /// Lanes are regrouped by policy internally, so each policy instance
-    /// is built once, rebound to the trace **once per batch** (the big
-    /// win for the trace-indexed oracles, whose rebind is `O(trace)`),
-    /// and asked for all its lanes' decisions with a single
-    /// [`AbrPolicy::select_batch`] call per chunk. Per-lane results are
-    /// byte-identical to [`Self::run_session_in`] calls for the same
-    /// lanes (asserted across every policy kind and batch width by
-    /// `tests/batch_soundness.rs`).
+    /// Per-lane results are byte-identical to [`Self::run_session_in`]
+    /// calls for the same lanes (asserted across every policy kind and
+    /// batch width by `tests/batch_soundness.rs`).
     ///
     /// # Errors
     ///
@@ -538,9 +588,70 @@ impl Experiment {
         lanes: &[(PolicyKind, PlayerConfig)],
         out: &mut Vec<CellResult>,
     ) -> Result<(), BatchFailure> {
+        let mut scores = std::mem::take(&mut runtime.scores);
+        scores.clear();
+        let run = self.score_batch_in(runtime, asset, trace, lanes, &mut scores);
+        if run.is_ok() {
+            // The identifying fields are shared across the whole batch,
+            // so the name handle is cloned (refcount bump) and the trace
+            // mean computed once.
+            let trace_name = trace.name_handle();
+            let trace_mean_kbps = trace.mean_kbps();
+            out.extend(
+                lanes
+                    .iter()
+                    .zip(&scores)
+                    .map(|(&(kind, _), score)| CellResult {
+                        video: Arc::clone(&asset.name),
+                        genre: asset.genre,
+                        trace: Arc::clone(&trace_name),
+                        trace_mean_kbps,
+                        policy: kind.label(),
+                        qoe01: score.qoe01,
+                        avg_bitrate_kbps: score.avg_bitrate_kbps,
+                        rebuffer_ratio: score.rebuffer_ratio,
+                        delivered_bits: score.delivered_bits,
+                        intentional_stall_s: score.intentional_stall_s,
+                        bitrate_switches: score.bitrate_switches,
+                    }),
+            );
+        }
+        runtime.scores = scores;
+        run
+    }
+
+    /// Simulates one **batch** of sessions — every `(policy, player)`
+    /// lane of one `(video, network)` pair — through the
+    /// structure-of-arrays batch engine ([`sensei_sim::simulate_batch_in`]),
+    /// scores each lane with the true-QoE oracle, and appends one
+    /// [`LaneScore`] per lane to `out` **in lane order**.
+    ///
+    /// Lanes are regrouped by policy internally, so each policy instance
+    /// is built once and asked for all its lanes' decisions with a single
+    /// [`AbrPolicy::select_batch`] call per chunk. Kinds that
+    /// [read the whole trace](PolicyKind::reads_trace) are rebound to it
+    /// **once per batch** (their rebind is `O(trace)`), and need a
+    /// network that holds it ([`Network::full_trace`]); every other kind
+    /// runs over any network — an on-demand stream included — and is
+    /// never rebound.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BatchFailure`] naming the offending lane (a lane whose
+    /// kind reads the trace fails when the network holds none). No
+    /// scores are appended on error.
+    pub fn score_batch_in<N: Network>(
+        &self,
+        runtime: &mut SessionRuntime,
+        asset: &VideoAsset,
+        network: N,
+        lanes: &[(PolicyKind, PlayerConfig)],
+        out: &mut Vec<LaneScore>,
+    ) -> Result<(), BatchFailure> {
         if lanes.is_empty() {
             return Ok(());
         }
+        let trace = network.full_trace();
         let SessionRuntime {
             policies,
             batch,
@@ -570,21 +681,25 @@ impl Experiment {
             }
             if configs.len() > start {
                 group_ranges.push((kind, start..configs.len()));
+                let failure = |error| BatchFailure {
+                    lane: order[start],
+                    error,
+                };
+                if kind.reads_trace() && trace.is_none() {
+                    return Err(failure(missing_trace(kind)));
+                }
                 // Build the policy up front so the group loop below can
                 // borrow every slot mutably in one pass.
                 let slot = &mut policies[kind.index()];
                 if slot.is_none() {
-                    *slot = Some(self.policy(kind, trace).map_err(|error| BatchFailure {
-                        lane: order[start],
-                        error,
-                    })?);
+                    *slot = Some(self.build_policy(kind, trace).map_err(failure)?);
                 }
             }
         }
         // One `BatchLanes` group per kind, borrowing each policy slot
-        // mutably in table order. Rebinding happens once per batch —
-        // trace-bound controllers re-index the network here instead of
-        // once per session.
+        // mutably in table order. Rebinding happens once per batch, and
+        // only for kinds that read the trace — they re-index the network
+        // here instead of once per session.
         let mut groups: Vec<BatchLanes<'_, '_>> = Vec::with_capacity(group_ranges.len());
         let mut next_group = 0;
         for (idx, slot) in policies.iter_mut().enumerate() {
@@ -596,8 +711,10 @@ impl Experiment {
                 continue;
             }
             let policy = slot.as_mut().expect("policy built above").as_mut();
-            policy.rebind(trace);
-            telemetry::count(telemetry::Counter::PolicyRebinds, 1);
+            if kind.reads_trace() {
+                policy.rebind(trace.expect("checked when the group was formed"));
+                telemetry::count(telemetry::Counter::PolicyRebinds, 1);
+            }
             groups.push(BatchLanes {
                 policy,
                 weights: kind.uses_weights().then_some(&asset.weights),
@@ -612,7 +729,7 @@ impl Experiment {
                 batch,
                 &asset.source,
                 &asset.encoded,
-                trace,
+                network,
                 &mut groups,
                 results,
             )
@@ -623,17 +740,13 @@ impl Experiment {
         }
         drop(groups);
 
-        // Score and emit in the caller's lane order. The identifying
-        // fields are shared across the whole batch, so the name handle is
-        // cloned (refcount bump) and the trace mean computed once. A
-        // mid-loop scoring failure rolls `out` back to its entry mark so
-        // the no-cells-on-error contract holds.
-        let trace_name = trace.name_handle();
-        let trace_mean_kbps = trace.mean_kbps();
+        // Score in the caller's lane order. A mid-loop scoring failure
+        // rolls `out` back to its entry mark so the no-scores-on-error
+        // contract holds.
         let out_mark = out.len();
         out.reserve(lanes.len());
         let score_span = telemetry::span(telemetry::Phase::Score);
-        for (i, &(kind, _)) in lanes.iter().enumerate() {
+        for i in 0..lanes.len() {
             let result: &SessionResult = &results[flat_of[i]];
             let qoe01 = match self.oracle.qoe01(&asset.source, &result.render) {
                 Ok(qoe01) => qoe01,
@@ -645,12 +758,7 @@ impl Experiment {
                     });
                 }
             };
-            out.push(CellResult {
-                video: Arc::clone(&asset.name),
-                genre: asset.genre,
-                trace: Arc::clone(&trace_name),
-                trace_mean_kbps,
-                policy: kind.label(),
+            out.push(LaneScore {
                 qoe01,
                 avg_bitrate_kbps: result.render.avg_bitrate_kbps(),
                 rebuffer_ratio: result.render.rebuffer_ratio(),
@@ -707,6 +815,15 @@ impl Experiment {
     }
 }
 
+/// The error for a [trace-reading](PolicyKind::reads_trace) kind asked
+/// to run over a network that holds no whole trace.
+fn missing_trace(kind: PolicyKind) -> CoreError {
+    CoreError::BadConfig(format!(
+        "{} reads the whole trace, but the network holds none",
+        kind.label()
+    ))
+}
+
 /// A batch failure attributed to the lane (batch position) that caused
 /// it, so a fleet tile can map it back to the exact scenario.
 #[derive(Debug)]
@@ -736,9 +853,10 @@ impl From<BatchFailure> for CoreError {
 }
 
 /// Reusable per-worker session state: one policy instance per
-/// [`PolicyKind`] (built lazily on first use, rebound once per batch and
-/// reset per session) plus the batch engine's [`SessionBatch`]
-/// structure-of-arrays buffers and the lane-regrouping scratch.
+/// [`PolicyKind`] (built lazily on first use, rebound once per batch
+/// when its kind reads the trace, and reset per session) plus the batch
+/// engine's [`SessionBatch`] structure-of-arrays buffers and the
+/// lane-regrouping scratch.
 ///
 /// The policy-reuse contract — a reset-and-reused instance produces results
 /// identical to fresh per-session construction — is what makes this a pure
@@ -759,6 +877,8 @@ pub struct SessionRuntime {
     groups: Vec<(PolicyKind, Range<usize>)>,
     /// Per-lane session results awaiting scoring, recycled per batch.
     results: Vec<SessionResult>,
+    /// Per-lane scores awaiting emission in [`Experiment::run_batch_in`].
+    scores: Vec<LaneScore>,
     /// Spare cell buffer backing [`Experiment::run_session_in`].
     cells: Vec<CellResult>,
 }
@@ -775,6 +895,7 @@ impl SessionRuntime {
             flat_of: Vec::new(),
             groups: Vec::new(),
             results: Vec::new(),
+            scores: Vec::new(),
             cells: Vec::new(),
         }
     }

@@ -14,7 +14,7 @@ pub mod experiment;
 pub mod pipeline;
 
 pub use experiment::{
-    BatchFailure, CellResult, Experiment, ExperimentConfig, PolicyKind, SessionRuntime,
+    BatchFailure, CellResult, Experiment, ExperimentConfig, LaneScore, PolicyKind, SessionRuntime,
 };
 pub use pipeline::{OnboardedVideo, Sensei};
 

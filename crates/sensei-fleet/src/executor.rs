@@ -5,13 +5,16 @@
 //! × policy of that cell group). Workers pull tile IDs from a shared
 //! atomic cursor (dynamic load balancing — an expensive MPC tile on one
 //! worker doesn't idle the rest), run each tile through one
-//! structure-of-arrays session batch (`Experiment::run_batch_in`), and
-//! **fold the tile's cells into a shard-local partial on the spot**
-//! ([`TileStats`] → worker-local [`FleetStats`]). Tiling is what
-//! amortizes the per-network work: the perturbed trace is materialized
-//! once per worker (`TraceCache`), policies rebind once per tile instead
-//! of once per session, and the batch engine replaces per-session policy
-//! dispatch with one `select_batch` call per chunk.
+//! structure-of-arrays session batch (`Experiment::score_batch_in`), and
+//! **fold the tile's scored lanes into a shard-local partial on the
+//! spot** ([`TileStats`] → worker-local [`FleetStats`]). Tiling is what
+//! amortizes the per-network work: the perturbed network is set up once
+//! per tile (`TraceCache`) and, unless an oracle lane reads the whole
+//! trace, drawn only as far as the tile's downloads reach; the oracles
+//! rebind once per tile instead of once per session; and the batch
+//! engine replaces per-session policy dispatch with one `select_batch`
+//! call per chunk. [`Fleet::run_cells`] instead completes each network,
+//! because cells carry the trace's realized mean.
 //!
 //! Collection is merge-based, not stream-based. The deterministic result
 //! is *defined* as the reduction of per-tile partials in canonical tile
@@ -31,16 +34,17 @@
 //! to the single-process run.
 
 use crate::report::{FleetReport, FleetStats, RunPhases, ShardSlice, TileStats};
-use crate::runtime::WorkerRuntime;
-use crate::scenario::{ScenarioMatrix, ShardPlan};
+use crate::runtime::{TileNetwork, TraceCache, WorkerRuntime};
+use crate::scenario::{Scenario, ScenarioMatrix, ShardPlan};
 use crate::FleetError;
-use sensei_core::{CellResult, CoreError, Experiment, PolicyKind};
+use sensei_core::{BatchFailure, CellResult, CoreError, Experiment, LaneScore, PolicyKind};
 use sensei_sim::PlayerConfig;
 use sensei_telemetry as telemetry;
 use sensei_telemetry::{TelemetryShard, TelemetrySnapshot};
+use sensei_trace::Network;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -275,15 +279,6 @@ impl<'a> Fleet<'a> {
         self.execute_cells()
     }
 
-    /// Simulates one tile — every `(player, policy)` lane of one
-    /// `(video, trace, perturbation)` triple — against a worker's runtime,
-    /// appending the tile's cells in canonical lane order to `cells`.
-    /// Apart from the runtime's caches (which are result-invisible:
-    /// reused policies are reset per session and cached traces are
-    /// value-identical to fresh perturbations), this is a pure function
-    /// of (experiment, matrix, tile) — which is what makes sharding
-    /// trivially sound.
-    ///
     /// The lane list every tile shares: `(policy, player)` pairs in
     /// canonical order (player variants outer, policies inner — the
     /// tile's scenario IDs in sequence). Tile-invariant, so workers
@@ -300,46 +295,117 @@ impl<'a> Fleet<'a> {
         lanes
     }
 
-    /// Errors are attributed to the exact failing scenario ID.
-    fn run_tile(
+    /// Simulates and scores one tile — every `(player, policy)` lane of
+    /// one `(video, trace, perturbation)` triple — against a worker's
+    /// runtime, appending the lanes' scores in canonical lane order to
+    /// `scores` and returning the network's trace name. This is the
+    /// stats path: unless a lane reads the whole trace (`reads_trace`,
+    /// tile-invariant), the network is drawn on demand, and no trace mean
+    /// is ever computed.
+    ///
+    /// Apart from the runtime's caches (which are result-invisible:
+    /// reused policies are reset per session and cached or streamed
+    /// networks are value-identical to fresh perturbations), a tile is a
+    /// pure function of (experiment, matrix, tile) — which is what makes
+    /// sharding trivially sound. Errors are attributed to the exact
+    /// failing scenario ID.
+    fn score_tile(
+        &self,
+        rt: &mut WorkerRuntime,
+        tile: u64,
+        lanes: &[(PolicyKind, PlayerConfig)],
+        reads_trace: bool,
+        scores: &mut Vec<LaneScore>,
+    ) -> Result<Arc<str>, (u64, CoreError)> {
+        let (first_id, sc) = self.tile_scenario(tile);
+        let WorkerRuntime { session, traces } = rt;
+        let mut network = self
+            .tile_network(traces, &sc, reads_trace)
+            .map_err(|e| (first_id, e))?;
+        let asset = &self.experiment.assets[sc.video_idx];
+        // Every sub-batch of the tile shares the one network, so a
+        // stream draws each sample at most once per tile.
+        self.sub_batches(first_id, lanes, |sub_lanes| {
+            self.experiment
+                .score_batch_in(session, asset, &mut network, sub_lanes, scores)
+        })?;
+        network.count_draws();
+        Ok(network.name_handle())
+    }
+
+    /// The cells twin of [`Self::score_tile`]: completes the tile's
+    /// network into a whole trace (cells carry its realized mean) and
+    /// appends the tile's cells in canonical lane order to `cells`.
+    fn cell_tile(
         &self,
         rt: &mut WorkerRuntime,
         tile: u64,
         lanes: &[(PolicyKind, PlayerConfig)],
         cells: &mut Vec<CellResult>,
     ) -> Result<(), (u64, CoreError)> {
-        let first_id = tile * self.matrix.tile_size();
-        let sc = self.matrix.scenario(self.experiment, first_id);
+        let (first_id, sc) = self.tile_scenario(tile);
+        let WorkerRuntime { session, traces } = rt;
+        let network = self
+            .tile_network(traces, &sc, true)
+            .map_err(|e| (first_id, e))?;
+        let trace = network
+            .full_trace()
+            .expect("a completed network holds its trace");
         let asset = &self.experiment.assets[sc.video_idx];
+        self.sub_batches(first_id, lanes, |sub_lanes| {
+            self.experiment
+                .run_batch_in(session, asset, trace, sub_lanes, cells)
+        })
+    }
+
+    /// A tile's first scenario ID and its decoded scenario (every lane of
+    /// the tile shares the video, trace, perturbation and seed).
+    fn tile_scenario(&self, tile: u64) -> (u64, Scenario) {
+        let first_id = tile * self.matrix.tile_size();
+        (first_id, self.matrix.scenario(self.experiment, first_id))
+    }
+
+    /// Sets up the network of the tile `sc` belongs to: the whole trace
+    /// when `whole` (an oracle lane or cell emission needs it), and
+    /// otherwise whatever `TraceCache::network` serves, on demand.
+    fn tile_network<'r>(
+        &'r self,
+        traces: &'r mut TraceCache,
+        sc: &Scenario,
+        whole: bool,
+    ) -> Result<TileNetwork<'r>, CoreError> {
+        let _span = telemetry::span(telemetry::Phase::NetworkMaterialize);
         let base = &self.experiment.traces[sc.trace_idx];
         let perturbation = &self.matrix.perturbations()[sc.perturbation_idx];
-        let WorkerRuntime { session, traces } = rt;
-        let trace = {
-            let _span = telemetry::span(telemetry::Phase::NetworkMaterialize);
-            traces
-                .resolve(
-                    base,
-                    perturbation,
-                    sc.trace_idx,
-                    sc.perturbation_idx,
-                    sc.seed,
-                )
-                .map_err(|e| (first_id, CoreError::from(e)))?
-        };
+        let (ti, pi) = (sc.trace_idx, sc.perturbation_idx);
+        Ok(if whole {
+            TileNetwork::Trace(traces.resolve(base, perturbation, ti, pi, sc.seed)?)
+        } else {
+            traces.network(base, perturbation, ti, pi, sc.seed)?
+        })
+    }
+
+    /// Runs a tile's `lanes` through `batch` in sub-batches of at most
+    /// `batch_width` lanes (`0` = the whole tile), attributing a failure
+    /// to its exact scenario ID.
+    fn sub_batches(
+        &self,
+        first_id: u64,
+        lanes: &[(PolicyKind, PlayerConfig)],
+        mut batch: impl FnMut(&[(PolicyKind, PlayerConfig)]) -> Result<(), BatchFailure>,
+    ) -> Result<(), (u64, CoreError)> {
         let width = if self.batch_width == 0 {
             lanes.len()
         } else {
             self.batch_width
         };
         for (sub, sub_lanes) in lanes.chunks(width).enumerate() {
-            self.experiment
-                .run_batch_in(session, asset, trace, sub_lanes, cells)
-                .map_err(|failure| {
-                    (
-                        first_id + (sub * width + failure.lane) as u64,
-                        failure.error,
-                    )
-                })?;
+            batch(sub_lanes).map_err(|failure| {
+                (
+                    first_id + (sub * width + failure.lane) as u64,
+                    failure.error,
+                )
+            })?;
         }
         Ok(())
     }
@@ -409,17 +475,19 @@ impl<'a> Fleet<'a> {
                     // propagates the panic.
                     let _guard = PoisonOnPanic { poison };
                     // One runtime per worker for the whole run: policies,
-                    // batch scratch, and perturbed traces are reused
+                    // batch scratch, and perturbed networks are reused
                     // across every tile this worker executes. The lane
-                    // list is tile-invariant, so it is built once here —
-                    // as are the reusable tile partial, the shard-local
-                    // partial, and the cell buffer.
+                    // list (and whether any lane reads the whole trace)
+                    // is tile-invariant, so it is built once here — as
+                    // are the reusable tile partial, the shard-local
+                    // partial, and the score buffer.
                     let mut runtime = WorkerRuntime::new();
                     let lanes = fleet.tile_lanes();
+                    let reads_trace = lanes.iter().any(|(kind, _)| kind.reads_trace());
                     let policies = fleet.matrix.policies();
                     let mut partial = FleetStats::new(policies, fleet.baseline);
                     let mut tile_stats = TileStats::new(policies, fleet.baseline);
-                    let mut cells: Vec<CellResult> =
+                    let mut scores: Vec<LaneScore> =
                         Vec::with_capacity(usize::try_from(tile_size).unwrap_or(0));
                     if fleet.telemetry {
                         telemetry::begin();
@@ -432,14 +500,16 @@ impl<'a> Fleet<'a> {
                         if tile >= tiles_end {
                             break;
                         }
-                        cells.clear();
+                        scores.clear();
                         let tile_started = telemetry::stopwatch();
-                        let tick = match fleet.run_tile(&mut runtime, tile, &lanes, &mut cells) {
+                        let run =
+                            fleet.score_tile(&mut runtime, tile, &lanes, reads_trace, &mut scores);
+                        let tick = match run {
                             Err((id, e)) => {
                                 poison.store(true, Ordering::Relaxed);
                                 Err((id, e))
                             }
-                            Ok(()) => {
+                            Ok(trace_name) => {
                                 telemetry::count(telemetry::Counter::Tiles, 1);
                                 if let Some(started) = tile_started {
                                     let ns = u64::try_from(started.elapsed().as_nanos())
@@ -451,11 +521,11 @@ impl<'a> Fleet<'a> {
                                     // unit, folded where the results were
                                     // produced. Policy is the innermost
                                     // lane axis, so every `policies`
-                                    // consecutive cells form one group.
+                                    // consecutive scores form one group.
                                     let _span = telemetry::span(telemetry::Phase::ShardFold);
                                     tile_stats.reset();
-                                    for group in cells.chunks_exact(policies.len()) {
-                                        tile_stats.fold_cell(group);
+                                    for group in scores.chunks_exact(policies.len()) {
+                                        tile_stats.fold_scores(&trace_name, group);
                                     }
                                     partial
                                         .merge(tile_stats.stats())
@@ -588,7 +658,8 @@ impl<'a> Fleet<'a> {
                             break;
                         }
                         let mut cells = Vec::with_capacity(usize::try_from(tile_size).unwrap_or(0));
-                        let payload = match fleet.run_tile(&mut runtime, tile, &lanes, &mut cells) {
+                        let payload = match fleet.cell_tile(&mut runtime, tile, &lanes, &mut cells)
+                        {
                             Err((id, e)) => {
                                 poison.store(true, Ordering::Relaxed);
                                 Err((id, e))

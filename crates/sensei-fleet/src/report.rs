@@ -19,7 +19,7 @@
 
 use crate::json::{self, obj, Json};
 use crate::FleetError;
-use sensei_core::{CellResult, PolicyKind};
+use sensei_core::{CellResult, LaneScore, PolicyKind};
 use sensei_telemetry::{Counter, Hist, Phase, TelemetryShard, TelemetrySnapshot};
 
 /// Scale of the fixed-point quantization: observations are stored as
@@ -408,16 +408,16 @@ impl PolicyStats {
         }
     }
 
-    fn fold(&mut self, cell: &CellResult) {
+    fn fold(&mut self, score: &LaneScore) {
         self.sessions += 1;
-        self.qoe.push(cell.qoe01);
-        self.bitrate_kbps.push(cell.avg_bitrate_kbps);
-        self.rebuffer_ratio.push(cell.rebuffer_ratio);
-        self.stall_hist.add(cell.rebuffer_ratio);
-        self.switch_hist.add(cell.bitrate_switches as f64);
+        self.qoe.push(score.qoe01);
+        self.bitrate_kbps.push(score.avg_bitrate_kbps);
+        self.rebuffer_ratio.push(score.rebuffer_ratio);
+        self.stall_hist.add(score.rebuffer_ratio);
+        self.switch_hist.add(score.bitrate_switches as f64);
         self.intentional_stall_q = self
             .intentional_stall_q
-            .wrapping_add(quantize(cell.intentional_stall_s));
+            .wrapping_add(quantize(score.intentional_stall_s));
     }
 
     /// Total intentional stall seconds injected (SENSEI's pause action),
@@ -602,29 +602,50 @@ impl FleetStats {
     /// Folds one completed cell (all policies' results, in matrix policy
     /// order) into the aggregates.
     pub(crate) fn fold_cell(&mut self, cells: &[CellResult]) {
-        debug_assert_eq!(cells.len(), self.per_policy.len());
+        self.fold_group(&cells[0].trace, cells.iter().map(CellResult::score));
+    }
+
+    /// Folds one group of scored lanes (all policies' outcomes on one
+    /// network, in matrix policy order) into the aggregates — the same
+    /// fold as [`Self::fold_cell`], for callers that never build cells.
+    pub(crate) fn fold_scores(&mut self, trace_name: &str, scores: &[LaneScore]) {
+        self.fold_group(trace_name, scores.iter().copied());
+    }
+
+    /// The one group fold behind [`Self::fold_cell`] and
+    /// [`Self::fold_scores`]: every outcome of the group shares the
+    /// trace named `trace_name`.
+    fn fold_group(
+        &mut self,
+        trace_name: &str,
+        group: impl ExactSizeIterator<Item = LaneScore> + Clone,
+    ) {
+        debug_assert_eq!(group.len(), self.per_policy.len());
         let base_idx = self
             .per_policy
             .iter()
             .position(|s| s.policy == self.baseline)
             .expect("baseline is in the policy axis");
-        let base_qoe = cells[base_idx].qoe01;
-        for (stats, cell) in self.per_policy.iter_mut().zip(cells) {
+        let base_qoe = group
+            .clone()
+            .nth(base_idx)
+            .expect("the group covers the policy axis")
+            .qoe01;
+        for (stats, score) in self.per_policy.iter_mut().zip(group.clone()) {
             self.sessions += 1;
-            stats.fold(cell);
+            stats.fold(&score);
             if let Some(gain) = &mut stats.gain_vs_baseline {
                 // Same skip rule as `sensei_core::qoe_gains_over`: cells
                 // whose baseline bottomed out at 0 have no relative gain.
                 if base_qoe > 0.0 {
-                    gain.add((cell.qoe01 - base_qoe) / base_qoe * 100.0);
+                    gain.add((score.qoe01 - base_qoe) / base_qoe * 100.0);
                 }
             }
         }
-        // Family-conditional fold: every cell of the group shares the
-        // trace, so the family is keyed once off the first cell. The
-        // family list stays sorted by key — an ordering no fold or merge
-        // order can perturb.
-        let family = family_of(&cells[0].trace);
+        // Family-conditional fold: the family is keyed once off the
+        // shared trace name. The family list stays sorted by key — an
+        // ordering no fold or merge order can perturb.
+        let family = family_of(trace_name);
         let idx = match self
             .per_family
             .binary_search_by(|f| f.family.as_str().cmp(family))
@@ -649,9 +670,9 @@ impl FleetStats {
                 idx
             }
         };
-        for (stats, cell) in self.per_family[idx].per_policy.iter_mut().zip(cells) {
+        for (stats, score) in self.per_family[idx].per_policy.iter_mut().zip(group) {
             stats.sessions += 1;
-            stats.qoe.push(cell.qoe01);
+            stats.qoe.push(score.qoe01);
         }
     }
 
@@ -705,6 +726,20 @@ impl TileStats {
     /// partial was built over.
     pub fn fold_cell(&mut self, cells: &[CellResult]) {
         self.stats.fold_cell(cells);
+    }
+
+    /// Folds one group of scored lanes — all policies' outcomes on the
+    /// trace named `trace_name`, in matrix policy order — into the
+    /// partial, exactly as [`Self::fold_cell`] folds the same lanes'
+    /// cells. The fleet's stats path uses this, so it never needs a
+    /// trace's mean.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the baseline policy is missing from the axes the
+    /// partial was built over.
+    pub(crate) fn fold_scores(&mut self, trace_name: &str, scores: &[LaneScore]) {
+        self.stats.fold_scores(trace_name, scores);
     }
 
     /// The folded partial.

@@ -3,34 +3,41 @@
 //!
 //! `Fleet::execute` gives every worker thread one [`WorkerRuntime`] for the
 //! whole run. Policies and simulator buffers are reused through the
-//! embedded [`SessionRuntime`]; perturbed traces are the fleet-specific
-//! part, handled by one materialize-once cache:
+//! embedded [`SessionRuntime`]; perturbed networks are the fleet-specific
+//! part, handled by [`TraceCache`]:
 //!
 //! * **Deterministic perturbations** (bandwidth scaling, no jitter) do not
 //!   depend on any seed, so the perturbed trace is materialized once per
 //!   `(trace, perturbation)` pair and shared by every scenario the worker
 //!   runs against it.
-//! * **Jittered perturbations** are a pure function of their seed — and
-//!   since the matrix derives that seed from the tile (see
-//!   `Scenario::seed`), a jittered network is materialized **once per
-//!   tile** and shared by every lane (player variant × policy) replaying
-//!   it, with each pair's slot holding one trace whose sample buffer and
-//!   interned name are recycled across regenerations. The pre-batch
-//!   fleet regenerated the jitter stream per *cell*, which profiling
-//!   showed was the single largest cost of a cheap-policy fleet run
-//!   (~24 µs of a ~31 µs BBA session on the 600-second traces); now the
-//!   cost is one regeneration per tile's worth of sessions, and memory
-//!   stays bounded at one trace per jittered pair however many videos
-//!   the corpus has.
+//! * **Jittered perturbations** are a pure function of their seed, and
+//!   the matrix derives that seed from the tile (see `Scenario::seed`),
+//!   so a jittered network never repeats across tiles. It is set up once
+//!   per tile and shared by every lane (player variant × policy) and
+//!   sub-batch replaying it. A tile whose lanes never read the whole
+//!   trace gets an on-demand stream (`TraceCache::network`) that draws
+//!   Gaussian pairs only as far as its downloads reach — on the Table-1
+//!   evaluation traces (1,200 one-second samples) the farthest sample a
+//!   BBA tile reads is about a fifth of the way in, so most of each
+//!   regeneration is never drawn. A tile with an oracle lane, and every
+//!   caller that wants cells (whose `trace_mean_kbps` is the realized
+//!   mean), completes the network into a whole trace
+//!   ([`TraceCache::resolve`]), value-identical to the stream's draws.
 //!
-//! Caching never changes results: cached and freshly-applied perturbations
-//! are value-identical (asserted by the tests below), and which worker's
-//! cache served a scenario is invisible to the merge-based aggregates.
+//! Memory stays bounded per worker: one trace per deterministic pair,
+//! one interned name per jittered pair, and two jittered sample buffers
+//! — the stream's and the last completed trace's — recycled into each
+//! other, however many videos, traces or seeds a run sweeps.
+//!
+//! Caching never changes results: cached, streamed and freshly-applied
+//! perturbations are value-identical (asserted by the tests below and by
+//! `sensei-trace`'s stream property tests), and which worker's cache
+//! served a scenario is invisible to the merge-based aggregates.
 
 use crate::scenario::TracePerturbation;
 use sensei_core::SessionRuntime;
 use sensei_telemetry as telemetry;
-use sensei_trace::{ThroughputTrace, TraceError};
+use sensei_trace::{Network, PerturbedStream, ThroughputTrace, TraceError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -64,6 +71,58 @@ impl Default for WorkerRuntime {
 /// the matrix's perturbation axis.
 type PairKey = (usize, usize);
 
+/// A tile's network as [`TraceCache::network`] serves it.
+pub(crate) enum TileNetwork<'a> {
+    /// A whole trace: the base trace, a cached deterministic
+    /// perturbation, or an already-completed jittered one.
+    Trace(&'a ThroughputTrace),
+    /// A jittered perturbation drawn on demand.
+    Stream {
+        /// The perturbation's interned name (what the completed trace
+        /// would be called).
+        name: Arc<str>,
+        /// The on-demand samples.
+        stream: PerturbedStream<'a>,
+    },
+}
+
+impl TileNetwork<'_> {
+    /// A shared handle to the network's trace name.
+    #[must_use]
+    pub(crate) fn name_handle(&self) -> Arc<str> {
+        match self {
+            TileNetwork::Trace(trace) => trace.name_handle(),
+            TileNetwork::Stream { name, .. } => Arc::clone(name),
+        }
+    }
+
+    /// Records the samples an on-demand stream drew (set-up plus every
+    /// download so far) under [`telemetry::Counter::JitterSamples`]; a
+    /// whole trace was counted when [`TraceCache::resolve`] completed it.
+    /// Call once, when the tile is done with the network.
+    pub(crate) fn count_draws(&self) {
+        if let TileNetwork::Stream { stream, .. } = self {
+            count_jitter_samples(stream.drawn());
+        }
+    }
+}
+
+impl Network for TileNetwork<'_> {
+    fn download_time(&mut self, start_s: f64, bits: f64) -> f64 {
+        match self {
+            TileNetwork::Trace(trace) => trace.download_time(start_s, bits),
+            TileNetwork::Stream { stream, .. } => stream.download_time(start_s, bits),
+        }
+    }
+
+    fn full_trace(&self) -> Option<&ThroughputTrace> {
+        match self {
+            TileNetwork::Trace(trace) => Some(trace),
+            TileNetwork::Stream { .. } => None,
+        }
+    }
+}
+
 /// The per-worker perturbed-trace cache.
 ///
 /// The maps are `BTreeMap`s, not `HashMap`s: the cache is keyed-lookup
@@ -77,14 +136,13 @@ pub struct TraceCache {
     /// Interned names of jittered perturbations (seed-independent even
     /// when the samples are not).
     jitter_names: BTreeMap<PairKey, Arc<str>>,
-    /// Jittered perturbations: one slot per pair holding the most
-    /// recently requested seed's trace. Within a tile every lane shares
-    /// one seed, so a slot serves the whole tile from one regeneration;
-    /// when the next tile brings a new seed the slot regenerates **into
-    /// the same recycled sample buffer** (and re-attaches the interned
-    /// name), so memory stays hard-bounded at one trace per jittered
-    /// pair no matter how many videos or seeds a run sweeps.
-    jittered: BTreeMap<PairKey, (u64, ThroughputTrace)>,
+    /// The recycled sample buffer of the current on-demand stream.
+    stream_buf: Vec<f64>,
+    /// The most recently completed jittered trace and its `(pair, seed)`:
+    /// every lane and sub-batch of a tile shares one seed, so one slot
+    /// serves the whole tile. Tiles never share a seed, so more slots
+    /// would only hold memory.
+    completed: Option<(PairKey, u64, ThroughputTrace)>,
 }
 
 impl TraceCache {
@@ -94,14 +152,16 @@ impl TraceCache {
         Self {
             deterministic: BTreeMap::new(),
             jitter_names: BTreeMap::new(),
-            jittered: BTreeMap::new(),
+            stream_buf: Vec::new(),
+            completed: None,
         }
     }
 
-    /// Resolves the perturbed trace for one scenario, value-identical to
-    /// `perturbation.apply(base, seed)` but served from the cache when
-    /// the pair's slot already holds this seed's trace (the whole-tile
-    /// case), and regenerated into the slot's recycled buffer otherwise.
+    /// Resolves the whole perturbed trace for one scenario,
+    /// value-identical to `perturbation.apply(base, seed)`: served from
+    /// the cache when it already holds this network, and otherwise
+    /// drawn in full by the same generator `Self::network` streams,
+    /// into a recycled buffer.
     ///
     /// # Errors
     ///
@@ -134,40 +194,86 @@ impl TraceCache {
                 }
             });
         }
-        // The perturbed name depends on the pair but not the seed, so it
-        // is interned once and re-attached by handle on regeneration.
-        let name = Arc::clone(self.jitter_names.entry(pair).or_insert_with(|| {
-            Arc::from(base.perturbed_name(perturbation.scale, perturbation.jitter_std_kbps))
-        }));
-        // Fast path: the slot already holds this seed's trace (every lane
-        // of a tile, and every sub-batch within it, shares one seed).
-        let hit = self
-            .jittered
-            .get(&pair)
-            .is_some_and(|(cached_seed, _)| *cached_seed == seed);
-        if hit {
+        if self.holds(pair, seed) {
             telemetry::count(telemetry::Counter::TraceCacheHits, 1);
-            return Ok(&self.jittered.get(&pair).expect("checked above").1);
+            return Ok(&self.completed.as_ref().expect("checked above").2);
         }
+        let (name, stream) = self.start_stream(base, perturbation, pair, seed)?;
+        let trace = stream.complete(name)?;
+        count_jitter_samples(trace.samples().len());
+        // The completed trace took the stream's buffer; the trace it
+        // evicts hands its own buffer to the next stream.
+        if let Some((_, _, evicted)) = self.completed.replace((pair, seed, trace)) {
+            self.stream_buf = evicted.into_samples();
+        }
+        Ok(&self.completed.as_ref().expect("stored above").2)
+    }
+
+    /// The network for one tile whose lanes never read the whole trace:
+    /// an on-demand [`PerturbedStream`] for a jittered perturbation the
+    /// cache does not already hold, and otherwise the whole trace
+    /// [`Self::resolve`] serves. The stream answers every download with
+    /// the bits of the trace `resolve` would build.
+    ///
+    /// # Errors
+    ///
+    /// The errors [`Self::resolve`] returns for the same inputs.
+    pub(crate) fn network<'a>(
+        &'a mut self,
+        base: &'a ThroughputTrace,
+        perturbation: &TracePerturbation,
+        trace_idx: usize,
+        perturbation_idx: usize,
+        seed: u64,
+    ) -> Result<TileNetwork<'a>, TraceError> {
+        let pair = (trace_idx, perturbation_idx);
+        if perturbation.jitter_std_kbps == 0.0 || self.holds(pair, seed) {
+            return self
+                .resolve(base, perturbation, trace_idx, perturbation_idx, seed)
+                .map(TileNetwork::Trace);
+        }
+        let (name, stream) = self.start_stream(base, perturbation, pair, seed)?;
+        Ok(TileNetwork::Stream { name, stream })
+    }
+
+    /// Starts `pair`'s jittered network for `seed` as an on-demand
+    /// stream over the recycled buffer, with the pair's interned name
+    /// (it depends on the pair but not the seed, so it is built once and
+    /// shared by handle).
+    fn start_stream<'a>(
+        &'a mut self,
+        base: &'a ThroughputTrace,
+        perturbation: &TracePerturbation,
+        pair: PairKey,
+        seed: u64,
+    ) -> Result<(Arc<str>, PerturbedStream<'a>), TraceError> {
         telemetry::count(telemetry::Counter::TraceMaterializations, 1);
-        // Regeneration goes through the one shared sample path
-        // (`ThroughputTrace::perturbed_into` — the same code
-        // `TracePerturbation::apply` runs), so cached and fresh traces
-        // can never drift; the evicted trace's sample buffer is recycled
-        // into the new one.
-        let buf = self
-            .jittered
-            .remove(&pair)
-            .map_or_else(Vec::new, |(_, trace)| trace.into_samples());
-        let trace = base.perturbed_into(
+        let name = self.jitter_names.entry(pair).or_insert_with(|| {
+            Arc::from(base.perturbed_name(perturbation.scale, perturbation.jitter_std_kbps))
+        });
+        let stream = base.perturbed_stream(
             perturbation.scale,
             perturbation.jitter_std_kbps,
             seed,
-            name,
-            buf,
+            &mut self.stream_buf,
         )?;
-        Ok(&self.jittered.entry(pair).or_insert((seed, trace)).1)
+        Ok((Arc::clone(name), stream))
     }
+
+    /// Whether the completed slot holds `pair`'s network for `seed`.
+    fn holds(&self, pair: PairKey, seed: u64) -> bool {
+        self.completed
+            .as_ref()
+            .is_some_and(|(p, s, _)| *p == pair && *s == seed)
+    }
+}
+
+/// Adds `samples` to [`telemetry::Counter::JitterSamples`].
+fn count_jitter_samples(samples: usize) {
+    telemetry::count(
+        telemetry::Counter::JitterSamples,
+        u64::try_from(samples).unwrap_or(u64::MAX),
+    );
 }
 
 impl Default for TraceCache {
@@ -242,39 +348,66 @@ mod tests {
         let base = base();
         let p = TracePerturbation::jittered(300.0);
         let mut cache = TraceCache::new();
-        let first_ptr = cache
-            .resolve(&base, &p, 0, 0, 5)
-            .unwrap()
-            .samples()
-            .as_ptr();
+        let ptr = |cache: &mut TraceCache, pair: usize, seed: u64| {
+            cache
+                .resolve(&base, &p, 0, pair, seed)
+                .unwrap()
+                .samples()
+                .as_ptr()
+        };
+        let a = ptr(&mut cache, 0, 5);
         // The same network again (every lane and sub-batch of a tile
         // shares one seed): no regeneration, the cached trace itself is
         // handed back.
-        let again_ptr = cache
-            .resolve(&base, &p, 0, 0, 5)
-            .unwrap()
-            .samples()
-            .as_ptr();
-        assert!(std::ptr::eq(first_ptr, again_ptr));
-        // The next tile's seed regenerates — into the very same recycled
-        // buffer, so the cache's footprint stays one trace per pair.
-        let other_ptr = cache
-            .resolve(&base, &p, 0, 0, 6)
-            .unwrap()
-            .samples()
-            .as_ptr();
-        assert!(std::ptr::eq(first_ptr, other_ptr));
-        // A different pair gets its own slot; the first pair's slot and
-        // seed are untouched by it.
-        let pair_b_ptr = cache
-            .resolve(&base, &p, 0, 1, 7)
-            .unwrap()
-            .samples()
-            .as_ptr();
-        assert!(!std::ptr::eq(first_ptr, pair_b_ptr));
+        assert!(std::ptr::eq(a, ptr(&mut cache, 0, 5)));
+        // Later tiles regenerate, and two buffers take turns: the one
+        // completed slot hands its buffer to the next stream. A different
+        // pair shares the same slot and buffers, so the footprint is two
+        // traces per worker, not one per pair.
+        let b = ptr(&mut cache, 0, 6);
+        assert!(!std::ptr::eq(a, b));
+        assert!(std::ptr::eq(a, ptr(&mut cache, 1, 7)));
+        assert!(std::ptr::eq(b, ptr(&mut cache, 0, 8)));
+        assert!(std::ptr::eq(a, ptr(&mut cache, 1, 9)));
         // Regenerated values always equal a fresh apply, wherever the
         // slot has been in between.
         let back = cache.resolve(&base, &p, 0, 0, 5).unwrap().clone();
         assert_eq!(back, p.apply(&base, 5).unwrap().into_owned());
+    }
+
+    #[test]
+    fn on_demand_networks_answer_with_the_resolved_traces_bits() {
+        let base = base();
+        let jittered = TracePerturbation {
+            scale: 0.9,
+            jitter_std_kbps: 400.0,
+        };
+        let fresh = jittered.apply(&base, 21).unwrap().into_owned();
+        let mut cache = TraceCache::new();
+        {
+            let mut net = cache.network(&base, &jittered, 2, 3, 21).unwrap();
+            assert!(matches!(net, TileNetwork::Stream { .. }));
+            assert!(net.full_trace().is_none());
+            assert_eq!(&*net.name_handle(), fresh.name());
+            for (start, bits) in [(0.0, 2e6), (40.0, 5e6), (3.0, 1e5), (115.0, 9e6)] {
+                let want = fresh.download_time(start, bits);
+                assert_eq!(net.download_time(start, bits).to_bits(), want.to_bits());
+            }
+        }
+        // Once the network is completed, the same tile is served whole.
+        assert_eq!(*cache.resolve(&base, &jittered, 2, 3, 21).unwrap(), fresh);
+        let held = cache.network(&base, &jittered, 2, 3, 21).unwrap();
+        assert_eq!(held.full_trace(), Some(&fresh));
+        // Identity and seed-independent perturbations are whole traces.
+        let id = cache
+            .network(&base, &TracePerturbation::identity(), 0, 0, 1)
+            .unwrap();
+        assert!(std::ptr::eq(id.full_trace().unwrap(), &base));
+        let scaled = TracePerturbation::scaled(0.7);
+        let net = cache.network(&base, &scaled, 0, 1, 1).unwrap();
+        assert_eq!(
+            net.full_trace().unwrap(),
+            &scaled.apply(&base, 1).unwrap().into_owned()
+        );
     }
 }

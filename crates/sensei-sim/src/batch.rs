@@ -15,7 +15,7 @@
 //!    resolves every lane's decision for this chunk; no per-session
 //!    dispatch (a batched policy like BBA reads the lane buffers as one
 //!    slice).
-//! 3. **Transfer** — download-time resolution over the shared trace and
+//! 3. **Transfer** — download-time resolution over the shared network and
 //!    playback advancement, lane by lane.
 //!
 //! **The soundness contract:** each lane performs *exactly* the arithmetic
@@ -24,8 +24,9 @@
 //! loops. Results are therefore byte-identical to the scalar path for any
 //! batch width (asserted across every policy kind by
 //! `sensei-core/tests/batch_soundness.rs`). This is also why the transfer
-//! loop integrates the trace through [`ThroughputTrace::download_time`]
-//! rather than a shared `CumulativeTrace` index: at chunk granularity the
+//! loop integrates through [`Network::download_time`] (for a whole trace,
+//! [`sensei_trace::ThroughputTrace::download_time`]) rather than a shared
+//! `CumulativeTrace` index: at chunk granularity the
 //! piecewise walk touches only a handful of buckets, and the `O(log n)`
 //! index rounds differently — the batch reserves cumulative indexing for
 //! the MPC planners (where repeated integration dominates and the planner
@@ -34,7 +35,7 @@
 use crate::policy::{AbrPolicy, Decision, PlayerState, SessionContext};
 use crate::session::{Playback, PlayerConfig, SessionResult, EPS};
 use crate::SimError;
-use sensei_trace::ThroughputTrace;
+use sensei_trace::Network;
 use sensei_video::{EncodedVideo, RenderedChunk, RenderedVideo, SensitivityWeights, SourceVideo};
 
 /// One policy's lanes within a batch: the (shared, possibly stateful)
@@ -250,8 +251,12 @@ impl SessionBatch {
 }
 
 /// Simulates one batch of sessions over a shared `(source, encoded,
-/// trace)` triple — the lane-parallel counterpart of
+/// network)` triple — the lane-parallel counterpart of
 /// [`crate::simulate_in`].
+///
+/// The network is any [`Network`]: a `&ThroughputTrace`, or a
+/// `&mut PerturbedStream` that draws its samples only as far as the
+/// lanes' downloads reach. Both give every lane the same bits.
 ///
 /// `groups` carries the batch's lanes grouped by policy instance; results
 /// are appended to `out` in flat lane order (group 0's lanes first, in
@@ -265,11 +270,11 @@ impl SessionBatch {
 /// player configuration is out of range, the encoding or weights do not
 /// match the source, or a policy emits an invalid decision. No results
 /// are appended on error.
-pub fn simulate_batch_in(
+pub fn simulate_batch_in<N: Network>(
     batch: &mut SessionBatch,
     source: &SourceVideo,
     encoded: &EncodedVideo,
-    trace: &ThroughputTrace,
+    mut network: N,
     groups: &mut [BatchLanes<'_, '_>],
     out: &mut Vec<SessionResult>,
 ) -> Result<(), LaneFailure> {
@@ -384,7 +389,7 @@ pub fn simulate_batch_in(
         }
 
         // Phase 3 — transfer: validate the decision, resolve the download
-        // over the shared trace, and advance playback, lane by lane.
+        // over the shared network, and advance playback, lane by lane.
         for i in 0..lanes {
             let decision = batch.decisions[i];
             if decision.level >= ladder.len() {
@@ -410,7 +415,7 @@ pub fn simulate_batch_in(
                 .map_err(|e| at_lane(e.into(), i))?;
             let t = batch.elapsed[i];
             let rtt = batch.configs[i].rtt_s;
-            let transfer = trace.download_time(t + rtt, size);
+            let transfer = network.download_time(t + rtt, size);
             let dt = rtt + transfer;
             if batch.playing[i] {
                 let mut pb = Playback {
@@ -528,6 +533,7 @@ mod tests {
     use super::*;
     use crate::policy::FixedLevel;
     use crate::session::{simulate_in, SessionScratch};
+    use sensei_trace::ThroughputTrace;
     use sensei_video::content::{Genre, SceneKind, SceneSpec};
     use sensei_video::BitrateLadder;
 

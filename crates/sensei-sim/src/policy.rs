@@ -117,6 +117,12 @@ pub trait AbrPolicy {
     /// oracle-style controllers that were constructed around a specific
     /// trace need this; the default is a no-op because ordinary policies
     /// observe the network solely through [`PlayerState`].
+    ///
+    /// The batch path (`sensei_core::Experiment`) calls this only for
+    /// policy kinds that read the whole trace (the oracles); every other
+    /// kind is built and batched without a trace and never rebound, so
+    /// an override must not carry state a session depends on — per-batch
+    /// hygiene belongs in [`Self::begin_batch`].
     fn rebind(&mut self, _trace: &ThroughputTrace) {}
 
     /// Prepares the policy to serve `lanes` concurrent sessions of one

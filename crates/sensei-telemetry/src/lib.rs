@@ -47,10 +47,12 @@ pub enum Counter {
     Tiles,
     /// Session batches run (`Experiment::run_batch_in` calls).
     Batches,
-    /// Policy rebinds (once per policy group per batch — the amortized
-    /// `O(trace)` cost the tile engine exists to hoist).
+    /// Policy rebinds (once per batch for each policy group whose kind
+    /// reads the whole trace — the amortized `O(trace)` cost the tile
+    /// engine exists to hoist).
     PolicyRebinds,
-    /// Perturbed traces materialized (cache misses + regenerations).
+    /// Perturbed networks set up (cache misses + regenerations): a whole
+    /// trace built, or an on-demand stream started.
     TraceMaterializations,
     /// Perturbed-trace cache hits (served without regeneration).
     TraceCacheHits,
@@ -70,11 +72,15 @@ pub enum Counter {
     /// (no leaf had improved on it yet) — the pruning the seed bought
     /// outright.
     SeededPrunes,
+    /// Jittered throughput samples drawn by the Gaussian generator, on
+    /// demand or to complete a trace — the work an on-demand network
+    /// saves shows as this count falling below tiles × trace length.
+    JitterSamples,
 }
 
 impl Counter {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 13;
 
     /// This counter's shard slot: the enum discriminant as a
     /// lossless array index (so callers never need an `as` cast).
@@ -97,6 +103,7 @@ impl Counter {
         Counter::DtMemoHits,
         Counter::WarmStartHits,
         Counter::SeededPrunes,
+        Counter::JitterSamples,
     ];
 
     /// Stable snake_case name (the JSON key in the report's `telemetry`
@@ -116,6 +123,7 @@ impl Counter {
             Counter::DtMemoHits => "dt_memo_hits",
             Counter::WarmStartHits => "warm_start_hits",
             Counter::SeededPrunes => "seeded_prunes",
+            Counter::JitterSamples => "jitter_samples",
         }
     }
 
@@ -131,9 +139,13 @@ impl Counter {
 /// merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Perturbed-network materialization (`TraceCache::resolve`).
+    /// Perturbed-network set-up: starting a tile's on-demand stream, or
+    /// completing (or fetching) a whole perturbed trace in
+    /// `TraceCache`. Samples a stream draws on demand land in
+    /// [`Phase::LaneSimulate`] instead.
     NetworkMaterialize,
-    /// SoA lane simulation (`simulate_batch_in`).
+    /// SoA lane simulation (`simulate_batch_in`), including the samples
+    /// an on-demand network draws as downloads reach them.
     LaneSimulate,
     /// True-QoE oracle scoring of the finished lanes.
     Score,
@@ -413,6 +425,15 @@ impl TelemetrySnapshot {
             self.counter(Counter::Batches),
             self.counter(Counter::PolicyRebinds),
         );
+        if self.counter(Counter::JitterSamples) > 0 {
+            let _ = writeln!(
+                out,
+                "  networks: {} set up, {} cache hits, {} jitter samples drawn",
+                self.counter(Counter::TraceMaterializations),
+                self.counter(Counter::TraceCacheHits),
+                self.counter(Counter::JitterSamples),
+            );
+        }
         for p in Phase::ALL {
             let calls = self.shard.phase_calls(p);
             if calls > 0 {

@@ -15,6 +15,10 @@
 //! * Trace operators — bandwidth scaling ([`ThroughputTrace::scaled`]),
 //!   zero-mean Gaussian perturbation for the Fig. 17 variance sweep
 //!   ([`ThroughputTrace::with_gaussian_noise`]), and windowing.
+//! * [`Network`] — what a session downloads over: a whole trace, or a
+//!   [`PerturbedStream`] that draws a perturbation's samples only as far
+//!   as its sessions read them and completes to exactly the trace
+//!   [`ThroughputTrace::perturbed_into`] returns.
 //!
 //! All randomness is seeded; identical seeds give identical traces.
 
@@ -28,6 +32,7 @@ pub mod generate;
 
 pub use cumulative::CumulativeTrace;
 
+use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 
@@ -96,6 +101,82 @@ pub struct ThroughputTrace {
     name: Arc<str>,
     interval_s: f64,
     kbps: Vec<f64>,
+    /// The largest sample, found by the validation pass in [`Self::new`]:
+    /// it bounds every perturbation of the trace up front (see
+    /// [`Self::perturbed_stream`]).
+    peak_kbps: f64,
+}
+
+/// Checks that every sample is finite and non-negative and that some
+/// sample is positive, in that order — the sample half of
+/// [`ThroughputTrace::new`]'s contract. Returns the largest sample.
+fn check_samples(kbps: &[f64]) -> Result<f64, TraceError> {
+    let mut peak = 0.0_f64;
+    for (index, &value) in kbps.iter().enumerate() {
+        if !value.is_finite() || value < 0.0 {
+            return Err(TraceError::InvalidSample { index, value });
+        }
+        if value > peak {
+            peak = value;
+        }
+    }
+    if peak == 0.0 {
+        return Err(TraceError::ZeroMean);
+    }
+    Ok(peak)
+}
+
+/// An upper bound on `|z|` for every Box–Muller variate
+/// [`gaussian_pair`] can return: `u1 >= f64::MIN_POSITIVE`, so the radius
+/// `sqrt(-2 ln u1)` stays below `sqrt(2 · 708.4) ≈ 37.64`.
+const GAUSSIAN_BOUND: f64 = 38.0;
+
+/// The piecewise-constant integration walk behind every [`Network`]:
+/// the time to transfer `bits` from `start_s` over a `len`-sample trace
+/// of `interval_s` buckets whose sample `i` is `kbps(i)`, wrapping at the
+/// end. [`ThroughputTrace::download_time`] and [`PerturbedStream`] both
+/// run this one loop, so a stream's answers are the full trace's bits.
+#[inline]
+fn integrate(
+    interval_s: f64,
+    len: usize,
+    start_s: f64,
+    bits: f64,
+    mut kbps: impl FnMut(usize) -> f64,
+) -> f64 {
+    assert!(
+        bits.is_finite() && bits >= 0.0,
+        "download size must be a finite non-negative bit count, got {bits}"
+    );
+    if bits == 0.0 {
+        return 0.0;
+    }
+    let duration = len as f64 * interval_s;
+    let mut remaining = bits;
+    let mut t = start_s.max(0.0) % duration;
+    let mut elapsed = 0.0;
+    // Only the first bucket is found by division; the walk then steps
+    // bucket by bucket. Re-deriving the index from `t` would land back
+    // in the same bucket whenever `(k · Δ) / Δ` rounds below `k` (e.g.
+    // `3 · 0.7`), and loop forever on a zero-width window.
+    let mut idx = ((t / interval_s) as usize).min(len - 1);
+    loop {
+        let bucket_end = (idx as f64 + 1.0) * interval_s;
+        let window = bucket_end - t;
+        let rate_bps = kbps(idx) * 1000.0;
+        let capacity = rate_bps * window;
+        if capacity >= remaining && rate_bps > 0.0 {
+            return elapsed + remaining / rate_bps;
+        }
+        remaining -= capacity;
+        elapsed += window;
+        t = bucket_end;
+        idx += 1;
+        if t >= duration {
+            t = 0.0;
+            idx = 0;
+        }
+    }
 }
 
 impl ThroughputTrace {
@@ -119,18 +200,12 @@ impl ThroughputTrace {
         if !(interval_s.is_finite() && interval_s > 0.0) {
             return Err(TraceError::NonPositiveInterval(interval_s));
         }
-        for (index, &value) in kbps.iter().enumerate() {
-            if !value.is_finite() || value < 0.0 {
-                return Err(TraceError::InvalidSample { index, value });
-            }
-        }
-        if kbps.iter().all(|&v| v == 0.0) {
-            return Err(TraceError::ZeroMean);
-        }
+        let peak_kbps = check_samples(&kbps)?;
         Ok(Self {
             name: name.into(),
             interval_s,
             kbps,
+            peak_kbps,
         })
     }
 
@@ -206,7 +281,7 @@ impl ThroughputTrace {
 
     /// Maximum sample in kbps.
     pub fn max_kbps(&self) -> f64 {
-        self.kbps.iter().cloned().fold(0.0, f64::max)
+        self.peak_kbps
     }
 
     /// Instantaneous throughput at absolute time `t` (seconds), with the
@@ -227,33 +302,9 @@ impl ThroughputTrace {
     /// Because construction rejects all-zero traces, each full pass transfers
     /// a positive number of bits, so this always terminates.
     pub fn download_time(&self, start_s: f64, bits: f64) -> f64 {
-        assert!(
-            bits.is_finite() && bits >= 0.0,
-            "download size must be a finite non-negative bit count, got {bits}"
-        );
-        if bits == 0.0 {
-            return 0.0;
-        }
-        let duration = self.duration_s();
-        let mut remaining = bits;
-        let mut t = start_s.max(0.0) % duration;
-        let mut elapsed = 0.0;
-        loop {
-            let idx = ((t / self.interval_s) as usize).min(self.kbps.len() - 1);
-            let bucket_end = (idx as f64 + 1.0) * self.interval_s;
-            let window = bucket_end - t;
-            let rate_bps = self.kbps[idx] * 1000.0;
-            let capacity = rate_bps * window;
-            if capacity >= remaining && rate_bps > 0.0 {
-                return elapsed + remaining / rate_bps;
-            }
-            remaining -= capacity;
-            elapsed += window;
-            t = bucket_end;
-            if t >= duration {
-                t = 0.0;
-            }
-        }
+        integrate(self.interval_s, self.kbps.len(), start_s, bits, |i| {
+            self.kbps[i]
+        })
     }
 
     /// Mean throughput (kbps) observed over `[start_s, start_s + len_s)`,
@@ -350,6 +401,9 @@ impl ThroughputTrace {
     /// steps skipped (multiplying by a scale of exactly 1.0 is bit-exact
     /// for the non-negative finite samples traces admit).
     ///
+    /// This is a [`Self::perturbed_stream`] completed on the spot, so a
+    /// stream and this trace can never disagree.
+    ///
     /// # Errors
     ///
     /// The same errors as the chained operators: an invalid scale, or a
@@ -362,6 +416,35 @@ impl ThroughputTrace {
         name: impl Into<Arc<str>>,
         mut buf: Vec<f64>,
     ) -> Result<Self, TraceError> {
+        self.perturbed_stream(scale, jitter_std_kbps, seed, &mut buf)?
+            .complete(name)
+    }
+
+    /// Starts the scale-then-jitter perturbation of this trace as an
+    /// on-demand [`PerturbedStream`] over the recycled `buf` (cleared
+    /// first). The stream draws samples only when a download reaches
+    /// them, in exactly [`Self::perturbed_into`]'s order, so every answer
+    /// and its [`PerturbedStream::complete`] equal that trace's bits.
+    ///
+    /// Set-up decides every error up front, with the variants
+    /// `perturbed_into` returns: the scale is checked, then the stream
+    /// draws until its first positive sample (`ZeroMean` when there is
+    /// none). Should the trace's peak, scaled and widened by the largest
+    /// possible jitter, not be finite, set-up draws the whole trace and
+    /// checks every sample, so an overflowing sample is reported where a
+    /// full build would report it.
+    ///
+    /// # Errors
+    ///
+    /// An invalid scale, a non-finite perturbed sample, or a perturbed
+    /// trace that would be all-zero.
+    pub fn perturbed_stream<'a>(
+        &'a self,
+        scale: f64,
+        jitter_std_kbps: f64,
+        seed: u64,
+        buf: &'a mut Vec<f64>,
+    ) -> Result<PerturbedStream<'a>, TraceError> {
         if !(scale.is_finite() && scale > 0.0) {
             return Err(TraceError::InvalidSample {
                 index: 0,
@@ -369,31 +452,32 @@ impl ThroughputTrace {
             });
         }
         buf.clear();
-        buf.extend(self.kbps.iter().map(|&v| v * scale));
-        if jitter_std_kbps > 0.0 {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // One Box–Muller pair per two samples, both variates applied
-            // in stream order (cosine first, sine second) — byte-identical
-            // to driving a `GaussianSource` over the buffer one sample at
-            // a time (regression-tested below), minus the per-call spare
-            // branch that kept this pass from being one straight sweep
-            // over the recycled buffer.
-            let mut pairs = buf.chunks_exact_mut(2);
-            for pair in &mut pairs {
-                let (zc, zs) = gaussian_pair(&mut rng);
-                pair[0] = (pair[0] + zc * jitter_std_kbps).max(0.0);
-                pair[1] = (pair[1] + zs * jitter_std_kbps).max(0.0);
-            }
-            // Odd tail: draw a pair, apply the cosine variate, drop the
-            // sine — exactly what the streaming source's final call does
-            // (its cached spare would never be consumed).
-            for v in pairs.into_remainder() {
-                let (zc, _) = gaussian_pair(&mut rng);
-                *v = (*v + zc * jitter_std_kbps).max(0.0);
+        let mut stream = PerturbedStream {
+            base: &self.kbps,
+            interval_s: self.interval_s,
+            scale,
+            jitter_std_kbps,
+            rng: rand::rngs::StdRng::seed_from_u64(seed),
+            samples: buf,
+        };
+        let jitter_bound = if jitter_std_kbps > 0.0 {
+            GAUSSIAN_BOUND * jitter_std_kbps
+        } else {
+            0.0
+        };
+        if !(self.peak_kbps * scale + jitter_bound).is_finite() {
+            stream.draw_to(stream.base.len());
+            check_samples(stream.samples)?;
+            return Ok(stream);
+        }
+        // Every sample is finite, so only the all-zero check is left,
+        // and the first positive sample settles it.
+        for i in 0..stream.base.len() {
+            if stream.sample(i) > 0.0 {
+                return Ok(stream);
             }
         }
-        Self::new(name, self.interval_s, buf)
+        Err(TraceError::ZeroMean)
     }
 
     /// Extracts a contiguous window of samples as a new trace.
@@ -465,6 +549,134 @@ impl<R: rand::Rng> GaussianSource<R> {
         let (zc, zs) = gaussian_pair(&mut self.rng);
         self.spare = Some(zs);
         zc
+    }
+}
+
+/// What a session downloads over: the time to transfer `bits` from
+/// absolute time `start_s`, over the piecewise-constant, wrapping
+/// semantics of [`ThroughputTrace::download_time`].
+///
+/// A `&ThroughputTrace` is a network, and so is a [`PerturbedStream`]
+/// (by `&mut`), which draws its samples only when a download reaches
+/// them. Every network of one perturbation answers with the same bits.
+pub trait Network {
+    /// Seconds to transfer `bits` starting at `start_s`.
+    fn download_time(&mut self, start_s: f64, bits: f64) -> f64;
+
+    /// The whole trace, when the network holds one; `None` for a stream
+    /// that has not drawn it.
+    fn full_trace(&self) -> Option<&ThroughputTrace> {
+        None
+    }
+}
+
+impl Network for &ThroughputTrace {
+    fn download_time(&mut self, start_s: f64, bits: f64) -> f64 {
+        ThroughputTrace::download_time(self, start_s, bits)
+    }
+
+    fn full_trace(&self) -> Option<&ThroughputTrace> {
+        Some(self)
+    }
+}
+
+impl<N: Network + ?Sized> Network for &mut N {
+    fn download_time(&mut self, start_s: f64, bits: f64) -> f64 {
+        (**self).download_time(start_s, bits)
+    }
+
+    fn full_trace(&self) -> Option<&ThroughputTrace> {
+        (**self).full_trace()
+    }
+}
+
+/// A scale-then-jitter perturbation of a trace, drawn on demand (see
+/// [`ThroughputTrace::perturbed_stream`]).
+///
+/// The drawn samples are a prefix of the perturbed trace, grown in whole
+/// Box–Muller pairs (cosine variate on the even sample, sine on the odd
+/// one) by the one pair loop [`ThroughputTrace::perturbed_into`] also
+/// runs. A download that reaches an undrawn sample draws up to it first,
+/// so sessions that read only the start of a long trace never pay for
+/// the rest.
+#[derive(Debug)]
+pub struct PerturbedStream<'a> {
+    base: &'a [f64],
+    interval_s: f64,
+    scale: f64,
+    jitter_std_kbps: f64,
+    rng: rand::rngs::StdRng,
+    samples: &'a mut Vec<f64>,
+}
+
+impl PerturbedStream<'_> {
+    /// Samples drawn so far.
+    #[must_use]
+    pub fn drawn(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Perturbed sample `i`, drawing up to it if needed.
+    #[inline]
+    fn sample(&mut self, i: usize) -> f64 {
+        if i >= self.samples.len() {
+            self.draw_to(i + 1);
+        }
+        self.samples[i]
+    }
+
+    /// Draws whole pairs until at least `needed` samples (capped at the
+    /// trace length) exist. The drawn prefix always ends on a pair
+    /// boundary or at the trace end, so pairs stay aligned to even
+    /// samples exactly as in one full sweep.
+    fn draw_to(&mut self, needed: usize) {
+        let start = self.samples.len();
+        let end = (needed + needed % 2).min(self.base.len());
+        if end <= start {
+            return;
+        }
+        let scale = self.scale;
+        self.samples
+            .extend(self.base[start..end].iter().map(|&v| v * scale));
+        let std = self.jitter_std_kbps;
+        if std > 0.0 {
+            let mut pairs = self.samples[start..].chunks_exact_mut(2);
+            for pair in &mut pairs {
+                let (zc, zs) = gaussian_pair(&mut self.rng);
+                pair[0] = (pair[0] + zc * std).max(0.0);
+                pair[1] = (pair[1] + zs * std).max(0.0);
+            }
+            // Odd tail: draw a pair, apply the cosine variate, drop the
+            // sine — exactly what a `GaussianSource`'s final call does
+            // (its cached spare would never be consumed).
+            for v in pairs.into_remainder() {
+                let (zc, _) = gaussian_pair(&mut self.rng);
+                *v = (*v + zc * std).max(0.0);
+            }
+        }
+    }
+
+    /// Draws the rest of the trace and hands it over as the
+    /// [`ThroughputTrace`] named `name` — equal to what
+    /// [`ThroughputTrace::perturbed_into`] builds for the same inputs.
+    /// The sample buffer moves into the trace; the stream's recycled
+    /// buffer is left empty.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: set-up already rejected every input the trace
+    /// constructor would.
+    pub fn complete(mut self, name: impl Into<Arc<str>>) -> Result<ThroughputTrace, TraceError> {
+        self.draw_to(self.base.len());
+        ThroughputTrace::new(name, self.interval_s, std::mem::take(self.samples))
+    }
+}
+
+impl Network for PerturbedStream<'_> {
+    fn download_time(&mut self, start_s: f64, bits: f64) -> f64 {
+        integrate(self.interval_s, self.base.len(), start_s, bits, |i| {
+            self.sample(i)
+        })
     }
 }
 
@@ -554,6 +766,16 @@ mod tests {
         // 1 Mb starting in the outage second: 1 s waiting + 1 s transfer.
         let dt = t.download_time(0.0, 1_000_000.0);
         assert!((dt - 2.0).abs() < 1e-9, "dt = {dt}");
+    }
+
+    #[test]
+    fn download_time_steps_over_buckets_whose_end_rounds_low() {
+        // Regression: `3 · 0.7 / 0.7` rounds to 2.9999999999999996, so
+        // re-deriving the bucket from the clock at t = 2.1 s found bucket
+        // 2 again, a zero-width window, and never returned.
+        let t = ThroughputTrace::new("t", 0.7, vec![1000.0; 5]).unwrap();
+        let dt = t.download_time(0.0, 3_000_000.0);
+        assert!((dt - 3.0).abs() < 1e-9, "dt = {dt}");
     }
 
     #[test]
