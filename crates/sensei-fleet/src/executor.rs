@@ -13,8 +13,9 @@
 //! trace, drawn only as far as the tile's downloads reach; the oracles
 //! rebind once per tile instead of once per session; and the batch
 //! engine replaces per-session policy dispatch with one `select_batch`
-//! call per chunk. [`Fleet::run_cells`] instead completes each network,
-//! because cells carry the trace's realized mean.
+//! call per chunk. [`Fleet::run`] is the executor's one entry point and
+//! always runs a tile as one full-width batch; per-session cells come
+//! from `Experiment::run_session_with` / `run_grid`, outside the fleet.
 //!
 //! Collection is merge-based, not stream-based. The deterministic result
 //! is *defined* as the reduction of per-tile partials in canonical tile
@@ -37,11 +38,10 @@ use crate::report::{FleetReport, FleetStats, RunPhases, ShardSlice, TileStats};
 use crate::runtime::{TileNetwork, TraceCache, WorkerRuntime};
 use crate::scenario::{Scenario, ScenarioMatrix, ShardPlan};
 use crate::FleetError;
-use sensei_core::{BatchFailure, CellResult, CoreError, Experiment, LaneScore, PolicyKind};
+use sensei_core::{CoreError, Experiment, LaneScore, PolicyKind};
 use sensei_sim::PlayerConfig;
 use sensei_telemetry as telemetry;
 use sensei_telemetry::{TelemetryShard, TelemetrySnapshot};
-use sensei_trace::Network;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -56,12 +56,6 @@ pub struct FleetConfig {
     /// Baseline policy for the QoE-gain CDFs; defaults to the matrix's
     /// first policy.
     pub baseline: Option<PolicyKind>,
-    /// Maximum lanes per session batch — the lane-width knob. `0` (the
-    /// default) runs each tile as one full-width batch; `1` degenerates
-    /// to per-session scalar execution. Results are identical for every
-    /// width; the knob only trades batch-state footprint against
-    /// amortization.
-    pub batch_width: usize,
     /// Run only this `(index, count)` process shard — the `index`-th of
     /// `count` contiguous tile slices from [`ShardPlan`] — and stamp the
     /// report with the covered [`ShardSlice`]. `None` (the default) runs
@@ -81,14 +75,12 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config with `workers` threads, the default baseline, and
-    /// full-tile batches.
+    /// A config with `workers` threads and the default baseline.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
             baseline: None,
-            batch_width: 0,
             shard: None,
             telemetry: false,
             progress: false,
@@ -99,13 +91,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_baseline(mut self, baseline: PolicyKind) -> Self {
         self.baseline = Some(baseline);
-        self
-    }
-
-    /// Caps session batches at `width` lanes (`0` = full tile).
-    #[must_use]
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width;
         self
     }
 
@@ -157,7 +142,6 @@ pub struct Fleet<'a> {
     matrix: &'a ScenarioMatrix,
     workers: usize,
     baseline: PolicyKind,
-    batch_width: usize,
     shard: Option<(u64, u64)>,
     telemetry: bool,
     progress: bool,
@@ -198,7 +182,6 @@ impl<'a> Fleet<'a> {
             matrix,
             workers: config.workers,
             baseline,
-            batch_width: config.batch_width,
             shard: config.shard,
             // Environment flags OR into the config so any fleet entry
             // point (examples, benches, downstream binaries) can be
@@ -235,48 +218,6 @@ impl<'a> Fleet<'a> {
                 (range, Some(slice))
             }
         }
-    }
-
-    /// Runs the matrix (or this fleet's shard of it) and streams every
-    /// session into the `O(bins)`-memory aggregates. This is the
-    /// fleet-scale entry point: per-session results are folded into
-    /// shard-local partials where they are produced, never collected.
-    ///
-    /// # Errors
-    ///
-    /// Aborts on the first scenario failure, identifying the scenario by
-    /// its stable ID (re-runnable in isolation via
-    /// [`ScenarioMatrix::scenario`]).
-    pub fn run(&self) -> Result<FleetReport, FleetError> {
-        // sensei-lint: allow(no-wall-clock) — wall_time_s is observability (RunPhases/throughput); diff() ignores it
-        let started = Instant::now();
-        let mut phases = RunPhases::default();
-        let (stats, shard, telemetry) = self.execute_stats(&mut phases)?;
-        let wall_time_s = started.elapsed().as_secs_f64();
-        let sessions = stats.sessions;
-        Ok(FleetReport {
-            stats,
-            workers: self.workers,
-            wall_time_s,
-            sessions_per_sec: sessions as f64 / wall_time_s.max(1e-9),
-            phases,
-            telemetry,
-            shard,
-        })
-    }
-
-    /// Runs the matrix (or this fleet's shard of it) and collects every
-    /// per-session result in canonical order — `O(sessions)` memory,
-    /// meant for modest matrices (grid-sized runs, tests, figure
-    /// regeneration). With the matrix from [`ScenarioMatrix::grid`] and a
-    /// default-player experiment this reproduces `Experiment::run_grid`
-    /// cell for cell.
-    ///
-    /// # Errors
-    ///
-    /// Aborts on the first scenario failure.
-    pub fn run_cells(&self) -> Result<Vec<CellResult>, FleetError> {
-        self.execute_cells()
     }
 
     /// The lane list every tile shares: `(policy, player)` pairs in
@@ -323,39 +264,13 @@ impl<'a> Fleet<'a> {
             .tile_network(traces, &sc, reads_trace)
             .map_err(|e| (first_id, e))?;
         let asset = &self.experiment.assets[sc.video_idx];
-        // Every sub-batch of the tile shares the one network, so a
-        // stream draws each sample at most once per tile.
-        self.sub_batches(first_id, lanes, |sub_lanes| {
-            self.experiment
-                .score_batch_in(session, asset, &mut network, sub_lanes, scores)
-        })?;
+        // One batch runs every lane of the tile over the one network, so
+        // a stream draws each sample at most once per tile.
+        self.experiment
+            .score_batch_in(session, asset, &mut network, lanes, scores)
+            .map_err(|failure| (first_id + failure.lane as u64, failure.error))?;
         network.count_draws();
         Ok(network.name_handle())
-    }
-
-    /// The cells twin of [`Self::score_tile`]: completes the tile's
-    /// network into a whole trace (cells carry its realized mean) and
-    /// appends the tile's cells in canonical lane order to `cells`.
-    fn cell_tile(
-        &self,
-        rt: &mut WorkerRuntime,
-        tile: u64,
-        lanes: &[(PolicyKind, PlayerConfig)],
-        cells: &mut Vec<CellResult>,
-    ) -> Result<(), (u64, CoreError)> {
-        let (first_id, sc) = self.tile_scenario(tile);
-        let WorkerRuntime { session, traces } = rt;
-        let network = self
-            .tile_network(traces, &sc, true)
-            .map_err(|e| (first_id, e))?;
-        let trace = network
-            .full_trace()
-            .expect("a completed network holds its trace");
-        let asset = &self.experiment.assets[sc.video_idx];
-        self.sub_batches(first_id, lanes, |sub_lanes| {
-            self.experiment
-                .run_batch_in(session, asset, trace, sub_lanes, cells)
-        })
     }
 
     /// A tile's first scenario ID and its decoded scenario (every lane of
@@ -366,8 +281,8 @@ impl<'a> Fleet<'a> {
     }
 
     /// Sets up the network of the tile `sc` belongs to: the whole trace
-    /// when `whole` (an oracle lane or cell emission needs it), and
-    /// otherwise whatever `TraceCache::network` serves, on demand.
+    /// when `whole` (an oracle lane needs it), and otherwise whatever
+    /// `TraceCache::network` serves, on demand.
     fn tile_network<'r>(
         &'r self,
         traces: &'r mut TraceCache,
@@ -385,50 +300,32 @@ impl<'a> Fleet<'a> {
         })
     }
 
-    /// Runs a tile's `lanes` through `batch` in sub-batches of at most
-    /// `batch_width` lanes (`0` = the whole tile), attributing a failure
-    /// to its exact scenario ID.
-    fn sub_batches(
-        &self,
-        first_id: u64,
-        lanes: &[(PolicyKind, PlayerConfig)],
-        mut batch: impl FnMut(&[(PolicyKind, PlayerConfig)]) -> Result<(), BatchFailure>,
-    ) -> Result<(), (u64, CoreError)> {
-        let width = if self.batch_width == 0 {
-            lanes.len()
-        } else {
-            self.batch_width
-        };
-        for (sub, sub_lanes) in lanes.chunks(width).enumerate() {
-            batch(sub_lanes).map_err(|failure| {
-                (
-                    first_id + (sub * width + failure.lane) as u64,
-                    failure.error,
-                )
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Fans tiles out across the workers, each folding its own tiles
-    /// into a shard-local [`FleetStats`] partial, then reduces the
-    /// O(workers) partials into one aggregate after the scope joins.
-    /// The channel carries only per-tile completion ticks (for the
-    /// progress meter and minimum-ID error attribution), so collection
-    /// work is independent of session count.
+    /// Runs the matrix (or this fleet's shard of it) and streams every
+    /// session into the `O(bins)`-memory aggregates. This is the
+    /// fleet-scale entry point: per-session results are folded into
+    /// shard-local partials where they are produced, never collected.
     ///
-    /// Records the setup / execute / collect wall-time split into
-    /// `phases` (always, with plain `Instant` reads), and returns the
-    /// merged telemetry snapshot when the fleet has telemetry on.
-    fn execute_stats(
-        &self,
-        phases: &mut RunPhases,
-    ) -> Result<(FleetStats, Option<ShardSlice>, Option<TelemetrySnapshot>), FleetError> {
-        // sensei-lint: allow(no-wall-clock) — setup_s phase split is observability; never feeds aggregates
-        let entry = Instant::now();
+    /// Workers pull tiles off a shared cursor and fold each one into
+    /// their own [`FleetStats`] partial; the O(workers) partials are
+    /// reduced into one aggregate after the scope joins. The channel
+    /// carries only per-tile completion ticks (for the progress meter and
+    /// minimum-ID error attribution), so collection work is independent
+    /// of session count. The report's setup / execute / collect
+    /// [`RunPhases`] split is recorded with plain `Instant` reads, and
+    /// the merged telemetry snapshot is attached when telemetry is on.
+    ///
+    /// # Errors
+    ///
+    /// Aborts on the first scenario failure, identifying the scenario by
+    /// its stable ID (re-runnable in isolation via
+    /// [`ScenarioMatrix::scenario`]).
+    pub fn run(&self) -> Result<FleetReport, FleetError> {
+        // sensei-lint: allow(no-wall-clock) — wall_time_s and the setup_s phase split are observability (RunPhases/throughput); diff() ignores them
+        let started = Instant::now();
         if self.num_scenarios() == 0 {
             return Err(FleetError::EmptyAxis("scenarios"));
         }
+        let mut phases = RunPhases::default();
         let tile_size = self.matrix.tile_size();
         let (tiles, shard) = self.tile_range();
         let shard_tiles = tiles.end - tiles.start;
@@ -451,7 +348,7 @@ impl<'a> Fleet<'a> {
         let mut progress = self
             .progress
             .then(|| ProgressMeter::new(shard_tiles, tile_size));
-        phases.setup_s = entry.elapsed().as_secs_f64();
+        phases.setup_s = started.elapsed().as_secs_f64();
         // sensei-lint: allow(no-wall-clock) — execute_s phase split is observability; never feeds aggregates
         let scope_started = Instant::now();
         // The main thread performs the final merge after the scope, so
@@ -471,7 +368,7 @@ impl<'a> Fleet<'a> {
                 scope.spawn(move || {
                     // If this worker panics (a bug deep in a policy or the
                     // simulator), poison the run on unwind so the other
-                    // workers stop pulling tiles; `thread::scope` then
+                    // workers stop pulling tiles; the scope then
                     // propagates the panic.
                     let _guard = PoisonOnPanic { poison };
                     // One runtime per worker for the whole run: policies,
@@ -582,7 +479,7 @@ impl<'a> Fleet<'a> {
                 });
             }
             // A worker panic poisons the run without delivering an error;
-            // the partial Ok below is discarded because `thread::scope`
+            // the partial Ok below is discarded because the scope
             // re-raises the panic after joining.
             debug_assert!(poison.load(Ordering::Relaxed) || done == shard_tiles);
             Ok(())
@@ -617,114 +514,17 @@ impl<'a> Fleet<'a> {
             None
         };
         scope_result?;
-        Ok((stats, shard, snapshot))
-    }
-
-    /// The `run_cells` twin of [`Self::execute_stats`]: workers send
-    /// whole tile payloads `(tile, cells)` instead of folding them, and
-    /// the collector sorts the completed tiles back into canonical order
-    /// at the end. `O(sessions)` memory by design.
-    fn execute_cells(&self) -> Result<Vec<CellResult>, FleetError> {
-        if self.num_scenarios() == 0 {
-            return Err(FleetError::EmptyAxis("scenarios"));
-        }
-        let tile_size = self.matrix.tile_size();
-        let (tiles, _shard) = self.tile_range();
-        let shard_tiles = tiles.end - tiles.start;
-        let cursor = AtomicU64::new(tiles.start);
-        let poison = AtomicBool::new(false);
-        type TilePayload = Result<(u64, Vec<CellResult>), (u64, CoreError)>;
-        let (tx, rx) = mpsc::channel::<TilePayload>();
-        let mut progress = self
-            .progress
-            .then(|| ProgressMeter::new(shard_tiles, tile_size));
-        let scope_result = thread::scope(|scope| {
-            for _ in 0..self.workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let poison = &poison;
-                let tiles_end = tiles.end;
-                let fleet = *self;
-                scope.spawn(move || {
-                    let _guard = PoisonOnPanic { poison };
-                    let mut runtime = WorkerRuntime::new();
-                    let lanes = fleet.tile_lanes();
-                    loop {
-                        if poison.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let tile = cursor.fetch_add(1, Ordering::Relaxed);
-                        if tile >= tiles_end {
-                            break;
-                        }
-                        let mut cells = Vec::with_capacity(usize::try_from(tile_size).unwrap_or(0));
-                        let payload = match fleet.cell_tile(&mut runtime, tile, &lanes, &mut cells)
-                        {
-                            Err((id, e)) => {
-                                poison.store(true, Ordering::Relaxed);
-                                Err((id, e))
-                            }
-                            Ok(()) => Ok((tile, cells)),
-                        };
-                        let failed = payload.is_err();
-                        if tx.send(payload).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut completed: Vec<(u64, Vec<CellResult>)> = Vec::new();
-            let mut error: Option<(u64, CoreError)> = None;
-            while let Ok(payload) = rx.recv() {
-                match payload {
-                    Ok(pair) if error.is_none() => {
-                        completed.push(pair);
-                        if let Some(meter) = progress.as_mut() {
-                            meter.tick(completed.len() as u64);
-                        }
-                    }
-                    // Error path: keep draining so late payloads cannot
-                    // leak into a result; successful tiles are discarded.
-                    Ok(_) => {}
-                    Err((id, e)) => {
-                        poison.store(true, Ordering::Relaxed);
-                        if error.as_ref().is_none_or(|(worst, _)| id < *worst) {
-                            error = Some((id, e));
-                        }
-                    }
-                }
-            }
-            if let Some(meter) = progress.as_mut() {
-                meter.finish(completed.len() as u64);
-            }
-            if let Some((id, e)) = error {
-                return Err(FleetError::Scenario {
-                    id,
-                    source: Box::new(e),
-                });
-            }
-            Ok(completed)
-        });
-        let mut completed = scope_result?;
-        // Canonical order is re-established by one sort over tile IDs —
-        // each ID appears exactly once, so the sort fully determines the
-        // cell order.
-        completed.sort_unstable_by_key(|(tile, _)| *tile);
-        // Pre-allocation hint with an explicit bound: the scenario count
-        // can exceed `usize` only on narrow targets where such a run could
-        // never be collected anyway, and even on 64-bit hosts a huge count
-        // must not translate into a huge up-front allocation — beyond
-        // `MAX_PREALLOC` cells the Vec grows normally instead.
-        const MAX_PREALLOC: usize = 1 << 22;
-        let hint = usize::try_from(shard_tiles.saturating_mul(tile_size))
-            .map_or(MAX_PREALLOC, |n| n.min(MAX_PREALLOC));
-        let mut out = Vec::with_capacity(hint);
-        for (_, cells) in completed {
-            out.extend(cells);
-        }
-        Ok(out)
+        let wall_time_s = started.elapsed().as_secs_f64();
+        let sessions = stats.sessions;
+        Ok(FleetReport {
+            stats,
+            workers: self.workers,
+            wall_time_s,
+            sessions_per_sec: sessions as f64 / wall_time_s.max(1e-9),
+            phases,
+            telemetry: snapshot,
+            shard,
+        })
     }
 }
 
@@ -797,7 +597,7 @@ impl ProgressMeter {
 }
 
 /// Poisons the run if the owning worker unwinds, so the rest of the fleet
-/// stops pulling tiles and `thread::scope` can propagate the panic.
+/// stops pulling tiles and the worker scope can propagate the panic.
 struct PoisonOnPanic<'a> {
     poison: &'a AtomicBool,
 }

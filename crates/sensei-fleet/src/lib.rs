@@ -38,8 +38,8 @@
 //!
 //! `sensei_core::Experiment::run_grid` is the degenerate fleet run: one
 //! worker, no perturbations, one player config. [`ScenarioMatrix::grid`]
-//! spans exactly that space and [`Fleet::run_cells`] reproduces `run_grid`'s
-//! output cell for cell (asserted in this crate's tests).
+//! spans exactly that space, and the matrix's canonical enumeration
+//! reproduces `run_grid` cell for cell (test-enforced).
 //!
 //! Two layers on top of the executor open the scenario-diversity axis:
 //!

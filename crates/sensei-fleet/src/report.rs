@@ -14,8 +14,8 @@
 //! `sensei-telemetry` proves for its all-`u64` shards. The deterministic
 //! result is *defined* as the reduction over per-tile partials
 //! ([`TileStats`]) in canonical tile order; because merging is exact,
-//! any grouping of that reduction — worker shards, batch widths, whole
-//! processes ([`merge_reports`]) — yields the bit-identical aggregates.
+//! any grouping of that reduction — worker shards, whole processes
+//! ([`merge_reports`]) — yields the bit-identical aggregates.
 
 use crate::json::{self, obj, Json};
 use crate::FleetError;
@@ -490,6 +490,16 @@ pub struct FamilyPolicyStats {
     pub qoe: Moments,
 }
 
+/// Whether `family` holds exactly the policies of `axis`, in axis order.
+fn family_axis_matches(family: &FamilyStats, axis: &[PolicyStats]) -> bool {
+    family.per_policy.len() == axis.len()
+        && family
+            .per_policy
+            .iter()
+            .zip(axis)
+            .all(|(f, p)| f.policy == p.policy)
+}
+
 /// The family key of a trace name: the prefix before the first `-`
 /// (generated traces are named `{family}-…`, and perturbation suffixes
 /// append at the end, so the prefix survives `@x…`/`+n…` decoration).
@@ -501,8 +511,8 @@ pub fn family_of(trace_name: &str) -> &str {
 
 /// The order-independent part of a fleet report: everything here is
 /// bit-for-bit identical for the same experiment + matrix regardless of
-/// worker count, batch width, or shard split — the result is defined as
-/// the canonical-tile-order reduction of [`TileStats`] partials, and the
+/// worker count or shard split — the result is defined as the
+/// canonical-tile-order reduction of [`TileStats`] partials, and the
 /// exact merge makes every evaluation grouping agree with it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
@@ -553,7 +563,8 @@ impl FleetStats {
     /// # Errors
     ///
     /// Returns [`FleetError::Shard`] when the two sides disagree on the
-    /// baseline, the policy axis, or an accumulator layout.
+    /// baseline, the policy axis, a family's policies, or an accumulator
+    /// layout.
     pub fn merge(&mut self, other: &FleetStats) -> Result<(), FleetError> {
         if self.baseline != other.baseline {
             return Err(FleetError::Shard(format!(
@@ -571,6 +582,19 @@ impl FleetStats {
         {
             return Err(FleetError::Shard("merge policy axes differ".into()));
         }
+        // Every family carries the whole policy axis in axis order, so
+        // checking the incoming families against the (shared) axis also
+        // checks them against the families they merge into.
+        if let Some(bf) = other
+            .per_family
+            .iter()
+            .find(|f| !family_axis_matches(f, &self.per_policy))
+        {
+            return Err(FleetError::Shard(format!(
+                "family `{}` policy axes differ",
+                bf.family
+            )));
+        }
         self.sessions = self.sessions.wrapping_add(other.sessions);
         for (a, b) in self.per_policy.iter_mut().zip(&other.per_policy) {
             a.merge(b)?;
@@ -582,12 +606,6 @@ impl FleetStats {
             {
                 Ok(i) => {
                     let af = &mut self.per_family[i];
-                    if af.per_policy.len() != bf.per_policy.len() {
-                        return Err(FleetError::Shard(format!(
-                            "family `{}` policy axes differ",
-                            bf.family
-                        )));
-                    }
                     for (a, b) in af.per_policy.iter_mut().zip(&bf.per_policy) {
                         a.sessions = a.sessions.wrapping_add(b.sessions);
                         a.qoe.merge(&b.qoe);
@@ -1269,7 +1287,9 @@ impl FleetReport {
     ///
     /// Returns [`FleetError::Persist`] on syntax errors, an unknown
     /// format version, missing or mistyped fields, unknown policy labels,
-    /// or a baseline outside the policy list.
+    /// a baseline outside the policy list, a family list that is not
+    /// strictly sorted by key, or a family whose policies differ from the
+    /// per-policy axis.
     pub fn from_json(text: &str) -> Result<Self, FleetError> {
         let doc = json::parse(text).map_err(FleetError::Persist)?;
         let format = field(&doc, "format", "report")?
@@ -1330,7 +1350,7 @@ impl FleetReport {
         let per_family_v = field(stats_v, "per_family", "stats")?
             .as_arr()
             .ok_or_else(|| FleetError::Persist("`stats.per_family` is not an array".into()))?;
-        let mut per_family = Vec::with_capacity(per_family_v.len());
+        let mut per_family: Vec<FamilyStats> = Vec::with_capacity(per_family_v.len());
         for (i, v) in per_family_v.iter().enumerate() {
             let ctx = format!("per_family[{i}]");
             let family = field(v, "family", &ctx)?
@@ -1351,10 +1371,26 @@ impl FleetReport {
                     qoe: moments_from_json(field(pv, "qoe", &pctx)?, &pctx)?,
                 });
             }
-            per_family.push(FamilyStats {
+            // `FleetStats::merge` binary-searches the family list, and
+            // every family spans the whole policy axis: a list out of key
+            // order, a duplicate key or a foreign policy axis would merge
+            // silently wrong, so none of them parses.
+            if let Some(prev) = per_family.last().filter(|prev| prev.family >= family) {
+                return Err(FleetError::Persist(format!(
+                    "`stats.per_family` is not strictly sorted by key: `{}` before `{family}`",
+                    prev.family
+                )));
+            }
+            let family = FamilyStats {
                 family,
                 per_policy: stats,
-            });
+            };
+            if !family_axis_matches(&family, &per_policy) {
+                return Err(FleetError::Persist(format!(
+                    "`{ctx}.per_policy` does not match the `stats.per_policy` axis"
+                )));
+            }
+            per_family.push(family);
         }
         Ok(Self {
             stats: FleetStats {
@@ -1874,6 +1910,48 @@ mod tests {
             FleetReport::from_json(&bad_count),
             Err(FleetError::Persist(_))
         ));
+        // `FleetStats::merge` binary-searches the family list, so a list
+        // out of key order or with a duplicate key is rejected, as is a
+        // family whose policies are not the per-policy axis.
+        let with_families = |keys: &[&str]| {
+            let mut r = sample_report();
+            let template = r.stats.per_family[0].clone();
+            r.stats.per_family = keys
+                .iter()
+                .map(|&family| FamilyStats {
+                    family: family.to_string(),
+                    ..template.clone()
+                })
+                .collect();
+            r
+        };
+        assert!(FleetReport::from_json(&with_families(&["a", "b", "c"]).to_json()).is_ok());
+        for keys in [
+            ["c", "b", "a"],
+            ["a", "c", "b"],
+            ["a", "a", "b"],
+            ["a", "b", "b"],
+        ] {
+            assert!(
+                matches!(
+                    FleetReport::from_json(&with_families(&keys).to_json()),
+                    Err(FleetError::Persist(_))
+                ),
+                "{keys:?}"
+            );
+        }
+        let mut swapped = with_families(&["a", "b"]);
+        swapped.stats.per_family[1].per_policy.reverse();
+        let mut short = with_families(&["a", "b"]);
+        short.stats.per_family[0].per_policy.pop();
+        let mut foreign = with_families(&["a"]);
+        foreign.stats.per_family[0].per_policy[1].policy = PolicyKind::Fugu;
+        for bad in [swapped, short, foreign] {
+            assert!(matches!(
+                FleetReport::from_json(&bad.to_json()),
+                Err(FleetError::Persist(_))
+            ));
+        }
         // Unknown format versions fail with a version message, not a
         // field-level parse error.
         let bad_format = text.replace(FORMAT_TAG, "sensei-fleet-report/999");
@@ -2125,6 +2203,21 @@ mod tests {
             short.merge(&sequential),
             Err(FleetError::Shard(_))
         ));
+        // So is a family whose policies are the axis's, reordered or cut
+        // short — whether it would merge into an existing family or be
+        // inserted as a new one — and a rejected merge changes nothing.
+        for family_edit in [
+            |f: &mut FamilyStats| f.per_policy.reverse(),
+            |f: &mut FamilyStats| f.per_policy.truncate(1),
+        ] {
+            let mut bad = sequential.clone();
+            family_edit(&mut bad.per_family[0]);
+            for target in [sequential.clone(), FleetStats::new(&axes, PolicyKind::Bba)] {
+                let mut merged = target.clone();
+                assert!(matches!(merged.merge(&bad), Err(FleetError::Shard(_))));
+                assert_eq!(merged, target);
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! 1. **Execution-order independence** — the same master seed produces
 //!    bit-for-bit identical `FleetStats` aggregates with 1, 2, and 8
 //!    workers (the property the exact mergeable aggregates exist for).
-//! 2. **Grid equivalence** — a single-worker fleet over
-//!    `ScenarioMatrix::grid` reproduces `Experiment::run_grid` cell for
-//!    cell, making the sequential harness a degenerate fleet run.
+//! 2. **Grid equivalence** — the canonical enumeration of
+//!    `ScenarioMatrix::grid` (the sequential reference in `common`)
+//!    reproduces `Experiment::run_grid` cell for cell, and the fleet's
+//!    aggregates over that matrix equal the reference's canonical fold,
+//!    making the sequential harness a degenerate fleet run.
 
+mod common;
+
+use common::{canonical_fold, reference_cells};
 use sensei_core::{Experiment, ExperimentConfig, PolicyKind};
 use sensei_fleet::{Fleet, FleetConfig, ScenarioMatrix, TracePerturbation};
 use sensei_sim::PlayerConfig;
@@ -69,34 +74,25 @@ fn aggregates_are_identical_across_1_2_and_8_workers() {
 }
 
 #[test]
-fn aggregates_are_identical_for_every_batch_width_and_worker_count() {
+fn aggregates_match_the_sequential_reference_for_every_worker_count() {
     // The tile executor runs each (video, trace, perturbation) tile
-    // through one SoA session batch; the lane-width knob splits tiles
-    // into sub-batches. Neither the width (including 1 = the scalar
-    // path, and 3 = a split straddling a tile's 4 lanes) nor the worker
-    // count may move a single aggregate bit.
+    // through one SoA session batch over an on-demand network; the
+    // sequential reference runs every scenario alone over its whole
+    // perturbed trace. No worker count may move a single aggregate bit
+    // off the reference's canonical fold.
     let env = quick_experiment(11);
     let matrix = mixed_matrix(0xF1EE7);
-    let reference = Fleet::new(&env, &matrix, FleetConfig::new(1).with_batch_width(1))
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(reference.stats.sessions, 80);
+    let reference = canonical_fold(&env, &matrix, &reference_cells(&env, &matrix));
+    assert_eq!(reference.sessions, 80);
     for workers in [1usize, 2, 8] {
-        for width in [1usize, 2, 3, 0] {
-            let report = Fleet::new(
-                &env,
-                &matrix,
-                FleetConfig::new(workers).with_batch_width(width),
-            )
+        let report = Fleet::new(&env, &matrix, FleetConfig::new(workers))
             .unwrap()
             .run()
             .unwrap();
-            assert_eq!(
-                reference.stats, report.stats,
-                "width {width} on {workers} workers diverged from the scalar path"
-            );
-        }
+        assert_eq!(
+            reference, report.stats,
+            "{workers} workers diverged from the sequential reference"
+        );
     }
 }
 
@@ -106,8 +102,7 @@ fn warm_started_fleets_match_cold_fleets_bit_for_bit() {
     // `mpc_warm_start`: carrying plan incumbents across chunk steps (and
     // seeding each search from the previous winner) must not move a
     // single bit of the deterministic aggregates — across an MPC-heavy
-    // policy axis, perturbed scenarios, multiple workers, and batch
-    // widths that straddle tile boundaries.
+    // policy axis, perturbed scenarios, and multiple workers.
     let mut warm_cfg = ExperimentConfig::quick(11);
     warm_cfg.videos = Some(vec!["Mountain".to_string()]);
     let mut cold_cfg = warm_cfg.clone();
@@ -130,19 +125,18 @@ fn warm_started_fleets_match_cold_fleets_bit_for_bit() {
         .master_seed(0xD00F)
         .build()
         .unwrap();
-    for (workers, width) in [(1usize, 1usize), (2, 3), (4, 0)] {
-        let config = || FleetConfig::new(workers).with_batch_width(width);
-        let warm = Fleet::new(&warm_env, &matrix, config())
+    for workers in [1usize, 2, 4] {
+        let warm = Fleet::new(&warm_env, &matrix, FleetConfig::new(workers))
             .unwrap()
             .run()
             .unwrap();
-        let cold = Fleet::new(&cold_env, &matrix, config())
+        let cold = Fleet::new(&cold_env, &matrix, FleetConfig::new(workers))
             .unwrap()
             .run()
             .unwrap();
         assert_eq!(
             warm.stats, cold.stats,
-            "warm vs cold diverged at {workers} workers, width {width}"
+            "warm vs cold diverged at {workers} workers"
         );
     }
 }
@@ -191,17 +185,19 @@ fn single_worker_grid_fleet_matches_run_grid() {
     ];
     let sequential = env.run_grid(&kinds).unwrap();
     let matrix = ScenarioMatrix::grid(&kinds).unwrap();
-    let fleet_cells = Fleet::new(&env, &matrix, FleetConfig::new(1))
-        .unwrap()
-        .run_cells()
-        .unwrap();
-    assert_eq!(sequential, fleet_cells);
-    // Sharding must not change per-cell results either.
-    let sharded = Fleet::new(&env, &matrix, FleetConfig::new(4))
-        .unwrap()
-        .run_cells()
-        .unwrap();
-    assert_eq!(sequential, sharded);
+    let cells = reference_cells(&env, &matrix);
+    assert_eq!(sequential, cells);
+    // Neither the executor nor spreading tiles over workers may move
+    // the aggregates off the grid's canonical fold.
+    let reference = canonical_fold(&env, &matrix, &cells);
+    for workers in [1usize, 4] {
+        let stats = Fleet::new(&env, &matrix, FleetConfig::new(workers))
+            .unwrap()
+            .run()
+            .unwrap()
+            .stats;
+        assert_eq!(stats, reference, "{workers} workers");
+    }
 }
 
 #[test]
@@ -220,11 +216,14 @@ fn grid_equivalence_holds_for_custom_player_experiments() {
     let kinds = [PolicyKind::Bba, PolicyKind::Fugu];
     let sequential = env.run_grid(&kinds).unwrap();
     let matrix = ScenarioMatrix::grid(&kinds).unwrap();
-    let fleet_cells = Fleet::new(&env, &matrix, FleetConfig::new(2))
+    let cells = reference_cells(&env, &matrix);
+    assert_eq!(sequential, cells);
+    let stats = Fleet::new(&env, &matrix, FleetConfig::new(2))
         .unwrap()
-        .run_cells()
-        .unwrap();
-    assert_eq!(sequential, fleet_cells);
+        .run()
+        .unwrap()
+        .stats;
+    assert_eq!(stats, canonical_fold(&env, &matrix, &cells));
 }
 
 #[test]
@@ -237,16 +236,30 @@ fn failing_scenario_aborts_with_its_stable_id() {
         .policies([PolicyKind::Bba, PolicyKind::Pensieve])
         .build()
         .unwrap();
-    let err = Fleet::new(&env, &matrix, FleetConfig::new(2))
-        .unwrap()
-        .run()
-        .unwrap_err();
-    match err {
-        sensei_fleet::FleetError::Scenario { id, .. } => {
-            assert_eq!(id % 2, 1, "failing scenarios are the odd (Pensieve) IDs");
+    let failing_id = |workers| {
+        let err = Fleet::new(&env, &matrix, FleetConfig::new(workers))
+            .unwrap()
+            .run()
+            .unwrap_err();
+        match err {
+            sensei_fleet::FleetError::Scenario { id, .. } => id,
+            other => panic!("expected Scenario error, got {other}"),
         }
-        other => panic!("expected Scenario error, got {other}"),
-    }
+    };
+    // One worker runs tile 0 first and stops there: the failure is its
+    // first Pensieve lane, attributed as the tile's first ID + lane 1.
+    assert_eq!(
+        failing_id(1),
+        1,
+        "the first Pensieve scenario in canonical order"
+    );
+    // Racing workers may stop a lower failure from running at all, so
+    // only the parity of the reported ID is fixed.
+    assert_eq!(
+        failing_id(2) % 2,
+        1,
+        "failing scenarios are the odd (Pensieve) IDs"
+    );
 }
 
 #[test]

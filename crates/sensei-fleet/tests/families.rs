@@ -7,6 +7,9 @@
 //! 2. `FleetReport` persistence round-trips a real fleet run through
 //!    JSON losslessly, and `diff` is clean against itself.
 
+mod common;
+
+use common::{canonical_fold, reference_cells};
 use sensei_core::{ExperimentConfig, PolicyKind};
 use sensei_fleet::{
     Fleet, FleetConfig, FleetReport, ScenarioFamilies, ScenarioMatrix, TracePerturbation,
@@ -125,9 +128,12 @@ fn grid_builder_still_accepts_family_experiments() {
     let kinds = [PolicyKind::Bba, PolicyKind::Fugu];
     let sequential = env.run_grid(&kinds).unwrap();
     let matrix = ScenarioMatrix::grid(&kinds).unwrap();
-    let fleet_cells = Fleet::new(&env, &matrix, FleetConfig::new(2))
+    let cells = reference_cells(&env, &matrix);
+    assert_eq!(sequential, cells);
+    let stats = Fleet::new(&env, &matrix, FleetConfig::new(2))
         .unwrap()
-        .run_cells()
-        .unwrap();
-    assert_eq!(sequential, fleet_cells);
+        .run()
+        .unwrap()
+        .stats;
+    assert_eq!(stats, canonical_fold(&env, &matrix, &cells));
 }

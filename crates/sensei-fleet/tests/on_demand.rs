@@ -1,15 +1,17 @@
 //! Parity of the on-demand network path.
 //!
 //! `Fleet::run` scores tiles over networks drawn only as far as their
-//! sessions read them (unless an oracle lane needs the whole trace),
-//! while `Fleet::run_cells` completes every network because cells carry
-//! the trace's realized mean. Both must agree bit for bit: `run().stats`
-//! equals the canonical tile-order fold of `run_cells()`, for every
-//! worker count and batch width — including widths that split a tile's
-//! lanes into sub-batches sharing one on-demand network.
+//! sessions read them (unless an oracle lane needs the whole trace).
+//! The sequential reference (`common::reference_cells`) instead runs
+//! every scenario alone over its whole, freshly perturbed trace. Both
+//! must agree bit for bit: `run().stats` equals the canonical tile-order
+//! fold of the reference cells, for every worker count.
 
-use sensei_core::{CellResult, Experiment, ExperimentConfig, PolicyKind};
-use sensei_fleet::{Fleet, FleetConfig, FleetStats, ScenarioMatrix, TileStats, TracePerturbation};
+mod common;
+
+use common::{canonical_fold, reference_cells};
+use sensei_core::{Experiment, ExperimentConfig, PolicyKind};
+use sensei_fleet::{Fleet, FleetConfig, ScenarioMatrix, TracePerturbation};
 use sensei_sim::PlayerConfig;
 
 /// Quick environment restricted to the corpus's shortest video (the MPC
@@ -47,43 +49,20 @@ fn jittered_matrix(policies: &[PolicyKind], master_seed: u64) -> ScenarioMatrix 
         .unwrap()
 }
 
-/// The reference semantics: fold the canonical cell stream tile by tile
-/// and merge the tile partials in canonical tile order.
-fn canonical_fold(matrix: &ScenarioMatrix, env: &Experiment, cells: &[CellResult]) -> FleetStats {
-    let policies = matrix.policies();
-    let tile_size = usize::try_from(matrix.tile_size()).unwrap();
-    assert_eq!(cells.len() as u64, matrix.num_scenarios(env));
-    let mut reduced = FleetStats::new(policies, policies[0]);
-    let mut tile = TileStats::new(policies, policies[0]);
-    for tile_cells in cells.chunks_exact(tile_size) {
-        tile.reset();
-        for group in tile_cells.chunks_exact(policies.len()) {
-            tile.fold_cell(group);
-        }
-        reduced.merge(tile.stats()).unwrap();
-    }
-    reduced
-}
-
-fn assert_run_matches_cells(env: &Experiment, matrix: &ScenarioMatrix) {
-    let cells = Fleet::new(env, matrix, FleetConfig::new(1))
-        .unwrap()
-        .run_cells()
-        .unwrap();
-    let reference = canonical_fold(matrix, env, &cells);
+/// `run()` on 1 and 2 workers equals the sequential reference's
+/// canonical fold.
+fn assert_run_matches_reference(env: &Experiment, matrix: &ScenarioMatrix) {
+    let reference = canonical_fold(env, matrix, &reference_cells(env, matrix));
     for workers in [1usize, 2] {
-        for width in [0usize, 1, 3] {
-            let config = FleetConfig::new(workers).with_batch_width(width);
-            let stats = Fleet::new(env, matrix, config)
-                .unwrap()
-                .run()
-                .unwrap()
-                .stats;
-            assert_eq!(
-                stats, reference,
-                "{workers} workers, batch width {width}: run() moved off run_cells()"
-            );
-        }
+        let stats = Fleet::new(env, matrix, FleetConfig::new(workers))
+            .unwrap()
+            .run()
+            .unwrap()
+            .stats;
+        assert_eq!(
+            stats, reference,
+            "{workers} workers: run() moved off the sequential reference"
+        );
     }
 }
 
@@ -98,7 +77,7 @@ fn streamed_tiles_match_completed_cells() {
     ];
     assert!(policies.iter().all(|kind| !kind.reads_trace()));
     let env = quick_experiment(31);
-    assert_run_matches_cells(&env, &jittered_matrix(&policies, 0x0D_E4A2));
+    assert_run_matches_reference(&env, &jittered_matrix(&policies, 0x0D_E4A2));
 }
 
 #[test]
@@ -111,5 +90,5 @@ fn oracle_tiles_complete_their_network_and_match_cells() {
     ];
     assert!(policies.iter().any(|kind| kind.reads_trace()));
     let env = quick_experiment(32);
-    assert_run_matches_cells(&env, &jittered_matrix(&policies, 0x0D_E4A3));
+    assert_run_matches_reference(&env, &jittered_matrix(&policies, 0x0D_E4A3));
 }

@@ -6,19 +6,21 @@
 //!    all produce bit-identical merged aggregates, on both the BBA
 //!    scale shape and the MPC-mixed matrix (mirroring the telemetry
 //!    crate's merge-law property tests).
-//! 2. **Reference semantics** — folding the canonically-ordered cells
-//!    tile by tile through [`TileStats`] and merging the per-tile
-//!    partials in tile order reproduces `Fleet::run`'s aggregates
-//!    exactly. This is the definition the executor's shard-local
-//!    collection is an evaluation strategy for.
+//! 2. **Reference semantics** — folding the sequential reference's
+//!    canonically-ordered cells tile by tile through `TileStats` and
+//!    merging the per-tile partials in tile order reproduces
+//!    `Fleet::run`'s aggregates exactly. This is the definition the
+//!    executor's shard-local collection is an evaluation strategy for.
 //! 3. **Cross-process bit-identity** — partial reports survive the JSON
 //!    round-trip and `merge_reports` recombines them into a report
 //!    whose aggregates equal the single-process run's, bit for bit.
 
+mod common;
+
+use common::{canonical_fold, reference_cells};
 use sensei_core::{Experiment, ExperimentConfig, PolicyKind};
 use sensei_fleet::{
-    merge_reports, Fleet, FleetConfig, FleetReport, FleetStats, ScenarioMatrix, TileStats,
-    TracePerturbation,
+    merge_reports, Fleet, FleetConfig, FleetReport, ScenarioMatrix, TracePerturbation,
 };
 
 /// Quick environment restricted to the corpus's shortest video (the MPC
@@ -110,31 +112,16 @@ fn shard_grouping_is_invariant_on_the_mpc_mix() {
     assert_grouping_invariant(&env, &matrix);
 }
 
-/// The reference semantics, evaluated by hand: collect the canonical
-/// cell stream, fold it tile by tile through `TileStats`, merge the
-/// per-tile partials in canonical tile order — and land on `run()`'s
+/// The reference semantics, evaluated by hand: run the canonical cell
+/// stream sequentially, fold it tile by tile through `TileStats`, merge
+/// the per-tile partials in canonical tile order — and land on `run()`'s
 /// aggregates exactly.
 #[test]
 fn canonical_tile_fold_is_the_reference_semantics() {
     let env = quick_experiment(23);
     let matrix = mpc_matrix(0xF01D);
-    let fleet = Fleet::new(&env, &matrix, FleetConfig::new(2)).unwrap();
-    let report = fleet.run().unwrap();
-    let cells = fleet.run_cells().unwrap();
-    assert_eq!(cells.len() as u64, matrix.num_scenarios(&env));
-
-    let policies = matrix.policies();
-    let baseline = policies[0];
-    let tile_size = usize::try_from(matrix.tile_size()).unwrap();
-    let mut reduced = FleetStats::new(policies, baseline);
-    let mut tile = TileStats::new(policies, baseline);
-    for tile_cells in cells.chunks_exact(tile_size) {
-        tile.reset();
-        for group in tile_cells.chunks_exact(policies.len()) {
-            tile.fold_cell(group);
-        }
-        reduced.merge(tile.stats()).unwrap();
-    }
+    let report = run_config(&env, &matrix, FleetConfig::new(2));
+    let reduced = canonical_fold(&env, &matrix, &reference_cells(&env, &matrix));
     assert_eq!(
         reduced, report.stats,
         "tile-order reduction must equal the executor's result"

@@ -225,8 +225,8 @@ fn jitter_samples_count_only_what_the_sessions_read() {
     // BBA never reads the whole trace, so every jittered tile draws its
     // network on demand: the generator's sample count is a pure function
     // of the matrix (the farthest sample each tile's lanes reach, in
-    // whole Box–Muller pairs), the same for every worker count and batch
-    // width, and far below regenerating every tile's trace in full.
+    // whole Box–Muller pairs), the same for every worker count, and far
+    // below regenerating every tile's trace in full.
     let env = quick_experiment(11);
     let matrix = ScenarioMatrix::builder()
         .policies([PolicyKind::Bba])
@@ -253,13 +253,11 @@ fn jitter_samples_count_only_what_the_sessions_read() {
         .iter()
         .all(|t| t.samples().len() as u64 == trace_len));
     let full_regeneration = matrix.num_tiles(&env) * trace_len;
-    for (workers, width) in [(1usize, 0usize), (2, 0), (2, 1)] {
-        let config = FleetConfig::new(workers)
-            .with_batch_width(width)
-            .with_telemetry(true);
+    for workers in [1usize, 2] {
+        let config = FleetConfig::new(workers).with_telemetry(true);
         let report = Fleet::new(&env, &matrix, config).unwrap().run().unwrap();
         let drawn = report.telemetry.unwrap().counter(Counter::JitterSamples);
-        assert_eq!(drawn, 1546, "{workers} workers, width {width}");
+        assert_eq!(drawn, 1546, "{workers} workers");
         assert!(drawn < full_regeneration, "{drawn} vs {full_regeneration}");
     }
 }
