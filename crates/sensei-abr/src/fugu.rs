@@ -193,13 +193,16 @@ impl Fugu {
 
     /// The plan search proper, assuming the chunk tables and
     /// [`Self::prepare_rates`] are prepared for `(state.next_chunk, h)`.
-    /// Returns the best plan's first action and its expected quality.
+    /// Returns the best plan's first action and its expected quality;
+    /// when no plan scores above `floor`, returns `(0, floor)` instead
+    /// (see `PlanCore::search`).
     pub(crate) fn plan_prepared(
         &mut self,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
         weights: Option<&[f64]>,
         h: usize,
+        floor: f64,
     ) -> (usize, f64) {
         let n_levels = ctx.num_levels();
         let d = ctx.chunk_duration_s;
@@ -358,7 +361,7 @@ impl Fugu {
         let ord = prunable.then_some(&ord[..]);
         let best = self
             .core
-            .search(&mut walk, state.next_chunk, h, n_levels, ord, 1);
+            .search(&mut walk, state.next_chunk, h, n_levels, ord, floor);
         (best.first, best.q)
     }
 }
@@ -515,7 +518,7 @@ impl Planner for Fugu {
         h: usize,
     ) -> Decision {
         self.prepare_rates(state);
-        let (level, _) = self.plan_prepared(state, ctx, None, h);
+        let (level, _) = self.plan_prepared(state, ctx, None, h, f64::NEG_INFINITY);
         self.core.commit_last(state.next_chunk);
         Decision::level(level)
     }
@@ -667,7 +670,7 @@ mod tests {
     ) -> (usize, f64) {
         let h = fugu.prepare_step(state.next_chunk, ctx);
         fugu.prepare_rates(state);
-        let result = fugu.plan_prepared(state, ctx, weights, h);
+        let result = fugu.plan_prepared(state, ctx, weights, h, f64::NEG_INFINITY);
         fugu.core.commit_last(state.next_chunk);
         result
     }

@@ -157,8 +157,8 @@ pub(crate) mod test_support {
 
     /// The flat reference every planner search must reproduce bit for
     /// bit: each `(candidate, plan)` pair scored from scratch by an
-    /// independent buffer walk per scenario (no prefix sharing, no memo,
-    /// no pruning), candidates in order, plans in odometer (lexicographic)
+    /// independent buffer walk per scenario (no prefix sharing, no shared
+    /// download times, no floor, no pruning), candidates in order, plans in odometer (lexicographic)
     /// order, strictly-greater winner updates. `prob(si)` is scenario
     /// `si`'s probability and `download_time(si, t, chunk, level)` its
     /// download time at wall clock `t`. Returns the winner's candidate,

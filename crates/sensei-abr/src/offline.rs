@@ -18,16 +18,17 @@
 //! module, all pause candidates through one search sharing one incumbent.
 //! What is the oracle's own is its transition, an exact trace walk whose
 //! step `rtt + download_time(t + rtt, size)` is a pure function of
-//! `(t, chunk, level)` for a fixed trace. Results are cached in a
-//! per-instance **download-time memo** keyed by the *exact bits* of `t`.
-//! Pause candidates share the entire wall-clock tree (a pause shifts
-//! buffer, not wall clock), lanes of a tile replay the same network, and
-//! the chosen subtree recurs across chunk steps — all hits. A hit returns
-//! exactly what recomputation would, so caching is bit-invisible.
-
-// sensei-lint: allow(no-unordered-iteration) — the memo below is keyed lookups only, never iterated
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+//! `(t, chunk, level)` for a fixed trace. Every expanded node steps *all*
+//! its children (the bound is checked below the step), so the walk keeps
+//! one **download-time row** per depth: the first read at a node fills
+//! the whole row with one [`CumulativeTrace::download_times`] call, which
+//! normalizes the start once and gallops through the ascending ladder
+//! sizes, and the row is tagged with the exact bits of the node's `t`.
+//! Siblings read it, and so do later pause candidates, which share the
+//! entire wall-clock tree (a pause shifts buffer, not wall clock). Each
+//! entry is bit-identical to the single download time it replaces, so
+//! the rows are bit-invisible. Rows live for one decision only; a hash
+//! memo across decisions was measured to cost about as much as it saved.
 
 use crate::plan::{self, switch_penalty, ChunkTables, PlanCore, Planner, Transition};
 use crate::sensei_fugu::PAUSE_LEVELS_S;
@@ -37,66 +38,8 @@ use sensei_telemetry as telemetry;
 use sensei_trace::{CumulativeTrace, ThroughputTrace};
 use sensei_video::SensitivityWeights;
 
-/// Memo entries above this count trigger a wholesale clear (the table is a
-/// pure cache, so clearing at any point is bit-invisible). Sized so one
-/// decision's worst-case key set (~`levels^h` wall-clock nodes) fits with
-/// two orders of magnitude to spare.
-const MEMO_CAP: usize = 1 << 18;
-
-/// Download-time memo: `(t.to_bits(), chunk·L + level) → dt` for an
-/// `L`-level ladder, an injective key for every ladder length.
-///
-/// A `HashMap` is sound here because the memo is only ever probed by
-/// key (`get`/`insert`/`clear`): iteration order can never reach a
-/// result bit, and the FxHash probe is ~2× cheaper than an ordered map
-/// on this hot path.
-// sensei-lint: allow(no-unordered-iteration) — pure get/insert/clear cache; iteration order unobservable
-type DtMemo = HashMap<(u64, u64), f64, FxBuildHasher>;
-
-/// A tiny multiply-xor hasher for the memo's integer keys. `SipHash`'s
-/// DoS resistance buys nothing against our own plan enumeration and costs
-/// ~2× on the hot path; no external crates, so hand-rolled.
-#[derive(Debug, Clone, Copy, Default)]
-struct FxBuildHasher;
-
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-/// See [`FxBuildHasher`].
-#[derive(Debug)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = self.0.rotate_left(26);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 32;
-        h = h.wrapping_mul(0xd6e8_feb8_6659_fd93);
-        h ^ (h >> 32)
-    }
-}
-
 /// Reusable planning scratch: allocated once per policy instance and
-/// recycled across decisions, lanes, and (for the memo) whole batches.
+/// recycled across decisions, lanes, and whole batches.
 #[derive(Debug, Clone, Default)]
 struct OracleScratch {
     /// `h + 1` rows of running walk state, indexed by depth.
@@ -110,8 +53,12 @@ struct OracleScratch {
     ord: Vec<usize>,
     /// Per-level score accumulator used to build `ord`.
     scores: Vec<f64>,
-    /// The download-time memo (see module docs).
-    memo: DtMemo,
+    /// `rows[depth·L + level]`: the walk step's download time of `level`
+    /// from the node at `depth` that `row_key[depth]` names.
+    rows: Vec<f64>,
+    /// `row_key[depth]`: the exact bits of the wall clock `rows` at
+    /// `depth` were filled from; `None` until filled this decision.
+    row_key: Vec<Option<u64>>,
 }
 
 /// Oracle-throughput receding-horizon controller.
@@ -194,12 +141,8 @@ impl Planner for OracleMpc {
             weights,
             ord,
             scores,
-            memo,
             ..
         } = &mut self.scratch;
-        if memo.len() > MEMO_CAP {
-            memo.clear();
-        }
         plan::fill_window(weights, window, next_chunk, h);
         self.tables.fill(next_chunk, h, ctx);
         // The bound is sound only when every bound step is FP-monotone:
@@ -259,11 +202,15 @@ impl Planner for OracleMpc {
             stack,
             weights,
             ord,
-            memo,
+            rows,
+            row_key,
             ..
         } = &mut self.scratch;
         stack.clear();
         stack.resize(h + 1, root);
+        rows.resize(h * n_levels, 0.0);
+        row_key.clear();
+        row_key.resize(h, None);
         let mut walk = TraceWalk {
             cum: &self.cum,
             qoe: &self.qoe,
@@ -271,26 +218,31 @@ impl Planner for OracleMpc {
             max_buffer_s: self.max_buffer_s,
             risk_aversion: self.risk_aversion,
             d: ctx.chunk_duration_s,
-            next_chunk: state.next_chunk,
             h,
             n_levels,
             weights,
             tables: &self.tables,
             stack,
-            memo,
+            rows,
+            row_key,
             root,
             pauses,
             pause_unit_cost,
             pause_cost: 0.0,
-            memo_lookups: 0,
-            memo_hits: 0,
+            row_reads: 0,
+            row_hits: 0,
         };
         let ord = (!ord.is_empty()).then_some(&ord[..]);
-        let best = self
-            .core
-            .search(&mut walk, state.next_chunk, h, n_levels, ord, pauses.len());
-        telemetry::count(telemetry::Counter::DtMemoLookups, walk.memo_lookups);
-        telemetry::count(telemetry::Counter::DtMemoHits, walk.memo_hits);
+        let best = self.core.search(
+            &mut walk,
+            state.next_chunk,
+            h,
+            n_levels,
+            ord,
+            f64::NEG_INFINITY,
+        );
+        telemetry::count(telemetry::Counter::DtMemoLookups, walk.row_reads);
+        telemetry::count(telemetry::Counter::DtMemoHits, walk.row_hits);
         self.core.commit_last(state.next_chunk);
         Decision {
             level: best.first,
@@ -323,14 +275,14 @@ struct TraceWalk<'a> {
     max_buffer_s: f64,
     risk_aversion: f64,
     d: f64,
-    next_chunk: usize,
     h: usize,
     n_levels: usize,
     weights: &'a [f64],
     /// The chunk tables; the no-stall switch bound is the oracle's bound.
     tables: &'a ChunkTables,
     stack: &'a mut [OracleWalk],
-    memo: &'a mut DtMemo,
+    rows: &'a mut [f64],
+    row_key: &'a mut [Option<u64>],
     /// The no-pause root; candidate `i` adds `pauses[i]` of buffer.
     root: OracleWalk,
     pauses: &'a [f64],
@@ -339,32 +291,40 @@ struct TraceWalk<'a> {
     pause_unit_cost: f64,
     /// The current candidate's pause cost.
     pause_cost: f64,
-    /// Telemetry tallies of download-time memo traffic, flushed once per
-    /// decision.
-    memo_lookups: u64,
-    memo_hits: u64,
+    /// Telemetry tallies, flushed once per decision: download times the
+    /// walk read, and reads served by a row filled earlier.
+    row_reads: u64,
+    row_hits: u64,
 }
 
 impl TraceWalk<'_> {
-    /// The memoized walk step `rtt + download_time(t + rtt, size)`, keyed
-    /// by the *exact bits* of `t`. A hit returns exactly what
-    /// recomputation would, so caching is bit-invisible.
-    fn download_time(&mut self, t: f64, depth: usize, level: usize) -> f64 {
-        let chunk = self.next_chunk + depth;
-        let key = (t.to_bits(), (chunk * self.n_levels + level) as u64);
-        self.memo_lookups += 1;
-        if let Some(&dt) = self.memo.get(&key) {
-            self.memo_hits += 1;
-            return dt;
+    /// The download-time row of the node at `depth`, whose wall clock is
+    /// `t`: `row[level]` is the walk step `rtt + download_time(t + rtt,
+    /// size)`, bit for bit. The row is filled unless it already belongs
+    /// to `t`'s exact bits; `reads` entries of it are about to be read.
+    fn row(&mut self, depth: usize, t: f64, reads: u64) -> &[f64] {
+        let row = &mut self.rows[depth * self.n_levels..(depth + 1) * self.n_levels];
+        let key = Some(t.to_bits());
+        self.row_reads += reads;
+        if self.row_key[depth] == key {
+            self.row_hits += reads;
+        } else {
+            let sizes = &self.tables.sizes[depth * self.n_levels..(depth + 1) * self.n_levels];
+            self.cum.download_times(t + self.rtt_s, sizes, row);
+            for dt in row.iter_mut() {
+                *dt += self.rtt_s;
+            }
+            self.row_key[depth] = key;
         }
-        let size = self.tables.sizes[depth * self.n_levels + level];
-        let dt = self.rtt_s + self.cum.download_time(t + self.rtt_s, size);
-        self.memo.insert(key, dt);
-        dt
+        row
     }
 }
 
 impl Transition for TraceWalk<'_> {
+    fn candidates(&self) -> usize {
+        self.pauses.len()
+    }
+
     fn begin_candidate(&mut self, cand: usize) {
         let pause = self.pauses[cand];
         self.pause_cost = self.pause_unit_cost * (pause / self.d).clamp(0.0, 1.0);
@@ -374,11 +334,10 @@ impl Transition for TraceWalk<'_> {
         };
     }
 
-    /// Identical arithmetic (and memo traffic) to one step of the
-    /// reference trace walk.
+    /// Identical arithmetic to one step of the reference trace walk.
     fn step(&mut self, depth: usize, level: usize) {
         let parent = self.stack[depth];
-        let dt = self.download_time(parent.t, depth, level);
+        let dt = self.row(depth, parent.t, 1)[level];
         let stall = (dt - parent.buf).max(0.0);
         let mut buf = (parent.buf - dt).max(0.0) + self.d;
         buf = buf.min(self.max_buffer_s);
@@ -400,16 +359,12 @@ impl Transition for TraceWalk<'_> {
         self.stack[self.h].total - self.pause_cost
     }
 
-    /// The per-level download times are prefetched through the memo into
-    /// `leaf_q` first, then each level's slot is rewritten in place with
-    /// one straight-line walk step plus the pause-cost subtraction. (Memo
-    /// *insertion* order is level order rather than visit order; the memo
-    /// is keyed exactly, so insertion order is unobservable.)
+    /// The parent's download-time row is copied into `leaf_q` first,
+    /// then each level's slot is rewritten in place with one
+    /// straight-line walk step plus the pause-cost subtraction.
     fn score_leaves(&mut self, depth: usize, leaf_q: &mut [f64]) {
         let parent = self.stack[depth];
-        for (level, slot) in leaf_q.iter_mut().enumerate() {
-            *slot = self.download_time(parent.t, depth, level);
-        }
+        leaf_q.copy_from_slice(self.row(depth, parent.t, self.n_levels as u64));
         let w = self.weights[depth];
         for (level, slot) in leaf_q.iter_mut().enumerate() {
             let stall = (*slot - parent.buf).max(0.0);
@@ -443,12 +398,11 @@ impl AbrPolicy for OracleMpc {
     /// Oracles are constructed around a specific trace, so reusing one
     /// instance across sessions requires re-indexing the new network. The
     /// cumulative index rebuilds into its existing buffers, keeping the
-    /// per-session cost allocation-free — and the download-time memo and
-    /// every warm carry are invalidated, because they are only valid for
-    /// the trace they were computed against.
+    /// per-session cost allocation-free — and every warm carry is
+    /// invalidated, because it is only valid for the trace it was
+    /// computed against.
     fn rebind(&mut self, trace: &ThroughputTrace) {
         self.cum.rebind(trace);
-        self.scratch.memo.clear();
         self.core.carry.rebind();
     }
 
@@ -460,16 +414,11 @@ impl AbrPolicy for OracleMpc {
         plan::decide(self, state, ctx)
     }
 
-    /// Recycles the memo at the batch boundary: entries from the previous
-    /// batch's trace (already cleared by `rebind`) or from far-away chunk
-    /// positions rarely hit again, and a bounded table keeps lookups hot.
     fn begin_batch(&mut self, lanes: usize) {
         self.core.carry.begin_batch(lanes);
-        self.scratch.memo.clear();
     }
 
-    /// Plans every lane over tables prepared once per chunk step, with a
-    /// download-time memo that lets lanes reuse each other's trace walks.
+    /// Plans every lane over tables prepared once per chunk step.
     /// Decisions are bit-identical to [`Self::decide`] per lane.
     fn select_batch(
         &mut self,
@@ -639,13 +588,13 @@ mod tests {
     }
 
     #[test]
-    fn memoized_search_matches_the_flat_reference() {
+    fn oracle_search_matches_the_flat_reference() {
         let src = source();
         let enc = encoded(&src);
         let weights = SensitivityWeights::ground_truth(&src);
         let trace = sensei_trace::generate::hsdpa_like(1400.0, 600, 23);
         // Horizon 4 keeps the 3 · levels^h · h reference walks tractable
-        // in debug builds; the search structure (prefix sharing, memo,
+        // in debug builds; the search structure (prefix sharing, rows,
         // bound, pause loop) is identical at every horizon, and the full
         // default horizon is additionally spot-checked below.
         let mut configs = [OracleMpc::aware(&trace), OracleMpc::unaware(&trace)];
@@ -712,10 +661,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_memo_matches_cold_instance_bit_for_bit() {
-        // One long-lived instance whose memo fills up across many
-        // decisions must decide exactly like a fresh instance per state:
-        // memo hits are bit-invisible.
+    fn warm_instance_matches_cold_instance_bit_for_bit() {
+        // One long-lived instance deciding many states must decide
+        // exactly like a fresh instance per state: reads served from an
+        // already-filled download-time row are bit-invisible.
         let src = source();
         let enc = encoded(&src);
         let weights = SensitivityWeights::ground_truth(&src);
@@ -727,6 +676,7 @@ mod tests {
             weights: Some(&weights),
             chunk_duration_s: src.chunk_duration_s(),
         };
+        let mut row_hits = 0;
         for next_chunk in 0..src.num_chunks() {
             for (buffer_s, elapsed_s) in [(1.0, 10.0), (8.0, 77.7), (20.0, 140.0)] {
                 let state = PlayerState {
@@ -738,22 +688,23 @@ mod tests {
                     elapsed_s,
                     playing: true,
                 };
+                telemetry::begin();
                 let warm_d = warm.decide(&state, &ctx);
+                row_hits += telemetry::end().counter(telemetry::Counter::DtMemoHits);
                 let cold_d = OracleMpc::aware(&trace).decide(&state, &ctx);
                 assert_eq!(warm_d.level, cold_d.level);
                 assert_eq!(warm_d.pause_s.to_bits(), cold_d.pause_s.to_bits());
             }
         }
-        assert!(
-            !warm.scratch.memo.is_empty(),
-            "the memo should actually be exercised"
-        );
+        assert!(row_hits > 0, "the rows should actually serve reads");
     }
 
     #[test]
-    fn memo_keys_do_not_alias_across_chunks_on_long_ladders() {
-        // A 257-level ladder: with a `chunk << 8 | level` key, level 256
-        // of chunk c and level 0 of chunk c + 1 would share one memo slot.
+    fn download_times_do_not_alias_across_chunks_on_long_ladders() {
+        // A 257-level ladder, planned at chunk c + 1 and then at chunk c
+        // by one instance: no download time of chunk c + 1 may be read
+        // for chunk c (level 256 of chunk c and level 0 of chunk c + 1
+        // collide under any `chunk << 8 | level` indexing).
         let src = source();
         let ladder: Vec<f64> = (0..257).map(|i| 300.0 + 50.0 * f64::from(i)).collect();
         let enc = EncodedVideo::encode(&src, &BitrateLadder::new(ladder).unwrap(), 5);
@@ -786,6 +737,6 @@ mod tests {
         // On a 1000 kbps link with a 1 s buffer the top level stalls for
         // most of a minute; only an aliased (tiny) download time picks it.
         assert!(fresh.level < 10, "fresh oracle chose level {}", fresh.level);
-        assert_eq!(second, fresh, "memo entries leaked across chunks");
+        assert_eq!(second, fresh, "download times leaked across chunks");
     }
 }

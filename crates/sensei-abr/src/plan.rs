@@ -45,8 +45,14 @@ use sensei_video::SensitivityWeights;
 /// Rows are indexed by depth: row 0 is the root (the pre-plan state),
 /// row `j + 1` the state after the length-`j + 1` prefix.
 pub(crate) trait Transition {
-    /// Points row 0 at root candidate `cand` (the oracle's pause
-    /// candidates). A single-candidate walk sets its root up front.
+    /// The number of root candidates (the oracle's pause candidates),
+    /// searched in order.
+    fn candidates(&self) -> usize {
+        1
+    }
+
+    /// Points row 0 at root candidate `cand`. A single-candidate walk
+    /// sets its root up front.
     fn begin_candidate(&mut self, _cand: usize) {}
 
     /// Writes row `depth + 1` by extending row `depth` with `level`: one
@@ -362,12 +368,22 @@ impl PlanCore {
         self.carry.commit(next_chunk, &self.best_plan);
     }
 
-    /// Runs one branch-and-bound search over `candidates` root candidates
-    /// of `walk`, all sharing one incumbent, and returns the winner. The
+    /// Runs one branch-and-bound search over the root candidates of
+    /// `walk`, all sharing one incumbent, and returns the winner. The
     /// search is seeded from the warm carry when it holds the previous
     /// chunk step's plan. `ord` is the guided exploration order
     /// (`ord[depth·L + k]`); `None` disables pruning and visits levels in
     /// the reference's lexicographic order.
+    ///
+    /// Only a leaf scoring strictly above `floor` can win. The search
+    /// starts from a phantom incumbent `Best { q: floor, cand: 0, first:
+    /// 0 }`, which no leaf can tie (a tie needs a first action below 0),
+    /// so every subtree whose bound reaches no higher than `floor` is
+    /// pruned. The seed is installed only when it beats the phantom. When
+    /// a leaf beats `floor`, the result (winner tuple and
+    /// [`Self::last_plan`]) is exactly the unfloored search's; when none
+    /// does, the phantom itself comes back and `last_plan` is empty.
+    /// `f64::NEG_INFINITY` is the unfloored search.
     pub(crate) fn search<T: Transition>(
         &mut self,
         walk: &mut T,
@@ -375,7 +391,7 @@ impl PlanCore {
         h: usize,
         n_levels: usize,
         ord: Option<&[usize]>,
-        candidates: usize,
+        floor: f64,
     ) -> Best {
         // Cold mode never commits, so its slot never seeds.
         let seeded = self
@@ -395,19 +411,19 @@ impl PlanCore {
             leaf_q: &mut self.leaf_q,
             cur_plan: &mut self.cur_plan,
             best_plan: &mut self.best_plan,
-            seeded,
+            seeded: false,
             improved: false,
             seeded_prunes: 0,
             cand: 0,
             best: Best {
-                q: f64::NEG_INFINITY,
+                q: floor,
                 cand: 0,
                 first: 0,
             },
             nodes: 0,
             pruned: 0,
         };
-        for cand in 0..candidates {
+        for cand in 0..search.walk.candidates() {
             search.cand = cand;
             search.walk.begin_candidate(cand);
             if cand == 0 && seeded {
@@ -419,18 +435,22 @@ impl PlanCore {
                     search.nodes += 1;
                     search.walk.step(depth, level);
                 }
-                search.best = Best {
-                    q: search.walk.leaf_value(),
-                    cand,
-                    first: self.seed[0],
-                };
-                search.best_plan.extend_from_slice(&self.seed);
+                let q = search.walk.leaf_value();
+                if q > floor {
+                    search.seeded = true;
+                    search.best = Best {
+                        q,
+                        cand,
+                        first: self.seed[0],
+                    };
+                    search.best_plan.extend_from_slice(&self.seed);
+                }
             }
             search.descend(0, 0);
         }
         telemetry::count(telemetry::Counter::PlanNodes, search.nodes);
         telemetry::count(telemetry::Counter::PlanPrunes, search.pruned);
-        telemetry::count(telemetry::Counter::WarmStartHits, u64::from(seeded));
+        telemetry::count(telemetry::Counter::WarmStartHits, u64::from(search.seeded));
         telemetry::count(telemetry::Counter::SeededPrunes, search.seeded_prunes);
         search.best
     }
@@ -445,7 +465,8 @@ struct Search<'a, T> {
     leaf_q: &'a mut [f64],
     cur_plan: &'a mut [usize],
     best_plan: &'a mut Vec<usize>,
-    /// Whether the incumbent was seeded from the previous chunk's plan.
+    /// Whether the incumbent was seeded from the previous chunk's plan
+    /// (a seed at or below the floor is scored but not installed).
     seeded: bool,
     /// Whether any leaf has improved on the (seeded) incumbent yet.
     improved: bool,

@@ -40,7 +40,8 @@ pub struct SenseiFugu {
     weights_scratch: Vec<f64>,
     /// The winning pause candidate's full plan: every candidate runs its
     /// own search, so the carry must commit the *winner's* plan, not the
-    /// last one searched.
+    /// last one searched (a later, losing candidate's floored search may
+    /// even come back empty).
     winner_plan: Vec<usize>,
 }
 
@@ -168,6 +169,8 @@ impl Planner for SenseiFugu {
     /// One decision over prepared tables. The scenario rates and download
     /// times are filled here once and shared by every pause candidate — a
     /// candidate perturbs only the buffer, which neither table reads.
+    /// Each candidate's search is floored at [`losing_floor`], so it only
+    /// explores plans that could beat the best candidate so far.
     fn decide_prepared(
         &mut self,
         state: &PlayerState<'_>,
@@ -210,9 +213,10 @@ impl Planner for SenseiFugu {
             // Hysteresis: an intentional stall must buy a clear planned
             // improvement, not a prediction-noise-sized one.
             let margin = if pause > 0.0 { 0.05 } else { 0.0 };
+            let floor = losing_floor(best_q, pause_cost, margin);
             let (level, plan_q) =
                 self.inner
-                    .plan_prepared(&paused_state, ctx, Some(&self.weights_scratch), h);
+                    .plan_prepared(&paused_state, ctx, Some(&self.weights_scratch), h, floor);
             let q = plan_q - pause_cost - margin;
             if q > best_q {
                 best_q = q;
@@ -239,10 +243,28 @@ impl Planner for SenseiFugu {
     }
 }
 
+/// A plan score `τ` at or below which a candidate loses the decision's
+/// `(plan_q − pause_cost) − margin > best_q` test, computed in f64.
+///
+/// `τ` starts at `best_q + margin + pause_cost` and steps down one ulp at
+/// a time until `(τ − pause_cost) − margin ≤ best_q` holds in f64. Since
+/// `x ↦ (x − c) − m` is monotone under round-to-nearest, every plan
+/// scoring at most `τ` then loses, so a search floored at `τ` (which
+/// finds any plan above it exactly) decides exactly like a full one. With
+/// no candidate yet (`best_q = −∞`) the floor is `−∞`.
+fn losing_floor(best_q: f64, pause_cost: f64, margin: f64) -> f64 {
+    let mut tau = best_q + margin + pause_cost;
+    while (tau - pause_cost) - margin > best_q {
+        tau = tau.next_down();
+    }
+    tau
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{encoded, source};
+    use crate::fugu::DEFAULT_HORIZON;
+    use crate::test_support::{encoded, flat_best, source, FlatPlan, FlatRoot};
     use sensei_crowd::TrueQoe;
     use sensei_sim::{simulate, PlayerConfig};
     use sensei_trace::ThroughputTrace;
@@ -327,6 +349,156 @@ mod tests {
             .map(|c| c.intentional_rebuffer_s)
             .sum();
         assert_eq!(intentional, 0.0);
+    }
+
+    /// SENSEI-Fugu's decision rebuilt from [`flat_best`]: one full,
+    /// unfloored search per pause candidate, under the same budget,
+    /// `pause_sensible` gate and hysteresis rule. `spent` is the
+    /// reference's own pause ledger. Also returns whether any pause
+    /// candidate was searched.
+    fn reference_decide(
+        state: &PlayerState<'_>,
+        ctx: &SessionContext<'_>,
+        spent: &mut f64,
+    ) -> (Decision, bool) {
+        let fugu = Fugu::new();
+        let d = ctx.chunk_duration_s;
+        let h = DEFAULT_HORIZON.min(ctx.num_chunks() - state.next_chunk);
+        let mut weights = vec![1.0; h];
+        if let Some(w) = ctx.weights {
+            weights = w.window(state.next_chunk, h).to_vec();
+            weights.resize(h, 1.0);
+        }
+        let rates = fugu.predictor().scenario_rates(state);
+        let qoe = Ksqi::canonical();
+        let (_, stall_penalty, _, _) = qoe.coefficients();
+        let plan = FlatPlan {
+            ctx,
+            qoe: qoe.clone(),
+            risk_aversion: fugu.risk_aversion(),
+            max_buffer_s: 24.0,
+            h,
+            weights: Some(&weights),
+            scenarios: rates.len(),
+        };
+        let budget = 0.04 * ctx.num_chunks() as f64 * d;
+        let predicted = state.harmonic_mean_throughput(5).unwrap_or(0.0);
+        let sensible = state.playing
+            && state.buffer_s >= 2.0 * d
+            && predicted * 0.85 > ctx.encoded.ladder().min_kbps();
+        let playhead_w = plan::playhead_weight(state, ctx.weights, d);
+        let mut best = (Decision::level(0), f64::NEG_INFINITY);
+        let mut pause_ran = false;
+        for pause in [0.0, 1.0, 2.0] {
+            if pause > 0.0 && (!sensible || *spent + pause > budget) {
+                continue;
+            }
+            pause_ran |= pause > 0.0;
+            let root = FlatRoot {
+                buffer_s: state.buffer_s + pause,
+                elapsed_s: state.elapsed_s,
+                pause_cost: 0.0,
+            };
+            let (_, level, plan_q) = flat_best(
+                &plan,
+                state,
+                &[root],
+                |si| rates[si].0,
+                |si, _, chunk, level| {
+                    0.08 + ctx.encoded.size_bits(chunk, level).unwrap() / (rates[si].1 * 1000.0)
+                },
+            );
+            let pause_cost =
+                playhead_w * stall_penalty * fugu.risk_aversion() * (pause / d).clamp(0.0, 1.0);
+            let margin = if pause > 0.0 { 0.05 } else { 0.0 };
+            let q = plan_q - pause_cost - margin;
+            if q > best.1 {
+                best = (
+                    Decision {
+                        level,
+                        pause_s: pause,
+                    },
+                    q,
+                );
+            }
+        }
+        *spent += best.0.pause_s;
+        (best.0, pause_ran)
+    }
+
+    /// A SENSEI-Fugu instance whose every decision is checked against
+    /// [`reference_decide`] while a session plays, tallying the decisions
+    /// in which a pause candidate was searched by whether a pause won.
+    struct Checked {
+        policy: SenseiFugu,
+        spent: f64,
+        pause_won: usize,
+        pause_lost: usize,
+    }
+
+    impl AbrPolicy for Checked {
+        fn name(&self) -> &str {
+            "checked SENSEI-Fugu"
+        }
+
+        fn reset(&mut self) {
+            self.policy.reset();
+            self.spent = 0.0;
+        }
+
+        fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
+            let got = self.policy.decide(state, ctx);
+            let (want, pause_ran) = reference_decide(state, ctx, &mut self.spent);
+            let at = format!("chunk {}, buffer {}", state.next_chunk, state.buffer_s);
+            assert_eq!(got.level, want.level, "level at {at}");
+            assert_eq!(
+                got.pause_s.to_bits(),
+                want.pause_s.to_bits(),
+                "pause at {at}"
+            );
+            if pause_ran {
+                if want.pause_s > 0.0 {
+                    self.pause_won += 1;
+                } else {
+                    self.pause_lost += 1;
+                }
+            }
+            got
+        }
+    }
+
+    #[test]
+    fn pause_choice_matches_the_flat_reference() {
+        let src = source();
+        let enc = encoded(&src);
+        // The ground-truth weights never make a pause pay on these
+        // traces; a dull first half before a key second half does.
+        let step: Vec<f64> = (0..src.num_chunks())
+            .map(|i| if i < src.num_chunks() / 2 { 0.2 } else { 3.0 })
+            .collect();
+        let weight_sets = [
+            SensitivityWeights::ground_truth(&src),
+            SensitivityWeights::new(step).unwrap(),
+        ];
+        let traces = [
+            sensei_trace::generate::fcc_like(1000.0, 600, 0),
+            sensei_trace::generate::hsdpa_like(1500.0, 600, 1),
+        ];
+        // One long-lived instance, so warm-start seeds meet the floors.
+        let mut checked = Checked {
+            policy: SenseiFugu::new(),
+            spent: 0.0,
+            pause_won: 0,
+            pause_lost: 0,
+        };
+        for weights in &weight_sets {
+            for trace in &traces {
+                let config = PlayerConfig::default();
+                simulate(&src, &enc, trace, &mut checked, &config, Some(weights)).unwrap();
+            }
+        }
+        assert!(checked.pause_won > 0, "no state where a pause wins");
+        assert!(checked.pause_lost > 0, "no state where a pause loses");
     }
 
     #[test]

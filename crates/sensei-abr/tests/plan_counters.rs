@@ -7,7 +7,9 @@
 //! path and the batched `simulate_batch_in` path with telemetry on, and
 //! the six planner counters must equal the recorded constants exactly.
 //! A refactor that changes visit order, bound tightness, warm-start
-//! seeding or memo keying moves at least one of them.
+//! seeding, pause-candidate floors or the oracle's download-time rows
+//! moves at least one of them. The last two counters are the oracle
+//! walk's download-time reads and the reads a row filled earlier served.
 
 use sensei_abr::{Fugu, OracleMpc, SenseiFugu};
 use sensei_sim::{simulate, simulate_batch_in, AbrPolicy, BatchLanes, PlayerConfig, SessionBatch};
@@ -128,8 +130,8 @@ fn sensei_fugu_work_is_pinned() {
         "SENSEI-Fugu",
         got,
         (
-            [30119, 14655, 143, 5498, 0, 0],
-            [72130, 34974, 341, 11823, 0, 0],
+            [15144, 7575, 57, 2289, 0, 0],
+            [41990, 20797, 171, 5489, 0, 0],
         ),
     );
 }
@@ -157,8 +159,8 @@ fn oracle_aware_work_is_pinned() {
         "Oracle(aware)",
         got,
         (
-            [33202, 19288, 57, 4344, 33202, 11902],
-            [98996, 56531, 171, 9906, 98996, 55159],
+            [33202, 19288, 57, 4344, 33202, 20875],
+            [98996, 56531, 171, 9906, 98996, 61433],
         ),
     );
 }
@@ -171,8 +173,8 @@ fn oracle_unaware_work_is_pinned() {
         "Oracle(unaware)",
         got,
         (
-            [21882, 12293, 57, 3617, 21882, 5581],
-            [67086, 37021, 171, 9438, 67086, 35131],
+            [21882, 12293, 57, 3617, 21882, 13389],
+            [67086, 37021, 171, 9438, 67086, 40524],
         ),
     );
 }

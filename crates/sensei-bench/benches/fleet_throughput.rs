@@ -368,7 +368,7 @@ fn main() {
     // --- Run 3: the MPC-family run proper. -----------------------------
     // No BBA padding: every session is planner-bound (horizon MPC) or
     // index-bound (DAS-IP), so sessions/sec here IS the MPC throughput
-    // the tile-level memoization + batched planning attack. Tracked in
+    // the exact branch-and-bound + batched planning attack. Tracked in
     // the trajectory under its own `mpc` name per date.
     let mpc_policies = if quick {
         vec![

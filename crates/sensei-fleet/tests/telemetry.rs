@@ -6,8 +6,8 @@
 //!    into any simulated value.
 //! 2. **Structural invariants** — the merged counters agree with the
 //!    scenario matrix (`sessions == num_scenarios()`, `tiles ==
-//!    num_tiles()`), and derived pairs are consistent (memo hits ≤
-//!    lookups, one tile-latency observation per tile, one batch-width
+//!    num_tiles()`), and derived pairs are consistent (download-time
+//!    row hits ≤ reads, one tile-latency observation per tile, one batch-width
 //!    observation per batch).
 //! 3. **Report plumbing** — the snapshot round-trips through the report
 //!    JSON and `diff()` ignores it entirely, so telemetry can never
@@ -48,7 +48,7 @@ fn scale_matrix(master_seed: u64) -> ScenarioMatrix {
 
 /// An MPC-mixed matrix exercising every instrumented planner: the
 /// scenario-tree search (SENSEI-Fugu), the trace-indexed oracle with its
-/// download-time memo (sensitivity-unaware oracle), and DAS-IP, plus two
+/// download-time rows (sensitivity-unaware oracle), and DAS-IP, plus two
 /// player variants so tiles span multiple lanes.
 fn mpc_matrix(master_seed: u64) -> ScenarioMatrix {
     ScenarioMatrix::builder()
@@ -145,8 +145,8 @@ fn merged_counters_satisfy_the_matrix_invariants() {
         snap.shard.phase_calls(Phase::LaneSimulate),
         snap.counter(Counter::Batches)
     );
-    // The MPC planners ran: node visits, and the oracle's memo traffic
-    // is consistent (and nonzero, since OracleUnaware is on the axis).
+    // The MPC planners ran: node visits, and the oracle's download-time
+    // reads are consistent (and nonzero, since OracleUnaware is on the axis).
     assert!(snap.counter(Counter::PlanNodes) > 0);
     assert!(snap.counter(Counter::DtMemoLookups) > 0);
     assert!(snap.counter(Counter::DtMemoHits) <= snap.counter(Counter::DtMemoLookups));

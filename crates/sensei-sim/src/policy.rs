@@ -153,8 +153,8 @@ pub trait AbrPolicy {
     /// lane-invariant planning work out of the lane loop — every lane of
     /// a batch sits at the same chunk of the same video, so the MPC
     /// family prepares its manifest tables, horizon weight window, and
-    /// search bounds once per chunk step and shares a download-time memo
-    /// across lanes. No override may change a single result bit.
+    /// search bounds once per chunk step for every lane. No override may
+    /// change a single result bit.
     fn select_batch(
         &mut self,
         states: &crate::batch::BatchStates<'_>,

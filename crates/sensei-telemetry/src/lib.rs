@@ -61,9 +61,13 @@ pub enum Counter {
     PlanNodes,
     /// Plan-search subtrees pruned by the exact branch-and-bound.
     PlanPrunes,
-    /// Download-time memo lookups in the trace-indexed oracle search.
+    /// Download times the oracle's trace walk read: one per stepped
+    /// child, one per scored leaf. (The name predates the per-node
+    /// download-time rows that replaced the oracle's memo.)
     DtMemoLookups,
-    /// Download-time memo hits (exact-bit reuse of a sibling's walk).
+    /// Reads of those served from a download-time row already filled for
+    /// the same node wall clock, by a sibling or an earlier pause
+    /// candidate.
     DtMemoHits,
     /// Plan searches that seeded their incumbent from the previous chunk
     /// step's committed plan (the cross-chunk warm start).
@@ -387,8 +391,9 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Download-time memo hit rate (`hits / lookups`; 0 when the oracles
-    /// never ran).
+    /// Share of the oracle walk's download-time reads served from an
+    /// already-filled row (`hits / lookups`; 0 when the oracles never
+    /// ran). Named after the memo the rows replaced.
     #[must_use]
     pub fn memo_hit_rate(&self) -> f64 {
         let lookups = self.counter(Counter::DtMemoLookups);

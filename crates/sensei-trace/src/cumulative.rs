@@ -3,7 +3,9 @@
 //! MPC-style ABR controllers evaluate thousands of candidate bitrate plans
 //! per decision, each needing "how long does `bits` take starting at `t`?".
 //! [`CumulativeTrace`] answers that in `O(log n)` against the same
-//! piecewise-constant semantics as [`ThroughputTrace::download_time`].
+//! piecewise-constant semantics as [`ThroughputTrace::download_time`], and
+//! [`CumulativeTrace::download_times`] answers a whole row of sizes from
+//! one start time at once.
 
 use crate::ThroughputTrace;
 
@@ -67,46 +69,72 @@ impl CumulativeTrace {
     /// `start_s`, wrapping at the trace end. Matches
     /// [`ThroughputTrace::download_time`] to floating-point accuracy.
     pub fn download_time(&self, start_s: f64, bits: f64) -> f64 {
-        assert!(
-            bits.is_finite() && bits >= 0.0,
-            "bits must be finite and non-negative, got {bits}"
-        );
-        if bits == 0.0 {
-            return 0.0;
-        }
+        let mut out = [0.0];
+        self.download_times(start_s, &[bits], &mut out);
+        out[0]
+    }
+
+    /// Fills `out[i]` with [`Self::download_time`]`(start_s, sizes[i])`,
+    /// bit for bit, for every size.
+    ///
+    /// The work the sizes share is done once: the start's normalization
+    /// into one loop, the bits before it, and the capacity left to the
+    /// loop end. Each inversion gallops forward from the bucket the
+    /// previous size of its kind (within the first loop, or in a wrapped
+    /// tail) ended in, and restarts from its first bucket (the start's,
+    /// or bucket 0 for a tail) when its target falls. Every search order lands on the same bucket: `cum_bits` is
+    /// non-decreasing, so "bucket `i` reaches the target" is monotone in
+    /// `i` and its first true index is unique. Ascending ladder sizes
+    /// make the gallops short.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` and `sizes` differ in length, or any size is
+    /// negative or not finite.
+    pub fn download_times(&self, start_s: f64, sizes: &[f64], out: &mut [f64]) {
+        assert_eq!(sizes.len(), out.len(), "one output slot per size");
         let duration = self.duration_s();
         let per_loop = self.bits_per_loop();
         let start = start_s.max(0.0) % duration;
-        let head = per_loop - self.bits_before(start);
-        if bits <= head {
-            return self.invert_from(start, bits);
+        let before = self.bits_before(start);
+        let head = per_loop - before;
+        let start_bucket = (start / self.interval_s) as usize;
+        let mut head_cursor = Cursor::at(start_bucket);
+        let mut tail_cursor = Cursor::at(0);
+        for (&bits, slot) in sizes.iter().zip(out.iter_mut()) {
+            assert!(
+                bits.is_finite() && bits >= 0.0,
+                "bits must be finite and non-negative, got {bits}"
+            );
+            *slot = if bits == 0.0 {
+                0.0
+            } else if bits <= head {
+                let target = before + bits;
+                let idx = head_cursor.search(self, target);
+                self.finish(idx, target, start)
+            } else {
+                let after_head = bits - head;
+                let full_loops = (after_head / per_loop).floor();
+                let tail_bits = after_head - full_loops * per_loop;
+                // The tail starts at time 0, where `bits_before` is
+                // exactly 0.0 for finite non-negative samples, so the
+                // tail's target is `tail_bits` itself.
+                let tail = if tail_bits <= 0.0 {
+                    0.0
+                } else {
+                    let idx = tail_cursor.search(self, tail_bits);
+                    self.finish(idx, tail_bits, 0.0)
+                };
+                (duration - start) + full_loops * duration + tail
+            };
         }
-        let after_head = bits - head;
-        let full_loops = (after_head / per_loop).floor();
-        let tail_bits = after_head - full_loops * per_loop;
-        (duration - start) + full_loops * duration + self.invert_from(0.0, tail_bits)
     }
 
-    /// Time from `start` (within one loop, with `bits <= capacity to loop
-    /// end`) until `bits` have been transferred.
-    fn invert_from(&self, start: f64, bits: f64) -> f64 {
-        if bits <= 0.0 {
-            return 0.0;
-        }
-        let target = self.bits_before(start) + bits;
-        // Binary search the first bucket whose cumulative end reaches the
-        // target.
-        let mut lo = (start / self.interval_s) as usize;
-        let mut hi = self.kbps.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.cum_bits[mid + 1] >= target - 1e-9 {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let idx = lo.min(self.kbps.len() - 1);
+    /// The time from `start` (within one loop) at which the cumulative
+    /// capacity reaches `target`, given the bucket `idx` the target falls
+    /// in (`n` when no bucket reaches it).
+    fn finish(&self, idx: usize, target: f64, start: f64) -> f64 {
+        let idx = idx.min(self.kbps.len() - 1);
         let rate = self.kbps[idx] * 1000.0;
         let within = if rate > 0.0 {
             (target - self.cum_bits[idx]) / rate
@@ -114,6 +142,64 @@ impl CumulativeTrace {
             self.interval_s
         };
         idx as f64 * self.interval_s + within - start
+    }
+}
+
+/// One kind of inversion's search state within one start time: the
+/// search's lower bucket, and the last target with the bucket it ended in.
+struct Cursor {
+    floor: usize,
+    target: f64,
+    idx: usize,
+}
+
+impl Cursor {
+    fn at(floor: usize) -> Self {
+        Self {
+            floor,
+            target: f64::NEG_INFINITY,
+            idx: floor,
+        }
+    }
+
+    /// The first bucket `i` in `[floor, n)` whose cumulative end reaches
+    /// `target` (`cum_bits[i + 1] >= target - 1e-9`), or `n` when none
+    /// does. A target at or above the last one starts from the bucket
+    /// the last search ended in, since no earlier bucket can reach it;
+    /// a lower target (or a NaN) restarts from `floor`.
+    fn search(&mut self, index: &CumulativeTrace, target: f64) -> usize {
+        let n = index.kbps.len();
+        let reaches = |i: usize| index.cum_bits[i + 1] >= target - 1e-9;
+        let mut lo = if target >= self.target {
+            self.idx
+        } else {
+            self.floor
+        };
+        // Gallop: probe `lo`, `lo + 1`, `lo + 3`, ... until a bucket
+        // reaches the target, keeping every bucket below `lo` short of it.
+        let mut step = 1;
+        let mut hi = n;
+        while lo < n {
+            let probe = (lo + step - 1).min(n - 1);
+            if reaches(probe) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
+        // Bisect `[lo, hi)`: `hi` is a reaching bucket or `n`.
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        self.target = target;
+        self.idx = lo;
+        lo
     }
 }
 
