@@ -11,12 +11,13 @@ use sensei_abr::{
 };
 use sensei_crowd::{TrueQoe, WeightProfiler};
 use sensei_sim::{
-    simulate_batch_in, AbrPolicy, BatchLanes, PlayerConfig, SessionBatch, SessionResult,
+    simulate_lanes_in, AbrPolicy, BatchLanes, LaneView, PlayerConfig, SessionBatch, SimError,
 };
 use sensei_telemetry as telemetry;
 use sensei_trace::{generate, Network, ThroughputTrace};
 use sensei_video::{
-    corpus, BitrateLadder, CorpusEntry, EncodedVideo, SensitivityWeights, SourceVideo,
+    corpus, BitrateLadder, CorpusEntry, EncodedVideo, RenderedVideo, SensitivityWeights,
+    SourceVideo,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -239,7 +240,7 @@ pub struct CellResult {
 /// beyond the identifying video, trace and policy fields. The fleet's
 /// stats path folds these directly; [`Experiment::run_batch_in`] wraps
 /// them into cells.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneScore {
     /// True QoE in `[0, 1]`.
     pub qoe01: f64,
@@ -253,6 +254,84 @@ pub struct LaneScore {
     pub intentional_stall_s: f64,
     /// Number of ladder-level changes across the session.
     pub bitrate_switches: usize,
+}
+
+impl LaneScore {
+    /// Scores one finished batch lane of `asset` straight from the
+    /// batch's arrays, in one pass over its chunks and with no
+    /// [`RenderedVideo`] built.
+    ///
+    /// Bit for bit, this is what scoring the lane's assembled
+    /// [`sensei_sim::SessionResult`] returns: `qoe01` runs the oracle's
+    /// per-chunk fold ([`TrueQoe::fold`], the loop [`TrueQoe::qoe01`]
+    /// runs) over `asset.true_weights`, and the other fields sum in the
+    /// order of the [`RenderedVideo`] methods they stand for
+    /// (`avg_bitrate_kbps`, `rebuffer_ratio`, `delivered_bits`). The lane
+    /// passes the checks [`RenderedVideo::new`] applies, in the same
+    /// order, and a failure is the same typed error the assembly path
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Sim`] wrapping the render check that failed,
+    /// or [`CoreError::BadConfig`] when the lane's rows or
+    /// `asset.true_weights` do not cover the video.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a level outside the encoding's ladder. Levels from a
+    /// batch run are always on it.
+    pub fn of_lane(
+        oracle: &TrueQoe,
+        asset: &VideoAsset,
+        lane: &LaneView<'_>,
+    ) -> Result<Self, CoreError> {
+        let n = asset.source.num_chunks();
+        let weights = asset.true_weights.as_slice();
+        if lane.levels.len() != n || lane.stalls.len() != n || weights.len() != n {
+            return Err(CoreError::BadConfig(format!(
+                "lane rows cover {} and {} chunks and the true weights {}, but {} has {n}",
+                lane.levels.len(),
+                lane.stalls.len(),
+                weights.len(),
+                asset.name
+            )));
+        }
+        let render_check = |e| CoreError::Sim(SimError::Video(e));
+        let d = asset.source.chunk_duration_s();
+        RenderedVideo::validate_timing(d, lane.startup_delay_s).map_err(render_check)?;
+        // The ladder strictly increases, so the highest level streamed
+        // carries the highest bitrate streamed.
+        let max_bitrate_kbps = lane
+            .levels
+            .iter()
+            .max()
+            .map_or(0.0, |&level| asset.encoded.ladder().levels()[level]);
+        let mut fold = oracle.fold(max_bitrate_kbps, d, lane.startup_delay_s);
+        // `Iterator::sum`'s identity is -0.0, so these folds reproduce
+        // the RenderedVideo methods' sums exactly.
+        let (mut kbps, mut rebuffer, mut intentional, mut bits) = (-0.0, -0.0, -0.0, -0.0);
+        for (c, &s) in lane.chunks(&asset.source, &asset.encoded).zip(weights) {
+            c.validate().map_err(render_check)?;
+            kbps += c.bitrate_kbps;
+            rebuffer += c.rebuffer_s;
+            intentional += c.intentional_rebuffer_s;
+            bits += c.bitrate_kbps * 1000.0 * d;
+            fold.push(s, &c);
+        }
+        // Chunk counts are far below 2^52, so the count converts exactly.
+        #[allow(clippy::cast_precision_loss)]
+        let n = n as f64;
+        let stall = lane.startup_delay_s + rebuffer;
+        Ok(Self {
+            qoe01: fold.qoe01(),
+            avg_bitrate_kbps: kbps / n,
+            rebuffer_ratio: stall / (stall + n * d),
+            delivered_bits: bits,
+            intentional_stall_s: intentional,
+            bitrate_switches: lane.levels.windows(2).filter(|w| w[0] != w[1]).count(),
+        })
+    }
 }
 
 impl CellResult {
@@ -622,9 +701,15 @@ impl Experiment {
 
     /// Simulates one **batch** of sessions — every `(policy, player)`
     /// lane of one `(video, network)` pair — through the
-    /// structure-of-arrays batch engine ([`sensei_sim::simulate_batch_in`]),
+    /// structure-of-arrays batch engine ([`sensei_sim::simulate_lanes_in`]),
     /// scores each lane with the true-QoE oracle, and appends one
     /// [`LaneScore`] per lane to `out` **in lane order**.
+    ///
+    /// Lanes are scored straight from the batch's arrays
+    /// ([`LaneScore::of_lane`]): no [`sensei_sim::SessionResult`] or
+    /// [`RenderedVideo`] is assembled, and the scores are bit-identical
+    /// to scoring assembled results with [`TrueQoe::qoe01`] and the
+    /// render's metrics.
     ///
     /// Lanes are regrouped by policy internally, so each policy instance
     /// is built once and asked for all its lanes' decisions with a single
@@ -657,24 +742,18 @@ impl Experiment {
             batch,
             configs,
             order,
-            flat_of,
             groups: group_ranges,
-            results,
             ..
         } = runtime;
         // Regroup the lanes by policy kind, in policy-table order:
-        // `order[p]` is the input lane at flat batch position `p`, and
-        // `flat_of[i]` the flat position of input lane `i`.
+        // `order[p]` is the input lane at flat batch position `p`.
         configs.clear();
         order.clear();
-        flat_of.clear();
-        flat_of.resize(lanes.len(), 0);
         group_ranges.clear();
         for kind in PolicyKind::ALL {
             let start = configs.len();
             for (i, &(lane_kind, config)) in lanes.iter().enumerate() {
                 if lane_kind == kind {
-                    flat_of[i] = order.len();
                     order.push(i);
                     configs.push(config);
                 }
@@ -722,60 +801,35 @@ impl Experiment {
             });
             next_group += 1;
         }
-        results.clear();
         {
             let _span = telemetry::span(telemetry::Phase::LaneSimulate);
-            simulate_batch_in(
-                batch,
-                &asset.source,
-                &asset.encoded,
-                network,
-                &mut groups,
-                results,
-            )
-            .map_err(|failure| BatchFailure {
-                lane: order[failure.lane],
-                error: failure.error.into(),
-            })?;
+            simulate_lanes_in(batch, &asset.source, &asset.encoded, network, &mut groups).map_err(
+                |failure| BatchFailure {
+                    lane: order[failure.lane],
+                    error: failure.error.into(),
+                },
+            )?;
         }
         drop(groups);
 
-        // Score in the caller's lane order. A mid-loop scoring failure
-        // rolls `out` back to its entry mark so the no-scores-on-error
-        // contract holds.
+        // Score straight from the batch's lane arrays, in flat batch
+        // order (so a failing lane is the one the result assembly would
+        // have named first), writing each score to its caller-order
+        // slot. A failure rolls `out` back to its entry mark so the
+        // no-scores-on-error contract holds.
         let out_mark = out.len();
-        out.reserve(lanes.len());
+        out.resize(out_mark + lanes.len(), LaneScore::default());
         let score_span = telemetry::span(telemetry::Phase::Score);
-        for i in 0..lanes.len() {
-            let result: &SessionResult = &results[flat_of[i]];
-            let qoe01 = match self.oracle.qoe01(&asset.source, &result.render) {
-                Ok(qoe01) => qoe01,
-                Err(e) => {
+        for (flat, &lane) in order.iter().enumerate() {
+            match LaneScore::of_lane(&self.oracle, asset, &batch.lane(flat)) {
+                Ok(score) => out[out_mark + lane] = score,
+                Err(error) => {
                     out.truncate(out_mark);
-                    return Err(BatchFailure {
-                        lane: i,
-                        error: e.into(),
-                    });
+                    return Err(BatchFailure { lane, error });
                 }
-            };
-            out.push(LaneScore {
-                qoe01,
-                avg_bitrate_kbps: result.render.avg_bitrate_kbps(),
-                rebuffer_ratio: result.render.rebuffer_ratio(),
-                delivered_bits: result.render.delivered_bits(),
-                intentional_stall_s: result
-                    .render
-                    .chunks()
-                    .iter()
-                    .map(|c| c.intentional_rebuffer_s)
-                    .sum(),
-                bitrate_switches: result.levels.windows(2).filter(|w| w[0] != w[1]).count(),
-            });
+            }
         }
         drop(score_span);
-        for result in results.drain(..) {
-            batch.reclaim(result);
-        }
         telemetry::count(telemetry::Counter::Batches, 1);
         telemetry::count(telemetry::Counter::Sessions, lanes.len() as u64);
         telemetry::observe(telemetry::Hist::LanesPerBatch, lanes.len() as u64);
@@ -871,12 +925,8 @@ pub struct SessionRuntime {
     configs: Vec<PlayerConfig>,
     /// `order[p]` = input lane at flat batch position `p`.
     order: Vec<usize>,
-    /// `flat_of[i]` = flat batch position of input lane `i`.
-    flat_of: Vec<usize>,
     /// Policy groups as `(kind, range into configs)`, in table order.
     groups: Vec<(PolicyKind, Range<usize>)>,
-    /// Per-lane session results awaiting scoring, recycled per batch.
-    results: Vec<SessionResult>,
     /// Per-lane scores awaiting emission in [`Experiment::run_batch_in`].
     scores: Vec<LaneScore>,
     /// Spare cell buffer backing [`Experiment::run_session_in`].
@@ -892,9 +942,7 @@ impl SessionRuntime {
             batch: SessionBatch::new(),
             configs: Vec::new(),
             order: Vec::new(),
-            flat_of: Vec::new(),
             groups: Vec::new(),
-            results: Vec::new(),
             scores: Vec::new(),
             cells: Vec::new(),
         }

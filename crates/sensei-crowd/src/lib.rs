@@ -36,7 +36,7 @@ pub mod rater;
 pub mod series;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignResult};
-pub use oracle::TrueQoe;
+pub use oracle::{QoeFold, TrueQoe};
 pub use profiler::{ProfilerConfig, WeightProfile, WeightProfiler};
 pub use rater::{Rater, RaterPool};
 

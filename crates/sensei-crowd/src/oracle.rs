@@ -21,7 +21,7 @@
 //! `SourceVideo::true_sensitivity`.
 
 use sensei_video::quality::visual_quality;
-use sensei_video::{RenderedVideo, SourceVideo};
+use sensei_video::{RenderedChunk, RenderedVideo, SourceVideo};
 
 use crate::CrowdError;
 
@@ -58,7 +58,7 @@ impl Default for TrueQoe {
 
 impl TrueQoe {
     /// Per-chunk *experienced* quality `e_i = ref_i − s_i · deg_i`,
-    /// clamped to `[-1, 1]`.
+    /// clamped to `[-2, 1]`.
     ///
     /// # Errors
     ///
@@ -69,57 +69,14 @@ impl TrueQoe {
         source: &SourceVideo,
         render: &RenderedVideo,
     ) -> Result<Vec<f64>, CrowdError> {
-        let mut out = Vec::with_capacity(render.num_chunks());
-        self.for_each_experienced(source, render, |e| out.push(e))?;
-        Ok(out)
-    }
-
-    /// Streams each chunk's experienced quality into `visit`, in playback
-    /// order — the allocation-free spine shared by
-    /// [`Self::experienced_quality`] (which collects) and [`Self::qoe01`]
-    /// (which folds), so session scoring costs no per-session Vec.
-    fn for_each_experienced(
-        &self,
-        source: &SourceVideo,
-        render: &RenderedVideo,
-        mut visit: impl FnMut(f64),
-    ) -> Result<(), CrowdError> {
-        if render.source_name() != source.name() || render.num_chunks() != source.num_chunks() {
-            return Err(CrowdError::SourceMismatch {
-                render: render.source_name().to_string(),
-                source: source.name().to_string(),
-            });
-        }
+        let mut fold = self.fold_render(source, render)?;
         let s = source.true_sensitivity();
-        let d = render.chunk_duration_s();
-        let top_kbps = render
+        Ok(render
             .chunks()
             .iter()
-            .map(|c| c.bitrate_kbps)
-            .fold(0.0, f64::max)
-            .max(2850.0);
-        let mut prev: Option<(f64, f64)> = None;
-        for (i, c) in render.chunks().iter().enumerate() {
-            let reference = visual_quality(top_kbps, c.complexity);
-            let stall = c.rebuffer_s
-                + if i == 0 {
-                    render.startup_delay_s()
-                } else {
-                    0.0
-                };
-            let switch = match prev {
-                Some((pvq, pbr)) if (pbr - c.bitrate_kbps).abs() > 1e-9 => (c.vq - pvq).abs(),
-                _ => 0.0,
-            };
-            prev = Some((c.vq, c.bitrate_kbps));
-            // The stall term grows without a cap: sitting through a
-            // 14-second freeze is strictly worse than a 4-second one.
-            let deg = (reference - c.vq).max(0.0)
-                + self.rebuffer_penalty * (stall / d).max(0.0)
-                + self.switch_penalty * switch;
-            visit((reference - s[i] * deg).clamp(-2.0, 1.0));
-        }
-        Ok(())
+            .zip(&s)
+            .map(|(c, &s)| fold.push(s, c))
+            .collect())
     }
 
     /// True normalized QoE in `[0, 1]` — the peak-end blend mapped through
@@ -129,17 +86,57 @@ impl TrueQoe {
     ///
     /// Returns an error when the render does not match the source video.
     pub fn qoe01(&self, source: &SourceVideo, render: &RenderedVideo) -> Result<f64, CrowdError> {
-        let mut sum = 0.0;
-        let mut worst = f64::INFINITY;
-        let mut count = 0u32;
-        self.for_each_experienced(source, render, |e| {
-            sum += e;
-            worst = worst.min(e);
-            count += 1;
-        })?;
-        let mean = sum / f64::from(count);
-        let q = self.mean_weight * mean + self.worst_weight * worst;
-        Ok((self.map_offset + self.map_slope * q).clamp(0.0, 1.0))
+        let mut fold = self.fold_render(source, render)?;
+        let s = source.true_sensitivity();
+        for (c, &s) in render.chunks().iter().zip(&s) {
+            fold.push(s, c);
+        }
+        Ok(fold.qoe01())
+    }
+
+    /// An empty [`QoeFold`] for one session: its highest streamed bitrate
+    /// (`0.0` for none), chunk duration and startup delay.
+    #[must_use]
+    pub fn fold(
+        &self,
+        max_bitrate_kbps: f64,
+        chunk_duration_s: f64,
+        startup_delay_s: f64,
+    ) -> QoeFold<'_> {
+        QoeFold {
+            oracle: self,
+            top_kbps: max_bitrate_kbps.max(2850.0),
+            chunk_duration_s,
+            startup_left_s: startup_delay_s,
+            prev: None,
+            sum: 0.0,
+            worst: f64::INFINITY,
+            count: 0,
+        }
+    }
+
+    /// The empty fold for `render`, after checking it belongs to `source`.
+    fn fold_render(
+        &self,
+        source: &SourceVideo,
+        render: &RenderedVideo,
+    ) -> Result<QoeFold<'_>, CrowdError> {
+        if render.source_name() != source.name() || render.num_chunks() != source.num_chunks() {
+            return Err(CrowdError::SourceMismatch {
+                render: render.source_name().to_string(),
+                source: source.name().to_string(),
+            });
+        }
+        let max_bitrate_kbps = render
+            .chunks()
+            .iter()
+            .map(|c| c.bitrate_kbps)
+            .fold(0.0, f64::max);
+        Ok(self.fold(
+            max_bitrate_kbps,
+            render.chunk_duration_s(),
+            render.startup_delay_s(),
+        ))
     }
 
     /// True QoE on the paper's 1–5 MOS scale.
@@ -149,6 +146,64 @@ impl TrueQoe {
     /// Returns an error when the render does not match the source video.
     pub fn mos(&self, source: &SourceVideo, render: &RenderedVideo) -> Result<f64, CrowdError> {
         Ok(1.0 + 4.0 * self.qoe01(source, render)?)
+    }
+}
+
+/// The oracle's running fold over one session's chunks, fed in playback
+/// order — the one per-chunk loop behind [`TrueQoe::qoe01`] and
+/// [`TrueQoe::experienced_quality`]. A caller that holds a session as
+/// arrays rather than a [`RenderedVideo`] (the fleet's lane scoring)
+/// feeds it the same chunks and gets the same bits.
+#[derive(Debug, Clone)]
+pub struct QoeFold<'a> {
+    oracle: &'a TrueQoe,
+    /// Reference bitrate every chunk is judged against: the session's
+    /// highest streamed bitrate, floored at the paper ladder's top.
+    top_kbps: f64,
+    chunk_duration_s: f64,
+    /// Startup delay, charged like a stall to the first chunk only.
+    startup_left_s: f64,
+    /// `(vq, bitrate_kbps)` of the previous chunk.
+    prev: Option<(f64, f64)>,
+    sum: f64,
+    worst: f64,
+    count: u32,
+}
+
+impl QoeFold<'_> {
+    /// Folds in the next chunk, whose latent sensitivity (normalized to
+    /// mean 1 over the video, as [`SourceVideo::true_sensitivity`]
+    /// returns it) is `sensitivity`, and returns its experienced quality.
+    #[inline]
+    pub fn push(&mut self, sensitivity: f64, c: &RenderedChunk) -> f64 {
+        let oracle = self.oracle;
+        let reference = visual_quality(self.top_kbps, c.complexity);
+        let stall = c.rebuffer_s + self.startup_left_s;
+        self.startup_left_s = 0.0;
+        let switch = match self.prev {
+            Some((pvq, pbr)) if (pbr - c.bitrate_kbps).abs() > 1e-9 => (c.vq - pvq).abs(),
+            _ => 0.0,
+        };
+        self.prev = Some((c.vq, c.bitrate_kbps));
+        // The stall term grows without a cap: sitting through a
+        // 14-second freeze is strictly worse than a 4-second one.
+        let deg = (reference - c.vq).max(0.0)
+            + oracle.rebuffer_penalty * (stall / self.chunk_duration_s).max(0.0)
+            + oracle.switch_penalty * switch;
+        let e = (reference - sensitivity * deg).clamp(-2.0, 1.0);
+        self.sum += e;
+        self.worst = self.worst.min(e);
+        self.count += 1;
+        e
+    }
+
+    /// True normalized QoE in `[0, 1]` of the chunks folded so far.
+    #[must_use]
+    pub fn qoe01(&self) -> f64 {
+        let oracle = self.oracle;
+        let mean = self.sum / f64::from(self.count);
+        let q = oracle.mean_weight * mean + oracle.worst_weight * self.worst;
+        (oracle.map_offset + oracle.map_slope * q).clamp(0.0, 1.0)
     }
 }
 

@@ -21,12 +21,14 @@
 //! is *defined* as the reduction of per-tile partials in canonical tile
 //! order, and every accumulator merges as an exact integer sum — so the
 //! reduction is associative and commutative and can be evaluated in any
-//! grouping. Each worker keeps one shard-local partial, the channel
-//! carries only tile-completion ticks (progress + error attribution),
-//! and the collector merges the O(workers) fixed-shape partials after
-//! the scope joins. No per-cell sends, no reorder buffer, no admission
-//! window: collector time is independent of session count, and nothing
-//! serializes the workers.
+//! grouping. Each worker keeps one shard-local partial and counts its
+//! finished tiles in one shared atomic; the channel carries only
+//! failures (for minimum-ID error attribution), and the collector merges
+//! the O(workers) fixed-shape partials after the scope joins. No
+//! per-tile or per-cell sends, no reorder buffer, no admission window: a
+//! successful tile never wakes the collector, collector time is
+//! independent of session and tile count, and nothing serializes the
+//! workers.
 //!
 //! The same merge law spans processes: [`FleetConfig::with_shard`]
 //! restricts a run to one of `n` contiguous tile slices (from
@@ -44,7 +46,8 @@ use sensei_telemetry as telemetry;
 use sensei_telemetry::{TelemetryShard, TelemetrySnapshot};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -69,8 +72,9 @@ pub struct FleetConfig {
     /// switchable per run via `SENSEI_FLEET_TELEMETRY=1`.
     pub telemetry: bool,
     /// Emit a live `\r`-rewritten progress line on stderr (tiles done,
-    /// sessions/s, ETA), driven by the tile-completion ticks. Also
-    /// switchable per run via `SENSEI_FLEET_PROGRESS=1`.
+    /// sessions/s, ETA), reprinted from the workers' finished-tile count
+    /// every 200 ms. Also switchable per run via
+    /// `SENSEI_FLEET_PROGRESS=1`.
     pub progress: bool,
 }
 
@@ -307,10 +311,12 @@ impl<'a> Fleet<'a> {
     ///
     /// Workers pull tiles off a shared cursor and fold each one into
     /// their own [`FleetStats`] partial; the O(workers) partials are
-    /// reduced into one aggregate after the scope joins. The channel
-    /// carries only per-tile completion ticks (for the progress meter and
-    /// minimum-ID error attribution), so collection work is independent
-    /// of session count. The report's setup / execute / collect
+    /// reduced into one aggregate after the scope joins. Finished tiles
+    /// are counted in a shared atomic that the progress meter polls, and
+    /// the channel carries only failures (for minimum-ID error
+    /// attribution), so a successful tile never wakes the collector and
+    /// collection work is independent of session and tile count. The
+    /// report's setup / execute / collect
     /// [`RunPhases`] split is recorded with plain `Instant` reads, and
     /// the merged telemetry snapshot is attached when telemetry is on.
     ///
@@ -331,11 +337,12 @@ impl<'a> Fleet<'a> {
         let shard_tiles = tiles.end - tiles.start;
         let cursor = AtomicU64::new(tiles.start);
         let poison = AtomicBool::new(false);
-        // Tick payload: the completed tile ID, or the failing scenario.
-        // The channel is unbounded because ticks are O(1) each and their
-        // total is bounded by the tile count — no backpressure needed.
-        type Tick = Result<u64, (u64, CoreError)>;
-        let (tx, rx) = mpsc::channel::<Tick>();
+        // Finished tiles, counted by the workers and polled by the
+        // progress meter; the final count is read after the scope joins.
+        let tiles_done = AtomicU64::new(0);
+        // Only failures travel the channel: the failing scenario ID and
+        // its error, at most one per worker (a failed worker stops).
+        let (tx, rx) = mpsc::channel::<(u64, CoreError)>();
         // Shard-local partials, pushed once per worker at exit. Push
         // order (and therefore merge order) is scheduling-dependent —
         // which is fine, because `FleetStats::merge` is exact, so any
@@ -356,11 +363,12 @@ impl<'a> Fleet<'a> {
         if self.telemetry {
             telemetry::begin();
         }
-        let scope_result = thread::scope(|scope| {
+        let scope_error = thread::scope(|scope| {
             for _ in 0..self.workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 let poison = &poison;
+                let tiles_done = &tiles_done;
                 let partials = &partials;
                 let shards = &shards;
                 let tiles_end = tiles.end;
@@ -401,42 +409,37 @@ impl<'a> Fleet<'a> {
                         let tile_started = telemetry::stopwatch();
                         let run =
                             fleet.score_tile(&mut runtime, tile, &lanes, reads_trace, &mut scores);
-                        let tick = match run {
-                            Err((id, e)) => {
+                        let trace_name = match run {
+                            Ok(trace_name) => trace_name,
+                            Err(failure) => {
                                 poison.store(true, Ordering::Relaxed);
-                                Err((id, e))
-                            }
-                            Ok(trace_name) => {
-                                telemetry::count(telemetry::Counter::Tiles, 1);
-                                if let Some(started) = tile_started {
-                                    let ns = u64::try_from(started.elapsed().as_nanos())
-                                        .unwrap_or(u64::MAX);
-                                    telemetry::observe(telemetry::Hist::TileNanos, ns);
-                                }
-                                {
-                                    // The canonical reduction's per-tile
-                                    // unit, folded where the results were
-                                    // produced. Policy is the innermost
-                                    // lane axis, so every `policies`
-                                    // consecutive scores form one group.
-                                    let _span = telemetry::span(telemetry::Phase::ShardFold);
-                                    tile_stats.reset();
-                                    for group in scores.chunks_exact(policies.len()) {
-                                        tile_stats.fold_scores(&trace_name, group);
-                                    }
-                                    partial
-                                        .merge(tile_stats.stats())
-                                        .expect("tile partial shares the fleet's axes");
-                                }
-                                Ok(tile)
+                                // A send error means the collector hung
+                                // up; either way a failed worker is done.
+                                let _ = tx.send(failure);
+                                break;
                             }
                         };
-                        let failed = tick.is_err();
-                        // A send error means the collector hung up; either
-                        // way a failed worker is done.
-                        if tx.send(tick).is_err() || failed {
-                            break;
+                        telemetry::count(telemetry::Counter::Tiles, 1);
+                        if let Some(started) = tile_started {
+                            let ns =
+                                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                            telemetry::observe(telemetry::Hist::TileNanos, ns);
                         }
+                        {
+                            // The canonical reduction's per-tile unit,
+                            // folded where the results were produced.
+                            // Policy is the innermost lane axis, so every
+                            // `policies` consecutive scores form one group.
+                            let _span = telemetry::span(telemetry::Phase::ShardFold);
+                            tile_stats.reset();
+                            for group in scores.chunks_exact(policies.len()) {
+                                tile_stats.fold_scores(&trace_name, group);
+                            }
+                            partial
+                                .merge(tile_stats.stats())
+                                .expect("tile partial shares the fleet's axes");
+                        }
+                        tiles_done.fetch_add(1, Ordering::Relaxed);
                     }
                     partials.lock().expect("partials lock").push(partial);
                     if fleet.telemetry {
@@ -446,48 +449,44 @@ impl<'a> Fleet<'a> {
             }
             drop(tx);
 
-            let mut done: u64 = 0;
             // Lowest failing scenario ID seen. Keeping the minimum (rather
             // than whichever error arrives first) stabilizes the reported
             // scenario across interleavings of the failures that did run;
             // with several failing scenarios, poisoning can still stop a
-            // lower one from running at all.
+            // lower one from running at all. Between failures the
+            // collector sleeps, waking once per throttle interval to
+            // reprint the progress line; it returns once every worker
+            // has dropped its sender.
             let mut error: Option<(u64, CoreError)> = None;
-            while let Ok(tick) = rx.recv() {
-                match tick {
-                    Ok(_tile) => {
-                        done += 1;
-                        if let Some(meter) = progress.as_mut() {
-                            meter.tick(done);
-                        }
-                    }
-                    Err((id, e)) => {
+            loop {
+                match rx.recv_timeout(ProgressMeter::THROTTLE) {
+                    Ok((id, e)) => {
                         poison.store(true, Ordering::Relaxed);
                         if error.as_ref().is_none_or(|(worst, _)| id < *worst) {
                             error = Some((id, e));
                         }
                     }
+                    Err(RecvTimeoutError::Timeout) => {
+                        if let Some(meter) = progress.as_mut() {
+                            meter.print(tiles_done.load(Ordering::Relaxed));
+                        }
+                    }
+                    Err(RecvTimeoutError::Disconnected) => return error,
                 }
             }
-            if let Some(meter) = progress.as_mut() {
-                meter.finish(done);
-            }
-            if let Some((id, e)) = error {
-                return Err(FleetError::Scenario {
-                    id,
-                    source: Box::new(e),
-                });
-            }
-            // A worker panic poisons the run without delivering an error;
-            // the partial Ok below is discarded because the scope
-            // re-raises the panic after joining.
-            debug_assert!(poison.load(Ordering::Relaxed) || done == shard_tiles);
-            Ok(())
         });
         // The whole scope wall is execute time: simulation plus each
         // worker's shard-local folds (the `shard_fold` telemetry phase
         // breaks the latter out).
         phases.execute_s = scope_started.elapsed().as_secs_f64();
+        // The joined scope makes every worker's count visible.
+        let done = tiles_done.into_inner();
+        if let Some(meter) = progress.as_mut() {
+            meter.finish(done);
+        }
+        // A worker panic re-raises from the scope above, so reaching here
+        // means every tile ran unless a failure poisoned the run.
+        debug_assert!(scope_error.is_some() || done == shard_tiles);
         // The final reduce: `workers` fixed-shape merges, independent of
         // how many sessions streamed through the run.
         // sensei-lint: allow(no-wall-clock) — collect_s phase split is observability; never feeds aggregates
@@ -513,7 +512,12 @@ impl<'a> Fleet<'a> {
         } else {
             None
         };
-        scope_result?;
+        if let Some((id, e)) = scope_error {
+            return Err(FleetError::Scenario {
+                id,
+                source: Box::new(e),
+            });
+        }
         let wall_time_s = started.elapsed().as_secs_f64();
         let sessions = stats.sessions;
         Ok(FleetReport {
@@ -529,58 +533,44 @@ impl<'a> Fleet<'a> {
 }
 
 /// The `SENSEI_FLEET_PROGRESS=1` live progress line: a `\r`-rewritten
-/// stderr status driven by tile-completion ticks, throttled so a fast
-/// quick-run does not flood the terminal. Session counts are derived
-/// from completed tiles (`tiles × tile_size`), so the line needs no
-/// extra coordination with the workers.
+/// stderr status that the collector reprints from the workers'
+/// finished-tile count once per [`Self::THROTTLE`], so a fast quick-run
+/// does not flood the terminal. Session counts are derived from finished
+/// tiles (`tiles × tile_size`), so the line needs no extra coordination
+/// with the workers.
 struct ProgressMeter {
     started: Instant,
-    last_print: Option<Instant>,
     printed: bool,
     total_tiles: u64,
     tile_size: u64,
 }
 
 impl ProgressMeter {
-    /// Minimum interval between reprints.
+    /// Interval between reprints: the collector's poll period.
     const THROTTLE: Duration = Duration::from_millis(200);
 
     fn new(total_tiles: u64, tile_size: u64) -> Self {
         Self {
             // sensei-lint: allow(no-wall-clock) — progress-line ETA anchor; display only
             started: Instant::now(),
-            last_print: None,
             printed: false,
             total_tiles,
             tile_size,
         }
     }
 
-    /// Reports a new completed-tile count.
-    fn tick(&mut self, tiles_done: u64) {
-        // sensei-lint: allow(no-wall-clock) — progress-line throttling; display only
-        let now = Instant::now();
-        let due = self
-            .last_print
-            .is_none_or(|last| now.duration_since(last) >= Self::THROTTLE);
-        if due {
-            self.last_print = Some(now);
-            self.print(tiles_done, now);
-        }
-    }
-
     /// Prints the final state and releases the line with a newline.
     fn finish(&mut self, tiles_done: u64) {
-        // sensei-lint: allow(no-wall-clock) — final progress-line timestamp; display only
-        self.print(tiles_done, Instant::now());
+        self.print(tiles_done);
         if self.printed {
             eprintln!();
         }
     }
 
-    fn print(&mut self, tiles_done: u64, now: Instant) {
+    /// Rewrites the line for a finished-tile count.
+    fn print(&mut self, tiles_done: u64) {
         self.printed = true;
-        let elapsed = now.duration_since(self.started).as_secs_f64().max(1e-9);
+        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
         let sessions = tiles_done.saturating_mul(self.tile_size);
         let rate = sessions as f64 / elapsed;
         let eta = if tiles_done == 0 {

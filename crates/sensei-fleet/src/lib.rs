@@ -17,10 +17,10 @@
 //!   execution order.
 //! * [`Fleet`] — a std-only sharded executor (`std::thread::scope`; no new
 //!   external dependencies, consistent with the offline `shims/` policy).
-//!   Workers pull tiles from a shared atomic cursor and fold their own
-//!   results into **shard-local partials**; the channel carries only
-//!   tile-completion ticks, and the collector merges the O(workers)
-//!   partials at the end. The aggregates are *defined* as the reduction of
+//!   Workers pull tiles from a shared atomic cursor, fold their own
+//!   results into **shard-local partials** and count finished tiles in
+//!   a shared atomic; the channel carries only failures, and the
+//!   collector merges the O(workers) partials at the end. The aggregates are *defined* as the reduction of
 //!   per-tile partials in canonical tile order, and every accumulator
 //!   merges as exact integer sums — so 1, 2, or 64 workers (or processes,
 //!   via [`merge_reports`]) produce bit-identical results.

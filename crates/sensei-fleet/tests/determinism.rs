@@ -236,30 +236,37 @@ fn failing_scenario_aborts_with_its_stable_id() {
         .policies([PolicyKind::Bba, PolicyKind::Pensieve])
         .build()
         .unwrap();
-    let failing_id = |workers| {
-        let err = Fleet::new(&env, &matrix, FleetConfig::new(workers))
-            .unwrap()
-            .run()
-            .unwrap_err();
-        match err {
-            sensei_fleet::FleetError::Scenario { id, .. } => id,
-            other => panic!("expected Scenario error, got {other}"),
-        }
-    };
-    // One worker runs tile 0 first and stops there: the failure is its
-    // first Pensieve lane, attributed as the tile's first ID + lane 1.
-    assert_eq!(
-        failing_id(1),
-        1,
-        "the first Pensieve scenario in canonical order"
-    );
-    // Racing workers may stop a lower failure from running at all, so
-    // only the parity of the reported ID is fixed.
-    assert_eq!(
-        failing_id(2) % 2,
-        1,
-        "failing scenarios are the odd (Pensieve) IDs"
-    );
+    // Attribution must not depend on the progress line: with it on, the
+    // collector also wakes on its poll interval, but failures still
+    // arrive only through the channel.
+    for progress in [false, true] {
+        let failing_id = |workers| {
+            let config = FleetConfig::new(workers).with_progress(progress);
+            let err = Fleet::new(&env, &matrix, config)
+                .unwrap()
+                .run()
+                .unwrap_err();
+            match err {
+                sensei_fleet::FleetError::Scenario { id, .. } => id,
+                other => panic!("expected Scenario error, got {other}"),
+            }
+        };
+        // One worker runs tile 0 first and stops there: the failure is
+        // its first Pensieve lane, attributed as the tile's first ID +
+        // lane 1.
+        assert_eq!(
+            failing_id(1),
+            1,
+            "the first Pensieve scenario in canonical order (progress {progress})"
+        );
+        // Racing workers may stop a lower failure from running at all,
+        // so only the parity of the reported ID is fixed.
+        assert_eq!(
+            failing_id(2) % 2,
+            1,
+            "failing scenarios are the odd (Pensieve) IDs (progress {progress})"
+        );
+    }
 }
 
 #[test]

@@ -145,6 +145,10 @@ fn merged_counters_satisfy_the_matrix_invariants() {
         snap.shard.phase_calls(Phase::LaneSimulate),
         snap.counter(Counter::Batches)
     );
+    assert_eq!(
+        snap.shard.phase_calls(Phase::Score),
+        snap.counter(Counter::Batches)
+    );
     // The MPC planners ran: node visits, and the oracle's download-time
     // reads are consistent (and nonzero, since OracleUnaware is on the axis).
     assert!(snap.counter(Counter::PlanNodes) > 0);
@@ -218,6 +222,14 @@ fn progress_line_does_not_disturb_results() {
     .run()
     .unwrap();
     assert_eq!(reference.stats, with_progress.stats);
+    // Finished tiles are counted without a message per tile; every tile
+    // is still accounted for once across both workers.
+    let snap = with_progress.telemetry.as_ref().expect("telemetry was on");
+    assert_eq!(snap.counter(Counter::Tiles), matrix.num_tiles(&env));
+    assert_eq!(
+        snap.shard.hist_total(Hist::TileNanos),
+        matrix.num_tiles(&env)
+    );
 }
 
 #[test]

@@ -18,6 +18,15 @@
 //! 3. **Transfer** — download-time resolution over the shared network and
 //!    playback advancement, lane by lane.
 //!
+//! The engine has two layers. [`simulate_lanes_in`] runs the lane loops
+//! and leaves every lane's outcome (levels, per-chunk stalls, startup
+//! delay, bits) in the [`SessionBatch`], readable in place through
+//! [`SessionBatch::lane`] as a [`LaneView`]; the fleet's stats path
+//! scores sessions straight from these views. [`simulate_batch_in`] adds
+//! the result assembly on top: one [`SessionResult`] (with its
+//! [`RenderedVideo`]) per lane, through a pool of recycled buffers, for
+//! callers that want whole sessions.
+//!
 //! **The soundness contract:** each lane performs *exactly* the arithmetic
 //! [`crate::simulate_in`] performs for the same session, in the same
 //! order — the batch only regroups independent per-lane work into lane
@@ -159,6 +168,59 @@ impl BatchStates<'_> {
     }
 }
 
+/// One finished lane of a batch, read straight from the batch's flat
+/// arrays after [`simulate_lanes_in`]: everything a [`SessionResult`] is
+/// assembled from, without assembling it.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneView<'a> {
+    /// Ladder level chosen per chunk.
+    pub levels: &'a [usize],
+    /// `(forced, intentional)` stall seconds before each chunk played.
+    pub stalls: &'a [(f64, f64)],
+    /// Startup delay before the first chunk played, in seconds.
+    pub startup_delay_s: f64,
+    /// Total bits downloaded.
+    pub bits_downloaded: f64,
+}
+
+impl LaneView<'_> {
+    /// The lane's chunks as rendered, in playback order: exactly the
+    /// chunks [`simulate_batch_in`] puts in the lane's
+    /// [`RenderedVideo`]. The iterator stops at the shortest of the
+    /// video, the levels and the stalls.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when iterated) on a level outside the encoding's ladder.
+    /// Levels from a batch run are always on it.
+    pub fn chunks<'s>(
+        &self,
+        source: &'s SourceVideo,
+        encoded: &'s EncodedVideo,
+    ) -> impl Iterator<Item = RenderedChunk> + 's
+    where
+        Self: 's,
+    {
+        let kbps = encoded.ladder().levels();
+        source
+            .chunks()
+            .iter()
+            .zip(encoded.vq_table())
+            .zip(self.levels)
+            .zip(self.stalls)
+            .map(
+                move |(((content, vq), &level), &(forced, intentional))| RenderedChunk {
+                    bitrate_kbps: kbps[level],
+                    vq: vq[level],
+                    rebuffer_s: forced + intentional,
+                    intentional_rebuffer_s: intentional,
+                    motion: content.motion,
+                    complexity: content.complexity,
+                },
+            )
+    }
+}
+
 /// Spare buffers for one outgoing [`SessionResult`], pooled so a steady
 /// stream of batches allocates nothing once warm.
 #[derive(Debug, Default)]
@@ -169,13 +231,17 @@ struct SpareResult {
     policy_name: String,
 }
 
-/// Reusable structure-of-arrays state for [`simulate_batch_in`] — the
-/// batch engine's counterpart of [`crate::SessionScratch`]. One
-/// `SessionBatch` per worker keeps the steady-state lane loops free of
-/// heap allocation: flat lane arrays are cleared and refilled per batch,
-/// and result buffers return to the pool via [`Self::reclaim`].
+/// Reusable structure-of-arrays state for [`simulate_lanes_in`] and
+/// [`simulate_batch_in`] — the batch engine's counterpart of
+/// [`crate::SessionScratch`]. One `SessionBatch` per worker keeps the
+/// steady-state lane loops free of heap allocation: flat lane arrays are
+/// cleared and refilled per batch, and result buffers return to the pool
+/// via [`Self::reclaim`]. After a successful run, [`Self::lane`] reads
+/// each lane's outcome in place.
 #[derive(Default)]
 pub struct SessionBatch {
+    /// Chunks per lane in the last run (the lane × chunk stride).
+    chunks: usize,
     // Lane axis (length = lanes).
     m: Vec<f64>,
     downloaded_end: Vec<f64>,
@@ -216,8 +282,26 @@ impl SessionBatch {
         });
     }
 
+    /// Lane `lane` (flat order) of the last [`simulate_lanes_in`] run. Only
+    /// meaningful after that run returned `Ok`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    #[must_use]
+    pub fn lane(&self, lane: usize) -> LaneView<'_> {
+        let row = lane * self.chunks..(lane + 1) * self.chunks;
+        LaneView {
+            levels: &self.levels[row.clone()],
+            stalls: &self.stalls[row],
+            startup_delay_s: self.startup_delay[lane],
+            bits_downloaded: self.bits_downloaded[lane],
+        }
+    }
+
     /// Clears and sizes the lane arrays for a `lanes × chunks` batch.
     fn prepare(&mut self, lanes: usize, chunks: usize) {
+        self.chunks = chunks;
         let flat = lanes * chunks;
         self.m.clear();
         self.m.resize(lanes, 0.0);
@@ -252,38 +336,28 @@ impl SessionBatch {
 
 /// Simulates one batch of sessions over a shared `(source, encoded,
 /// network)` triple — the lane-parallel counterpart of
-/// [`crate::simulate_in`].
+/// [`crate::simulate_in`] — and leaves every lane's outcome in `batch`,
+/// readable per lane through [`SessionBatch::lane`] in flat lane order
+/// (group 0's lanes first, in their given order).
 ///
 /// The network is any [`Network`]: a `&ThroughputTrace`, or a
 /// `&mut PerturbedStream` that draws its samples only as far as the
 /// lanes' downloads reach. Both give every lane the same bits.
 ///
-/// `groups` carries the batch's lanes grouped by policy instance; results
-/// are appended to `out` in flat lane order (group 0's lanes first, in
-/// their given order). Each lane's [`SessionResult`] is byte-identical to
-/// a [`crate::simulate_in`] call for the same `(policy, config, weights)`
-/// session.
-///
 /// # Errors
 ///
 /// Returns a [`LaneFailure`] naming the first offending lane when a
 /// player configuration is out of range, the encoding or weights do not
-/// match the source, or a policy emits an invalid decision. No results
-/// are appended on error.
-pub fn simulate_batch_in<N: Network>(
+/// match the source, or a policy emits an invalid decision.
+pub fn simulate_lanes_in<N: Network>(
     batch: &mut SessionBatch,
     source: &SourceVideo,
     encoded: &EncodedVideo,
     mut network: N,
     groups: &mut [BatchLanes<'_, '_>],
-    out: &mut Vec<SessionResult>,
 ) -> Result<(), LaneFailure> {
     let n = source.num_chunks();
     let lanes: usize = groups.iter().map(|g| g.configs.len()).sum();
-    // On any failure `out` is rolled back to this mark, so the "no
-    // results are appended on error" contract holds even when a lane
-    // fails during result assembly after earlier lanes were emitted.
-    let out_mark = out.len();
     let at_lane = |error: SimError, lane: usize| LaneFailure { lane, error };
     // Validation runs before the zero-lane early-out so a misconfigured
     // harness fails loudly (as the scalar path would) even when it
@@ -317,6 +391,7 @@ pub fn simulate_batch_in<N: Network>(
         }
         lane0 += group.configs.len();
     }
+    batch.prepare(lanes, n);
     if lanes == 0 {
         return Ok(());
     }
@@ -324,7 +399,6 @@ pub fn simulate_batch_in<N: Network>(
     let ladder = encoded.ladder();
     let d = source.chunk_duration_s();
     let total = n as f64 * d;
-    batch.prepare(lanes, n);
     for group in groups.iter_mut() {
         batch.configs.extend_from_slice(group.configs);
         group.policy.begin_batch(group.configs.len());
@@ -469,36 +543,49 @@ pub fn simulate_batch_in<N: Network>(
         batch.pending_pause[i] = pb.pending_pause;
     }
 
-    // Result assembly, lane by lane, through the spare-buffer pool.
-    let vq = encoded.vq_table();
+    Ok(())
+}
+
+/// Simulates one batch of sessions ([`simulate_lanes_in`]) and assembles
+/// each lane's [`SessionResult`], appending them to `out` in flat lane
+/// order (group 0's lanes first, in their given order). Each lane's
+/// result is byte-identical to a [`crate::simulate_in`] call for the same
+/// `(policy, config, weights)` session.
+///
+/// # Errors
+///
+/// Returns a [`LaneFailure`] naming the first offending lane, for any
+/// failure of [`simulate_lanes_in`] or a lane whose render fails
+/// [`RenderedVideo::new`]'s checks. No results are appended on error.
+pub fn simulate_batch_in<N: Network>(
+    batch: &mut SessionBatch,
+    source: &SourceVideo,
+    encoded: &EncodedVideo,
+    network: N,
+    groups: &mut [BatchLanes<'_, '_>],
+    out: &mut Vec<SessionResult>,
+) -> Result<(), LaneFailure> {
+    simulate_lanes_in(batch, source, encoded, network, groups)?;
+    // On a failure `out` is rolled back to this mark, so the "no results
+    // are appended on error" contract holds even when a lane fails
+    // during assembly after earlier lanes were emitted.
+    let out_mark = out.len();
+    let d = source.chunk_duration_s();
     let mut lane = 0;
     for group in groups.iter() {
         for _ in 0..group.configs.len() {
             let mut spare = batch.spares.pop().unwrap_or_default();
-            let row = lane * n;
+            let view = batch.lane(lane);
             spare.levels.clear();
-            spare.levels.extend_from_slice(&batch.levels[row..row + n]);
+            spare.levels.extend_from_slice(view.levels);
             spare.chunks.clear();
-            spare.chunks.reserve(n);
-            spare.chunks.extend((0..n).map(|i| {
-                let content = &source.chunks()[i];
-                let (forced, intentional) = batch.stalls[row + i];
-                let level = batch.levels[row + i];
-                RenderedChunk {
-                    bitrate_kbps: ladder.kbps(level).expect("validated level"),
-                    vq: vq[i][level],
-                    rebuffer_s: forced + intentional,
-                    intentional_rebuffer_s: intentional,
-                    motion: content.motion,
-                    complexity: content.complexity,
-                }
-            }));
+            spare.chunks.extend(view.chunks(source, encoded));
             spare.source_name.clear();
             spare.source_name.push_str(source.name());
             let render = match RenderedVideo::new(
                 spare.source_name,
                 d,
-                batch.startup_delay[lane],
+                view.startup_delay_s,
                 spare.chunks,
             ) {
                 Ok(render) => render,
@@ -511,13 +598,13 @@ pub fn simulate_batch_in<N: Network>(
                 }
             };
             let wall_time_s =
-                batch.startup_delay[lane] + render.content_duration_s() + render.total_rebuffer_s()
+                view.startup_delay_s + render.content_duration_s() + render.total_rebuffer_s()
                     - render.startup_delay_s();
             spare.policy_name.clear();
             spare.policy_name.push_str(group.policy.name());
             out.push(SessionResult {
                 wall_time_s,
-                bits_downloaded: batch.bits_downloaded[lane],
+                bits_downloaded: view.bits_downloaded,
                 levels: spare.levels,
                 policy_name: spare.policy_name,
                 render,
@@ -620,6 +707,29 @@ mod tests {
                 "lane {lane} bits"
             );
             assert_eq!(got.policy_name, reference.policy_name, "lane {lane} name");
+            // The lane view the result was assembled from reads the
+            // same outcome in place.
+            let view = batch.lane(lane);
+            assert_eq!(
+                view.levels,
+                &reference.levels[..],
+                "lane {lane} view levels"
+            );
+            assert_eq!(
+                view.chunks(&src, &enc).collect::<Vec<_>>(),
+                reference.render.chunks(),
+                "lane {lane} view chunks"
+            );
+            assert_eq!(
+                view.startup_delay_s.to_bits(),
+                reference.render.startup_delay_s().to_bits(),
+                "lane {lane} view startup"
+            );
+            assert_eq!(
+                view.bits_downloaded.to_bits(),
+                reference.bits_downloaded.to_bits(),
+                "lane {lane} view bits"
+            );
             scratch.reclaim(reference);
         }
         // Reclaim and rerun: the pool must not change results.

@@ -28,7 +28,10 @@ pub mod batch;
 pub mod policy;
 pub mod session;
 
-pub use batch::{simulate_batch_in, BatchLanes, BatchStates, LaneFailure, SessionBatch};
+pub use batch::{
+    simulate_batch_in, simulate_lanes_in, BatchLanes, BatchStates, LaneFailure, LaneView,
+    SessionBatch,
+};
 pub use policy::{AbrPolicy, Decision, PlayerState, SessionContext};
 pub use session::{simulate, simulate_in, PlayerConfig, SessionResult, SessionScratch};
 

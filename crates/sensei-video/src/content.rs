@@ -175,8 +175,8 @@ impl SourceVideo {
     ///
     /// # Errors
     ///
-    /// Returns an error when the chunk list is empty or any profile is
-    /// invalid.
+    /// Returns an error when the chunk list is empty, the chunk duration
+    /// is not finite and positive, or any profile is invalid.
     pub fn new(
         name: impl Into<String>,
         genre: Genre,
@@ -186,6 +186,7 @@ impl SourceVideo {
         if chunks.is_empty() {
             return Err(VideoError::NoChunks);
         }
+        validate_chunk_duration(chunk_duration_s)?;
         for c in &chunks {
             c.validate()?;
         }
@@ -267,6 +268,20 @@ impl SourceVideo {
         let raw: Vec<f64> = self.chunks.iter().map(|c| c.sensitivity).collect();
         let mean = raw.iter().sum::<f64>() / raw.len() as f64;
         raw.iter().map(|&s| s / mean).collect()
+    }
+}
+
+/// Rejects a chunk duration that is not finite and positive. A zero
+/// duration would score every session as all stall, and a negative or
+/// NaN one would reach the network as a non-finite download size.
+pub(crate) fn validate_chunk_duration(chunk_duration_s: f64) -> Result<(), VideoError> {
+    if chunk_duration_s.is_finite() && chunk_duration_s > 0.0 {
+        Ok(())
+    } else {
+        Err(VideoError::InvalidContent {
+            field: "chunk_duration_s",
+            value: chunk_duration_s,
+        })
     }
 }
 
@@ -384,6 +399,28 @@ mod tests {
         assert!((mean - 1.0).abs() < 1e-12);
         // Ordering preserved: key moments above scenic chunks.
         assert!(s[7] > s[2]);
+    }
+
+    #[test]
+    fn chunk_duration_must_be_finite_and_positive() {
+        let chunk = ChunkContent {
+            scene: SceneKind::NormalPlay,
+            sensitivity: 1.0,
+            motion: 0.5,
+            complexity: 0.5,
+            objects: 0.5,
+        };
+        assert!(SourceVideo::new("t", Genre::Sports, 4.0, vec![chunk]).is_ok());
+        for bad in [f64::NAN, 0.0, -4.0, f64::INFINITY] {
+            let err = SourceVideo::new("t", Genre::Sports, bad, vec![chunk]).unwrap_err();
+            match err {
+                VideoError::InvalidContent { field, value } => {
+                    assert_eq!(field, "chunk_duration_s");
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("chunk duration {bad}: expected InvalidContent, got {other}"),
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 ///
 /// Panics when the bitrate is not positive-finite or complexity is outside
 /// `[0, 1]` — both indicate a bug in the caller, not a data condition.
+#[inline]
 pub fn visual_quality(bitrate_kbps: f64, complexity: f64) -> f64 {
     assert!(
         bitrate_kbps.is_finite() && bitrate_kbps > 0.0,

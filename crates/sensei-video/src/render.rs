@@ -69,13 +69,47 @@ pub enum Incident {
     },
 }
 
+impl RenderedChunk {
+    /// The per-chunk checks [`RenderedVideo::new`] applies, in its order:
+    /// a finite non-negative stall, an intentional portion at most the
+    /// stall (plus 1e-9), and a finite visual quality in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VideoError::InvalidContent`] naming the first offending
+    /// field.
+    #[inline]
+    pub fn validate(&self) -> Result<(), VideoError> {
+        if !(self.rebuffer_s.is_finite() && self.rebuffer_s >= 0.0) {
+            return Err(VideoError::InvalidContent {
+                field: "rebuffer_s",
+                value: self.rebuffer_s,
+            });
+        }
+        if self.intentional_rebuffer_s > self.rebuffer_s + 1e-9 {
+            return Err(VideoError::InvalidContent {
+                field: "intentional_rebuffer_s",
+                value: self.intentional_rebuffer_s,
+            });
+        }
+        if !(self.vq.is_finite() && (0.0..=1.0).contains(&self.vq)) {
+            return Err(VideoError::InvalidContent {
+                field: "vq",
+                value: self.vq,
+            });
+        }
+        Ok(())
+    }
+}
+
 impl RenderedVideo {
     /// Builds a rendered video from explicit chunks.
     ///
     /// # Errors
     ///
-    /// Returns an error when there are no chunks or any chunk carries
-    /// negative/non-finite times, or `intentional_rebuffer_s > rebuffer_s`.
+    /// Returns an error when there are no chunks, the chunk duration is
+    /// not finite and positive, the startup delay is negative or
+    /// non-finite, or any chunk fails [`RenderedChunk::validate`].
     pub fn new(
         source_name: impl Into<String>,
         chunk_duration_s: f64,
@@ -85,31 +119,9 @@ impl RenderedVideo {
         if chunks.is_empty() {
             return Err(VideoError::NoChunks);
         }
-        if !(startup_delay_s.is_finite() && startup_delay_s >= 0.0) {
-            return Err(VideoError::InvalidContent {
-                field: "startup_delay_s",
-                value: startup_delay_s,
-            });
-        }
+        Self::validate_timing(chunk_duration_s, startup_delay_s)?;
         for c in &chunks {
-            if !(c.rebuffer_s.is_finite() && c.rebuffer_s >= 0.0) {
-                return Err(VideoError::InvalidContent {
-                    field: "rebuffer_s",
-                    value: c.rebuffer_s,
-                });
-            }
-            if c.intentional_rebuffer_s > c.rebuffer_s + 1e-9 {
-                return Err(VideoError::InvalidContent {
-                    field: "intentional_rebuffer_s",
-                    value: c.intentional_rebuffer_s,
-                });
-            }
-            if !(c.vq.is_finite() && (0.0..=1.0).contains(&c.vq)) {
-                return Err(VideoError::InvalidContent {
-                    field: "vq",
-                    value: c.vq,
-                });
-            }
+            c.validate()?;
         }
         Ok(Self {
             source_name: source_name.into(),
@@ -117,6 +129,24 @@ impl RenderedVideo {
             startup_delay_s,
             chunks,
         })
+    }
+
+    /// The session-level checks [`Self::new`] applies before its chunk
+    /// checks, in its order: a finite positive chunk duration, then a
+    /// finite non-negative startup delay.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VideoError::InvalidContent`] naming the offending field.
+    pub fn validate_timing(chunk_duration_s: f64, startup_delay_s: f64) -> Result<(), VideoError> {
+        crate::content::validate_chunk_duration(chunk_duration_s)?;
+        if !(startup_delay_s.is_finite() && startup_delay_s >= 0.0) {
+            return Err(VideoError::InvalidContent {
+                field: "startup_delay_s",
+                value: startup_delay_s,
+            });
+        }
+        Ok(())
     }
 
     /// The pristine rendering: every chunk at the ladder's top bitrate, no
@@ -425,6 +455,28 @@ mod tests {
         assert!(RenderedVideo::new("t", 4.0, 0.0, vec![bad_intent]).is_err());
         let bad_vq = RenderedChunk { vq: 1.5, ..good };
         assert!(RenderedVideo::new("t", 4.0, 0.0, vec![bad_vq]).is_err());
+    }
+
+    #[test]
+    fn chunk_duration_must_be_finite_and_positive() {
+        let good = RenderedChunk {
+            bitrate_kbps: 300.0,
+            vq: 0.5,
+            rebuffer_s: 0.0,
+            intentional_rebuffer_s: 0.0,
+            motion: 0.5,
+            complexity: 0.5,
+        };
+        for bad in [f64::NAN, 0.0, -4.0, f64::INFINITY] {
+            let err = RenderedVideo::new("t", bad, 0.0, vec![good]).unwrap_err();
+            match err {
+                VideoError::InvalidContent { field, value } => {
+                    assert_eq!(field, "chunk_duration_s");
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("chunk duration {bad}: expected InvalidContent, got {other}"),
+            }
+        }
     }
 
     #[test]

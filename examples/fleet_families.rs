@@ -36,13 +36,17 @@
 //! Observability hooks: `SENSEI_FLEET_TELEMETRY=1` / `SENSEI_FLEET_PROGRESS=1`
 //! enable the fleet's metric shards and live progress line (handled inside
 //! `Fleet::new`), and `SENSEI_FLEET_REPORT_OUT=<path>` writes the full run
-//! report — telemetry section included — for machine consumption (the CI
-//! telemetry assertions parse it).
+//! report — telemetry section included — for machine consumption. With
+//! telemetry on, the run also checks its report's telemetry section after
+//! a JSON round trip (every session and tile counted, the planners ran,
+//! one simulate and one score span per batch) and fails when it does not
+//! hold.
 
 use sensei_core::experiment::{ExperimentConfig, PolicyKind};
 use sensei_fleet::{
     merge_reports, Fleet, FleetConfig, FleetReport, ScenarioFamilies, TracePerturbation,
 };
+use sensei_telemetry::{Counter, Phase};
 use sensei_trace::generate::TraceFamily;
 
 /// Committed baseline of the quick-mode family run's aggregates.
@@ -80,6 +84,75 @@ fn write_report_out(report: &FleetReport) -> Result<(), Box<dyn std::error::Erro
             println!("[report] wrote {out_path}");
         }
     }
+    Ok(())
+}
+
+/// The telemetry gate: `report`'s telemetry section, read back from its
+/// JSON, must account for every session and tile, show the planners ran
+/// (SENSEI-Fugu is on the policy axis) with download-time row hits
+/// bounded by the reads they served, and carry one lane-simulate and one
+/// score span per batch; the run phases must be non-negative.
+fn check_telemetry(report: &FleetReport) -> Result<(), Box<dyn std::error::Error>> {
+    let report = FleetReport::from_json(&report.to_json())?;
+    let t = report
+        .telemetry
+        .as_ref()
+        .ok_or("telemetry section missing despite SENSEI_FLEET_TELEMETRY=1")?;
+    let c = |counter| t.counter(counter);
+    let batches = c(Counter::Batches);
+    let checks = [
+        ("sessions > 0", c(Counter::Sessions) > 0),
+        ("tiles > 0", c(Counter::Tiles) > 0),
+        (
+            "sessions == stats.sessions",
+            c(Counter::Sessions) == report.stats.sessions,
+        ),
+        ("plan_nodes > 0", c(Counter::PlanNodes) > 0),
+        (
+            "dt_memo_hits <= dt_memo_lookups",
+            c(Counter::DtMemoHits) <= c(Counter::DtMemoLookups),
+        ),
+        (
+            "lane_simulate ns > 0",
+            t.shard.phase_ns(Phase::LaneSimulate) > 0,
+        ),
+        (
+            "lane_simulate calls == batches",
+            t.shard.phase_calls(Phase::LaneSimulate) == batches,
+        ),
+        (
+            "score calls == batches",
+            t.shard.phase_calls(Phase::Score) == batches,
+        ),
+        (
+            "run phases >= 0",
+            [
+                report.phases.setup_s,
+                report.phases.execute_s,
+                report.phases.collect_s,
+            ]
+            .iter()
+            .all(|&s| s >= 0.0),
+        ),
+    ];
+    let failed: Vec<&str> = checks
+        .iter()
+        .filter(|(_, holds)| !holds)
+        .map(|(name, _)| *name)
+        .collect();
+    if !failed.is_empty() {
+        return Err(format!("telemetry checks failed: {}", failed.join(", ")).into());
+    }
+    println!(
+        "[telemetry] checks hold: {} sessions, {} tiles, {} batches, {} plan nodes, \
+         lane_simulate {:.3} s, score {:.3} s",
+        c(Counter::Sessions),
+        c(Counter::Tiles),
+        batches,
+        c(Counter::PlanNodes),
+        t.phase_secs(Phase::LaneSimulate),
+        t.phase_secs(Phase::Score),
+    );
     Ok(())
 }
 
@@ -213,6 +286,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Machine-readable report drop for CI: the full JSON, telemetry
     // section and all, at whatever path the caller asks for.
     write_report_out(&report)?;
+    if flag("SENSEI_FLEET_TELEMETRY") {
+        check_telemetry(&report)?;
+    }
     // Family-conditional aggregates: the baseline carries one entry per
     // family spec, so drift can be attributed to the family that moved.
     for family in &report.stats.per_family {
