@@ -238,8 +238,8 @@ pub struct CellResult {
 
 /// One lane's scored session: everything a [`CellResult`] carries
 /// beyond the identifying video, trace and policy fields. The fleet's
-/// stats path folds these directly; [`Experiment::run_batch_in`] wraps
-/// them into cells.
+/// stats path folds these directly; [`Experiment::run_session_in`] wraps
+/// one into a cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneScore {
     /// True QoE in `[0, 1]`.
@@ -615,13 +615,13 @@ impl Experiment {
         self.run_session_in(&mut SessionRuntime::new(), asset, trace, kind, player)
     }
 
-    /// Runs one session through a reusable [`SessionRuntime`] — the
-    /// width-1 special case of [`Self::run_batch_in`], so the scalar path
-    /// and the batch engine can never drift apart. The runtime's policy
-    /// instance for `kind` is built on first use, then rebound
-    /// ([`AbrPolicy::rebind`]) and reset per session, so thousands of
-    /// sessions share one policy (for the RL policies, one trained
-    /// network) and one set of scratch buffers.
+    /// Runs one session through a reusable [`SessionRuntime`]: a
+    /// one-lane [`Self::score_batch_in`] over the whole trace, plus the
+    /// cell's identifying fields, so the scalar path and the batch engine
+    /// can never drift apart. The runtime's policy instance for `kind` is
+    /// built on first use, then rebound ([`AbrPolicy::rebind`]) and reset
+    /// per session, so thousands of sessions share one policy (for the RL
+    /// policies, one trained network) and one set of scratch buffers.
     ///
     /// # Errors
     ///
@@ -634,69 +634,24 @@ impl Experiment {
         kind: PolicyKind,
         player: &PlayerConfig,
     ) -> Result<CellResult, CoreError> {
-        let mut cells = std::mem::take(&mut runtime.cells);
-        cells.clear();
-        let run = self.run_batch_in(runtime, asset, trace, &[(kind, *player)], &mut cells);
-        let cell = run.map_err(|failure| failure.error).and_then(|()| {
-            cells
-                .pop()
-                .ok_or_else(|| CoreError::BadConfig("width-1 batch produced no cell".into()))
-        });
-        runtime.cells = cells;
-        cell
-    }
-
-    /// Runs one **batch** of sessions — every `(policy, player)` lane of
-    /// one `(video, trace)` pair — and appends one [`CellResult`] per
-    /// lane to `out` **in lane order**: [`Self::score_batch_in`] over the
-    /// whole trace, plus the trace's name and realized mean.
-    ///
-    /// Per-lane results are byte-identical to [`Self::run_session_in`]
-    /// calls for the same lanes (asserted across every policy kind and
-    /// batch width by `tests/batch_soundness.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BatchFailure`] naming the offending lane. No cells are
-    /// appended on error.
-    pub fn run_batch_in(
-        &self,
-        runtime: &mut SessionRuntime,
-        asset: &VideoAsset,
-        trace: &ThroughputTrace,
-        lanes: &[(PolicyKind, PlayerConfig)],
-        out: &mut Vec<CellResult>,
-    ) -> Result<(), BatchFailure> {
-        let mut scores = std::mem::take(&mut runtime.scores);
-        scores.clear();
-        let run = self.score_batch_in(runtime, asset, trace, lanes, &mut scores);
-        if run.is_ok() {
-            // The identifying fields are shared across the whole batch,
-            // so the name handle is cloned (refcount bump) and the trace
-            // mean computed once.
-            let trace_name = trace.name_handle();
-            let trace_mean_kbps = trace.mean_kbps();
-            out.extend(
-                lanes
-                    .iter()
-                    .zip(&scores)
-                    .map(|(&(kind, _), score)| CellResult {
-                        video: Arc::clone(&asset.name),
-                        genre: asset.genre,
-                        trace: Arc::clone(&trace_name),
-                        trace_mean_kbps,
-                        policy: kind.label(),
-                        qoe01: score.qoe01,
-                        avg_bitrate_kbps: score.avg_bitrate_kbps,
-                        rebuffer_ratio: score.rebuffer_ratio,
-                        delivered_bits: score.delivered_bits,
-                        intentional_stall_s: score.intentional_stall_s,
-                        bitrate_switches: score.bitrate_switches,
-                    }),
-            );
-        }
-        runtime.scores = scores;
-        run
+        let mut scores = Vec::with_capacity(1);
+        self.score_batch_in(runtime, asset, trace, &[(kind, *player)], &mut scores)?;
+        let score = scores
+            .pop()
+            .ok_or_else(|| CoreError::BadConfig("one-lane batch scored no lane".into()))?;
+        Ok(CellResult {
+            video: Arc::clone(&asset.name),
+            genre: asset.genre,
+            trace: trace.name_handle(),
+            trace_mean_kbps: trace.mean_kbps(),
+            policy: kind.label(),
+            qoe01: score.qoe01,
+            avg_bitrate_kbps: score.avg_bitrate_kbps,
+            rebuffer_ratio: score.rebuffer_ratio,
+            delivered_bits: score.delivered_bits,
+            intentional_stall_s: score.intentional_stall_s,
+            bitrate_switches: score.bitrate_switches,
+        })
     }
 
     /// Simulates one **batch** of sessions — every `(policy, player)`
@@ -882,7 +837,7 @@ fn missing_trace(kind: PolicyKind) -> CoreError {
 /// it, so a fleet tile can map it back to the exact scenario.
 #[derive(Debug)]
 pub struct BatchFailure {
-    /// Index into the `lanes` argument of [`Experiment::run_batch_in`].
+    /// Index into the `lanes` argument of [`Experiment::score_batch_in`].
     pub lane: usize,
     /// The underlying failure.
     pub error: CoreError,
@@ -927,10 +882,6 @@ pub struct SessionRuntime {
     order: Vec<usize>,
     /// Policy groups as `(kind, range into configs)`, in table order.
     groups: Vec<(PolicyKind, Range<usize>)>,
-    /// Per-lane scores awaiting emission in [`Experiment::run_batch_in`].
-    scores: Vec<LaneScore>,
-    /// Spare cell buffer backing [`Experiment::run_session_in`].
-    cells: Vec<CellResult>,
 }
 
 impl SessionRuntime {
@@ -943,8 +894,6 @@ impl SessionRuntime {
             configs: Vec::new(),
             order: Vec::new(),
             groups: Vec::new(),
-            scores: Vec::new(),
-            cells: Vec::new(),
         }
     }
 }

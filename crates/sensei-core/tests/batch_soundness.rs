@@ -1,18 +1,18 @@
 //! The batch==scalar soundness contract the batch-first engine rests on.
 //!
-//! `Experiment::run_batch_in` runs N lanes through the structure-of-arrays
-//! session batch; that is only a pure optimization if every lane's cell is
-//! **byte-identical** to an independent scalar reference built directly on
+//! `Experiment::score_batch_in` runs N lanes through the
+//! structure-of-arrays session batch and scores them in place; that is
+//! only a pure optimization if every lane's score is **byte-identical**
+//! to an independent scalar reference built directly on
 //! `sensei_sim::simulate_in` with a fresh policy. This asserts exactly
 //! that for every `PolicyKind` (trained RL policies and trace-bound
 //! oracles included) and for every batch width in {1, 3, 8, 64} — width 1
 //! being the degenerate scalar case `run_session_in` delegates to.
 
 use sensei_core::experiment::VideoAsset;
-use sensei_core::{CellResult, Experiment, ExperimentConfig, PolicyKind, SessionRuntime};
+use sensei_core::{Experiment, ExperimentConfig, LaneScore, PolicyKind, SessionRuntime};
 use sensei_sim::{simulate_in, PlayerConfig, SessionScratch};
 use sensei_trace::ThroughputTrace;
-use std::sync::Arc;
 
 /// Quick 3-video environment with *tiny* RL training so `Pensieve` and
 /// `SenseiPensieve` are constructible (the contract is determinism, not
@@ -25,14 +25,15 @@ fn env_with_rl() -> Experiment {
 }
 
 /// The scalar reference: a fresh policy straight from the environment,
-/// one `simulate_in` session, oracle scoring — no batch engine anywhere.
+/// one `simulate_in` session, oracle scoring of the assembled render — no
+/// batch engine anywhere.
 fn scalar_reference(
     env: &Experiment,
     asset: &VideoAsset,
     trace: &ThroughputTrace,
     kind: PolicyKind,
     player: &PlayerConfig,
-) -> CellResult {
+) -> LaneScore {
     let mut policy = env.policy(kind, trace).unwrap();
     let weights = kind.uses_weights().then_some(&asset.weights);
     let mut scratch = SessionScratch::new();
@@ -46,12 +47,7 @@ fn scalar_reference(
         weights,
     )
     .unwrap();
-    CellResult {
-        video: Arc::clone(&asset.name),
-        genre: asset.genre,
-        trace: trace.name_handle(),
-        trace_mean_kbps: trace.mean_kbps(),
-        policy: kind.label(),
+    LaneScore {
         qoe01: env.oracle.qoe01(&asset.source, &result.render).unwrap(),
         avg_bitrate_kbps: result.render.avg_bitrate_kbps(),
         rebuffer_ratio: result.render.rebuffer_ratio(),
@@ -66,26 +62,37 @@ fn scalar_reference(
     }
 }
 
-/// Byte-level comparison of the float-valued cell fields — `assert_eq!`
+/// Byte-level comparison of the float-valued score fields — `assert_eq!`
 /// on the struct would accept `-0.0 == 0.0`; the soundness bar is bits.
-fn assert_cells_identical(got: &CellResult, want: &CellResult, what: &str) {
+fn assert_scores_identical(got: &LaneScore, want: &LaneScore, what: &str) {
     assert_eq!(got, want, "{what}");
-    assert_eq!(got.qoe01.to_bits(), want.qoe01.to_bits(), "{what} qoe bits");
-    assert_eq!(
-        got.avg_bitrate_kbps.to_bits(),
-        want.avg_bitrate_kbps.to_bits(),
-        "{what} bitrate bits"
-    );
-    assert_eq!(
-        got.rebuffer_ratio.to_bits(),
-        want.rebuffer_ratio.to_bits(),
-        "{what} rebuffer bits"
-    );
-    assert_eq!(
-        got.intentional_stall_s.to_bits(),
-        want.intentional_stall_s.to_bits(),
-        "{what} stall bits"
-    );
+    for (field, g, w) in [
+        ("qoe", got.qoe01, want.qoe01),
+        ("bitrate", got.avg_bitrate_kbps, want.avg_bitrate_kbps),
+        ("rebuffer", got.rebuffer_ratio, want.rebuffer_ratio),
+        ("delivered", got.delivered_bits, want.delivered_bits),
+        ("stall", got.intentional_stall_s, want.intentional_stall_s),
+    ] {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what} {field} bits");
+    }
+}
+
+/// Scores `lanes` in sub-batches of `width` through one runtime, as a
+/// fleet worker would hold it, returning every lane's score in order.
+fn score_in_batches(
+    env: &Experiment,
+    asset: &VideoAsset,
+    trace: &ThroughputTrace,
+    lanes: &[(PolicyKind, PlayerConfig)],
+    width: usize,
+) -> Vec<LaneScore> {
+    let mut runtime = SessionRuntime::new();
+    let mut scores = Vec::new();
+    for chunk in lanes.chunks(width) {
+        env.score_batch_in(&mut runtime, asset, trace, chunk, &mut scores)
+            .unwrap();
+    }
+    scores
 }
 
 #[test]
@@ -112,22 +119,15 @@ fn every_kind_and_width_is_byte_identical_to_simulate_in() {
         .collect();
     let asset = &env.assets[0];
     let trace = &env.traces[2];
-    let references: Vec<CellResult> = lane_specs
+    let references: Vec<LaneScore> = lane_specs
         .iter()
         .map(|(kind, player)| scalar_reference(&env, asset, trace, *kind, player))
         .collect();
     for width in [1usize, 3, 8, 64] {
-        // One runtime across all sub-batches of this width, as a fleet
-        // worker would hold it.
-        let mut runtime = SessionRuntime::new();
-        let mut cells = Vec::new();
-        for chunk in lane_specs.chunks(width) {
-            env.run_batch_in(&mut runtime, asset, trace, chunk, &mut cells)
-                .unwrap();
-        }
-        assert_eq!(cells.len(), references.len());
-        for (lane, (got, want)) in cells.iter().zip(&references).enumerate() {
-            assert_cells_identical(got, want, &format!("width {width}, lane {lane}"));
+        let scores = score_in_batches(&env, asset, trace, &lane_specs, width);
+        assert_eq!(scores.len(), references.len());
+        for (lane, (got, want)) in scores.iter().zip(&references).enumerate() {
+            assert_scores_identical(got, want, &format!("width {width}, lane {lane}"));
         }
     }
 }
@@ -151,13 +151,13 @@ fn batches_across_videos_and_traces_stay_identical() {
     let mut runtime = SessionRuntime::new();
     for asset in &env.assets {
         for trace in &env.traces[..4] {
-            let mut cells = Vec::new();
-            env.run_batch_in(&mut runtime, asset, trace, &lanes, &mut cells)
+            let mut scores = Vec::new();
+            env.score_batch_in(&mut runtime, asset, trace, &lanes, &mut scores)
                 .unwrap();
             for (lane, (kind, player)) in lanes.iter().enumerate() {
                 let want = scalar_reference(&env, asset, trace, *kind, player);
-                assert_cells_identical(
-                    &cells[lane],
+                assert_scores_identical(
+                    &scores[lane],
                     &want,
                     &format!("({}, {}) lane {lane}", asset.name, trace.name()),
                 );
@@ -171,7 +171,7 @@ fn warm_started_planning_is_byte_identical_to_cold_at_every_width() {
     // Two environments identical but for `mpc_warm_start`: the warm one
     // carries each lane's winning plan across chunk steps and seeds the
     // next search's incumbent; the cold one searches from scratch every
-    // step. Seeding is result-invariant by construction, so every cell —
+    // step. Seeding is result-invariant by construction, so every score —
     // across the whole MPC family, every batch width, and repeated
     // lanes — must match bit for bit.
     let warm_env = Experiment::build(&ExperimentConfig::quick(17)).unwrap();
@@ -191,35 +191,25 @@ fn warm_started_planning_is_byte_identical_to_cold_at_every_width() {
     let asset = &warm_env.assets[0];
     let trace = &warm_env.traces[1];
     // Cold scalar references anchor both engines to fresh-per-step truth.
-    let references: Vec<CellResult> = lane_specs
+    let references: Vec<LaneScore> = lane_specs
         .iter()
         .map(|(kind, player)| scalar_reference(&cold_env, asset, trace, *kind, player))
         .collect();
     for width in [1usize, 3, 8, 64] {
-        let mut warm_runtime = SessionRuntime::new();
-        let mut cold_runtime = SessionRuntime::new();
-        let mut warm_cells = Vec::new();
-        let mut cold_cells = Vec::new();
-        for chunk in lane_specs.chunks(width) {
-            warm_env
-                .run_batch_in(&mut warm_runtime, asset, trace, chunk, &mut warm_cells)
-                .unwrap();
-            cold_env
-                .run_batch_in(&mut cold_runtime, asset, trace, chunk, &mut cold_cells)
-                .unwrap();
-        }
-        assert_eq!(warm_cells.len(), references.len());
-        for (lane, (warm, (cold, want))) in warm_cells
+        let warm_scores = score_in_batches(&warm_env, asset, trace, &lane_specs, width);
+        let cold_scores = score_in_batches(&cold_env, asset, trace, &lane_specs, width);
+        assert_eq!(warm_scores.len(), references.len());
+        for (lane, (warm, (cold, want))) in warm_scores
             .iter()
-            .zip(cold_cells.iter().zip(&references))
+            .zip(cold_scores.iter().zip(&references))
             .enumerate()
         {
-            assert_cells_identical(
+            assert_scores_identical(
                 warm,
                 cold,
                 &format!("warm vs cold, width {width}, lane {lane}"),
             );
-            assert_cells_identical(
+            assert_scores_identical(
                 warm,
                 want,
                 &format!("warm vs scalar, width {width}, lane {lane}"),
@@ -231,8 +221,9 @@ fn warm_started_planning_is_byte_identical_to_cold_at_every_width() {
 #[test]
 fn lane_order_is_preserved_across_policy_regrouping() {
     // Input lanes deliberately interleave kinds so the engine's
-    // group-then-scatter path is exercised: cells must come back in the
-    // caller's lane order, not group order.
+    // group-then-scatter path is exercised: scores must come back in the
+    // caller's lane order, not group order — each lane equal to its own
+    // scalar reference.
     let env = Experiment::build(&ExperimentConfig::quick(17)).unwrap();
     let lanes = [
         (PolicyKind::SenseiFugu, PlayerConfig::default()),
@@ -247,19 +238,17 @@ fn lane_order_is_preserved_across_policy_regrouping() {
         (PolicyKind::Fugu, PlayerConfig::default()),
         (PolicyKind::SenseiFugu, PlayerConfig::default()),
     ];
+    let (asset, trace) = (&env.assets[0], &env.traces[0]);
     let mut runtime = SessionRuntime::new();
-    let mut cells = Vec::new();
-    env.run_batch_in(
-        &mut runtime,
-        &env.assets[0],
-        &env.traces[0],
-        &lanes,
-        &mut cells,
-    )
-    .unwrap();
-    let labels: Vec<&str> = cells.iter().map(|c| c.policy).collect();
-    assert_eq!(labels, vec!["SENSEI", "BBA", "BBA", "Fugu", "SENSEI"]);
-    // Identical lanes produce identical cells; different players differ.
-    assert_eq!(cells[0], cells[4]);
-    assert_ne!(cells[1], cells[2]);
+    let mut scores = Vec::new();
+    env.score_batch_in(&mut runtime, asset, trace, &lanes, &mut scores)
+        .unwrap();
+    assert_eq!(scores.len(), lanes.len());
+    for (lane, (kind, player)) in lanes.iter().enumerate() {
+        let want = scalar_reference(&env, asset, trace, *kind, player);
+        assert_scores_identical(&scores[lane], &want, &format!("lane {lane}"));
+    }
+    // Identical lanes produce identical scores; different players differ.
+    assert_eq!(scores[0], scores[4]);
+    assert_ne!(scores[1], scores[2]);
 }

@@ -6,8 +6,8 @@
 //! atomic cursor (dynamic load balancing — an expensive MPC tile on one
 //! worker doesn't idle the rest), run each tile through one
 //! structure-of-arrays session batch (`Experiment::score_batch_in`), and
-//! **fold the tile's scored lanes into a shard-local partial on the
-//! spot** ([`TileStats`] → worker-local [`FleetStats`]). Tiling is what
+//! **fold the tile's scored lanes straight into their worker-local
+//! [`FleetStats`] partial** ([`FleetStats::fold_scores`]). Tiling is what
 //! amortizes the per-network work: the perturbed network is set up once
 //! per tile (`TraceCache`) and, unless an oracle lane reads the whole
 //! trace, drawn only as far as the tile's downloads reach; the oracles
@@ -19,9 +19,10 @@
 //!
 //! Collection is merge-based, not stream-based. The deterministic result
 //! is *defined* as the reduction of per-tile partials in canonical tile
-//! order, and every accumulator merges as an exact integer sum — so the
-//! reduction is associative and commutative and can be evaluated in any
-//! grouping. Each worker keeps one shard-local partial and counts its
+//! order, and every accumulator folds and merges as an exact integer sum
+//! — so the reduction is associative and commutative and can be
+//! evaluated in any grouping, a worker folding tile after tile into one
+//! partial included. Each worker keeps one shard-local partial and counts its
 //! finished tiles in one shared atomic; the channel carries only
 //! failures (for minimum-ID error attribution), and the collector merges
 //! the O(workers) fixed-shape partials after the scope joins. No
@@ -36,7 +37,7 @@
 //! and [`crate::merge_reports`] combines the N partials bit-identically
 //! to the single-process run.
 
-use crate::report::{FleetReport, FleetStats, RunPhases, ShardSlice, TileStats};
+use crate::report::{FleetReport, FleetStats, RunPhases, ShardSlice};
 use crate::runtime::{TileNetwork, TraceCache, WorkerRuntime};
 use crate::scenario::{Scenario, ScenarioMatrix, ShardPlan};
 use crate::FleetError;
@@ -68,13 +69,11 @@ pub struct FleetConfig {
     /// Collect per-worker telemetry shards (counters, phase timers,
     /// histograms) and attach the merged [`TelemetrySnapshot`] to the
     /// report. Recording is simulation-invisible: aggregates are
-    /// bit-identical with this on or off (test-enforced). Also
-    /// switchable per run via `SENSEI_FLEET_TELEMETRY=1`.
+    /// bit-identical with this on or off (test-enforced).
     pub telemetry: bool,
     /// Emit a live `\r`-rewritten progress line on stderr (tiles done,
     /// sessions/s, ETA), reprinted from the workers' finished-tile count
-    /// every 200 ms. Also switchable per run via
-    /// `SENSEI_FLEET_PROGRESS=1`.
+    /// every 200 ms.
     pub progress: bool,
 }
 
@@ -119,13 +118,6 @@ impl FleetConfig {
         self.progress = progress;
         self
     }
-}
-
-/// Whether an environment flag is set to a truthy value (anything but
-/// empty or `0`).
-fn env_flag(name: &str) -> bool {
-    // sensei-lint: allow(no-env-outside-config) — Fleet::new's documented opt-in flags (SENSEI_FLEET_*), read once at config construction
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 impl Default for FleetConfig {
@@ -187,11 +179,8 @@ impl<'a> Fleet<'a> {
             workers: config.workers,
             baseline,
             shard: config.shard,
-            // Environment flags OR into the config so any fleet entry
-            // point (examples, benches, downstream binaries) can be
-            // observed without a code change.
-            telemetry: config.telemetry || env_flag("SENSEI_FLEET_TELEMETRY"),
-            progress: config.progress || env_flag("SENSEI_FLEET_PROGRESS"),
+            telemetry: config.telemetry,
+            progress: config.progress,
         })
     }
 
@@ -384,14 +373,12 @@ impl<'a> Fleet<'a> {
                     // across every tile this worker executes. The lane
                     // list (and whether any lane reads the whole trace)
                     // is tile-invariant, so it is built once here — as
-                    // are the reusable tile partial, the shard-local
-                    // partial, and the score buffer.
+                    // are the shard-local partial and the score buffer.
                     let mut runtime = WorkerRuntime::new();
                     let lanes = fleet.tile_lanes();
                     let reads_trace = lanes.iter().any(|(kind, _)| kind.reads_trace());
                     let policies = fleet.matrix.policies();
                     let mut partial = FleetStats::new(policies, fleet.baseline);
-                    let mut tile_stats = TileStats::new(policies, fleet.baseline);
                     let mut scores: Vec<LaneScore> =
                         Vec::with_capacity(usize::try_from(tile_size).unwrap_or(0));
                     if fleet.telemetry {
@@ -426,18 +413,17 @@ impl<'a> Fleet<'a> {
                             telemetry::observe(telemetry::Hist::TileNanos, ns);
                         }
                         {
-                            // The canonical reduction's per-tile unit,
-                            // folded where the results were produced.
-                            // Policy is the innermost lane axis, so every
-                            // `policies` consecutive scores form one group.
+                            // Folded where the results were produced.
+                            // Every accumulator is an exact integer sum,
+                            // so folding tile after tile into one partial
+                            // equals merging per-tile partials in tile
+                            // order. Policy is the innermost lane axis, so
+                            // every `policies` consecutive scores form one
+                            // group.
                             let _span = telemetry::span(telemetry::Phase::ShardFold);
-                            tile_stats.reset();
                             for group in scores.chunks_exact(policies.len()) {
-                                tile_stats.fold_scores(&trace_name, group);
+                                partial.fold_scores(&trace_name, group);
                             }
-                            partial
-                                .merge(tile_stats.stats())
-                                .expect("tile partial shares the fleet's axes");
                         }
                         tiles_done.fetch_add(1, Ordering::Relaxed);
                     }
@@ -532,7 +518,7 @@ impl<'a> Fleet<'a> {
     }
 }
 
-/// The `SENSEI_FLEET_PROGRESS=1` live progress line: a `\r`-rewritten
+/// The [`FleetConfig::progress`] live progress line: a `\r`-rewritten
 /// stderr status that the collector reprints from the workers'
 /// finished-tile count once per [`Self::THROTTLE`], so a fast quick-run
 /// does not flood the terminal. Session counts are derived from finished

@@ -6,14 +6,26 @@
 //! objects, arrays, strings with standard escapes, `f64`/`u64` numbers,
 //! booleans, and `null`.
 //!
+//! The reader is strict where leniency could hide corruption: it rejects
+//! duplicate object keys, non-finite numbers (`1e999`), `\u` escapes
+//! without exactly four hex digits, and nesting deeper than
+//! [`MAX_DEPTH`] (an error, not a stack overflow). It decodes strings in
+//! time linear in their length.
+//!
 //! Numbers are written with Rust's shortest-round-trip formatting
 //! (`{:?}` for `f64`), so `parse(write(x)) == x` bit for bit — the
 //! property `FleetReport::from_json(to_json())` relies on. Integer counts
 //! are written without a fraction and survive exactly up to 2^53 (far
 //! beyond any session count a fleet run can fold).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. Persisted reports nest
+/// a handful of levels; the bound keeps the recursive reader's stack use
+/// fixed whatever the input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,6 +118,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // JSON has no spelling for them, so non-finite numbers are
+            // written as `null` (as JavaScript's `JSON.stringify` does);
+            // the reader then reports a type error, not a syntax error.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
             Json::Num(n) => {
                 // Whole numbers print as integers (negative zero keeps its
                 // sign via the float path so bit-exactness survives).
@@ -192,11 +208,14 @@ fn write_string(out: &mut String, s: &str) {
 /// # Errors
 ///
 /// Returns a human-readable description (with byte offset) of the first
-/// syntax error.
+/// syntax error, duplicate key, non-finite number, malformed escape, or
+/// nesting level past [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -208,8 +227,11 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -247,8 +269,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -256,6 +278,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -268,12 +304,23 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_pos = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.insert(key, value);
+            match members.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(slot) => {
+                    return Err(format!(
+                        "duplicate object key `{}` at byte {key_pos}",
+                        slot.key()
+                    ));
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -313,48 +360,44 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy everything up to the next quote or escape as one
+            // slice. Both are ASCII, so the run ends on a character
+            // boundary and each byte is visited once.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                        .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                    let code = hex.iter().fold(0, |code, &digit| {
+                        code * 16 + char::from(digit).to_digit(16).unwrap_or(0)
+                    });
+                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                    self.pos += 4;
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -371,9 +414,11 @@ impl Parser<'_> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number '{text}' at byte {start} is not finite")),
+            Err(_) => Err(format!("invalid number '{text}' at byte {start}")),
+        }
     }
 }
 

@@ -13,8 +13,9 @@
 //! exactly associative and commutative — the same contract
 //! `sensei-telemetry` proves for its all-`u64` shards. The deterministic
 //! result is *defined* as the reduction over per-tile partials
-//! ([`TileStats`]) in canonical tile order; because merging is exact,
-//! any grouping of that reduction — worker shards, whole processes
+//! ([`TileStats`]) in canonical tile order; because folding and merging
+//! are exact, any grouping of that reduction — a worker folding its
+//! tiles into one partial, worker shards, whole processes
 //! ([`merge_reports`]) — yields the bit-identical aggregates.
 
 use crate::json::{self, obj, Json};
@@ -157,10 +158,9 @@ impl Histogram {
     /// interval — bin layout is experiment setup, not a runtime condition.
     #[must_use]
     pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
         assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "invalid histogram range [{lo}, {hi}]"
+            valid_layout(lo, hi, bins),
+            "invalid histogram layout [{lo}, {hi}] × {bins} bins"
         );
         Self {
             lo,
@@ -225,6 +225,17 @@ impl Histogram {
     ///
     /// Returns [`FleetError::Shard`] when the bin layouts differ.
     pub fn merge(&mut self, other: &Histogram) -> Result<(), FleetError> {
+        self.check_layout(other)?;
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a = a.wrapping_add(*b);
+        }
+        self.total = self.total.wrapping_add(other.total);
+        Ok(())
+    }
+
+    /// Checks that `other` has this histogram's bin layout, so
+    /// [`Self::merge`] would succeed.
+    fn check_layout(&self, other: &Histogram) -> Result<(), FleetError> {
         if self.lo != other.lo || self.hi != other.hi || self.counts.len() != other.counts.len() {
             return Err(FleetError::Shard(format!(
                 "histogram layout mismatch: [{}, {}] × {} bins vs [{}, {}] × {} bins",
@@ -236,34 +247,32 @@ impl Histogram {
                 other.counts.len()
             )));
         }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.wrapping_add(*b);
-        }
-        self.total = self.total.wrapping_add(other.total);
         Ok(())
     }
 
     /// Restores a histogram from its persisted state. The total is
-    /// recomputed from the counts.
+    /// recomputed from the counts (as a wrapping sum, like
+    /// [`Self::merge`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty bin list or an invalid range, exactly like
-    /// [`Self::new`].
-    #[must_use]
-    pub fn from_parts(lo: f64, hi: f64, counts: Vec<u64>) -> Self {
-        assert!(!counts.is_empty(), "histogram needs at least one bin");
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "invalid histogram range [{lo}, {hi}]"
-        );
-        let total = counts.iter().sum();
-        Self {
+    /// Returns [`FleetError::Persist`] on an empty bin list or a range
+    /// that is not a finite, positive interval — the layouts
+    /// [`Self::new`] refuses.
+    pub fn from_parts(lo: f64, hi: f64, counts: Vec<u64>) -> Result<Self, FleetError> {
+        if !valid_layout(lo, hi, counts.len()) {
+            return Err(FleetError::Persist(format!(
+                "invalid histogram layout [{lo}, {hi}] × {} bins",
+                counts.len()
+            )));
+        }
+        let total = counts.iter().fold(0, |sum: u64, &c| sum.wrapping_add(c));
+        Ok(Self {
             lo,
             hi,
             counts,
             total,
-        }
+        })
     }
 
     /// Fraction of observations at or below `x` (by whole bins — the CDF
@@ -290,6 +299,12 @@ impl Histogram {
             .sum();
         below as f64 / self.total as f64
     }
+}
+
+/// Whether `bins` equal-width bins over `[lo, hi]` form a valid
+/// histogram layout: at least one bin over a finite, positive interval.
+fn valid_layout(lo: f64, hi: f64, bins: usize) -> bool {
+    bins > 0 && lo.is_finite() && hi.is_finite() && lo < hi
 }
 
 /// Fixed-bin CDF of per-cell QoE gains over the baseline policy, in
@@ -427,7 +442,9 @@ impl PolicyStats {
         self.intentional_stall_q as f64 / Q_SCALE
     }
 
-    fn merge(&mut self, other: &PolicyStats) -> Result<(), FleetError> {
+    /// Checks that `other` can merge into this accumulator: the same
+    /// policy, the same gain-CDF presence and the same histogram layouts.
+    fn check_merge(&self, other: &PolicyStats) -> Result<(), FleetError> {
         if self.policy != other.policy
             || self.gain_vs_baseline.is_some() != other.gain_vs_baseline.is_some()
         {
@@ -437,6 +454,17 @@ impl PolicyStats {
                 other.policy.label()
             )));
         }
+        self.stall_hist.check_layout(&other.stall_hist)?;
+        self.switch_hist.check_layout(&other.switch_hist)?;
+        if let (Some(a), Some(b)) = (&self.gain_vs_baseline, &other.gain_vs_baseline) {
+            a.hist.check_layout(&b.hist)?;
+        }
+        Ok(())
+    }
+
+    /// Folds `other` in; [`FleetStats::merge`] has run
+    /// [`Self::check_merge`] on the pair first.
+    fn merge(&mut self, other: &PolicyStats) -> Result<(), FleetError> {
         self.sessions = self.sessions.wrapping_add(other.sessions);
         self.qoe.merge(&other.qoe);
         self.bitrate_kbps.merge(&other.bitrate_kbps);
@@ -564,7 +592,8 @@ impl FleetStats {
     ///
     /// Returns [`FleetError::Shard`] when the two sides disagree on the
     /// baseline, the policy axis, a family's policies, or an accumulator
-    /// layout.
+    /// layout. Everything is checked before anything is folded, so a
+    /// rejected merge leaves `self` unchanged.
     pub fn merge(&mut self, other: &FleetStats) -> Result<(), FleetError> {
         if self.baseline != other.baseline {
             return Err(FleetError::Shard(format!(
@@ -581,6 +610,9 @@ impl FleetStats {
                 .any(|(a, b)| a.policy != b.policy)
         {
             return Err(FleetError::Shard("merge policy axes differ".into()));
+        }
+        for (a, b) in self.per_policy.iter().zip(&other.per_policy) {
+            a.check_merge(b)?;
         }
         // Every family carries the whole policy axis in axis order, so
         // checking the incoming families against the (shared) axis also
@@ -626,6 +658,8 @@ impl FleetStats {
     /// Folds one group of scored lanes (all policies' outcomes on one
     /// network, in matrix policy order) into the aggregates — the same
     /// fold as [`Self::fold_cell`], for callers that never build cells.
+    /// The executor's workers fold every tile's lanes into their
+    /// shard-local partial with this.
     pub(crate) fn fold_scores(&mut self, trace_name: &str, scores: &[LaneScore]) {
         self.fold_group(trace_name, scores.iter().copied());
     }
@@ -712,10 +746,11 @@ impl FleetStats {
 /// The determinism contract is defined over these: fold each tile's
 /// cells (in cell order) into a `TileStats`, then reduce the tiles in
 /// canonical tile order with [`FleetStats::merge`]. Because every
-/// accumulator merges exactly, the executor is free to evaluate that
-/// reduction in any grouping — each worker folds its own tiles into a
-/// shard-local partial and the collector merges O(workers) partials —
-/// and still produce the bit-identical [`FleetStats`].
+/// accumulator folds and merges exactly, the executor is free to
+/// evaluate that reduction in any grouping — each worker folds its own
+/// tiles straight into a shard-local [`FleetStats`] and the collector
+/// merges O(workers) partials — and still produce the bit-identical
+/// [`FleetStats`]. The fleet tests keep this type as their reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileStats {
     stats: FleetStats,
@@ -744,20 +779,6 @@ impl TileStats {
     /// partial was built over.
     pub fn fold_cell(&mut self, cells: &[CellResult]) {
         self.stats.fold_cell(cells);
-    }
-
-    /// Folds one group of scored lanes — all policies' outcomes on the
-    /// trace named `trace_name`, in matrix policy order — into the
-    /// partial, exactly as [`Self::fold_cell`] folds the same lanes'
-    /// cells. The fleet's stats path uses this, so it never needs a
-    /// trace's mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the baseline policy is missing from the axes the
-    /// partial was built over.
-    pub(crate) fn fold_scores(&mut self, trace_name: &str, scores: &[LaneScore]) {
-        self.stats.fold_scores(trace_name, scores);
     }
 
     /// The folded partial.
@@ -1084,13 +1105,10 @@ fn hist_from_json(v: &Json, ctx: &str) -> Result<Histogram, FleetError> {
                 .ok_or_else(|| FleetError::Persist(format!("`{ctx}.counts` entry is not a count")))
         })
         .collect::<Result<Vec<u64>, _>>()?;
-    if counts.is_empty() || !(lo.is_finite() && hi.is_finite() && lo < hi) {
-        return Err(FleetError::Persist(format!(
-            "`{ctx}` has an invalid histogram layout [{lo}, {hi}] × {} bins",
-            counts.len()
-        )));
-    }
-    Ok(Histogram::from_parts(lo, hi, counts))
+    Histogram::from_parts(lo, hi, counts).map_err(|e| match e {
+        FleetError::Persist(msg) => FleetError::Persist(format!("`{ctx}` has an {msg}")),
+        e => e,
+    })
 }
 
 fn telemetry_to_json(t: &TelemetrySnapshot) -> Json {
@@ -1403,15 +1421,13 @@ impl FleetReport {
                 .map_err(|_| FleetError::Persist("worker count out of range".into()))?,
             wall_time_s: num_field(&doc, "wall_time_s", "report")?,
             sessions_per_sec: num_field(&doc, "sessions_per_sec", "report")?,
-            // Additive `/2` sections: reports persisted before the phase
-            // split and telemetry existed simply lack them.
-            phases: match doc.get("phases") {
-                Some(v) => RunPhases {
+            phases: {
+                let v = field(&doc, "phases", "report")?;
+                RunPhases {
                     setup_s: num_field(v, "setup_s", "phases")?,
                     execute_s: num_field(v, "execute_s", "phases")?,
                     collect_s: num_field(v, "collect_s", "phases")?,
-                },
-                None => RunPhases::default(),
+                }
             },
             telemetry: match doc.get("telemetry") {
                 Some(v) if !v.is_null() => Some(telemetry_from_json(v)?),

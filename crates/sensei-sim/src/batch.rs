@@ -270,8 +270,10 @@ impl SessionBatch {
         Self::default()
     }
 
-    /// Returns a consumed session's buffers to the pool, exactly like
-    /// [`crate::SessionScratch::reclaim`].
+    /// Returns a consumed session's buffers to the pool, so the next
+    /// [`simulate_batch_in`] run reuses their capacity instead of
+    /// allocating. Dropping the result instead is always safe; it just
+    /// forfeits the recycling.
     pub fn reclaim(&mut self, result: SessionResult) {
         let (source_name, chunks) = result.render.into_parts();
         self.spares.push(SpareResult {
@@ -730,7 +732,6 @@ mod tests {
                 reference.bits_downloaded.to_bits(),
                 "lane {lane} view bits"
             );
-            scratch.reclaim(reference);
         }
         // Reclaim and rerun: the pool must not change results.
         let first: Vec<Vec<usize>> = out.iter().map(|r| r.levels.clone()).collect();

@@ -5,6 +5,11 @@
 //! just as a buffer scalar) so that every stall — forced or intentional —
 //! is attributed to the chunk boundary it precedes, which is what per-chunk
 //! sensitivity weighting needs.
+//!
+//! [`simulate_in`] is the scalar reference the batch engine
+//! (`crate::batch`) is held to bit for bit. A [`SessionScratch`] carries
+//! its working buffers (stall ledger, histories) from one session to the
+//! next; every [`SessionResult`] owns its own buffers.
 
 use crate::policy::{AbrPolicy, PlayerState, SessionContext};
 use crate::SimError;
@@ -177,15 +182,10 @@ impl Playback<'_> {
     }
 }
 
-/// Reusable buffers for the session event loop.
-///
-/// A scratch owns every allocation [`simulate_in`] needs: the visual-quality
-/// table, the playback stall ledger, the throughput/download histories, and
-/// spare buffers for the outgoing [`SessionResult`] (levels, rendered
-/// chunks, name strings). One scratch per worker means the steady-state
-/// session loop performs **no heap allocation**: buffers handed out inside a
-/// `SessionResult` come back via [`SessionScratch::reclaim`], so session
-/// `k + 1` streams entirely through session `k`'s capacity.
+/// Reusable working buffers for the session event loop: the playback
+/// stall ledger and the throughput/download histories the policy reads.
+/// They stay behind between [`simulate_in`] calls; the outgoing
+/// [`SessionResult`] owns freshly allocated buffers.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Per-chunk (forced, intentional) stall ledger for [`Playback`].
@@ -194,14 +194,6 @@ pub struct SessionScratch {
     tput: Vec<f64>,
     /// Download-time history, seconds.
     dl: Vec<f64>,
-    /// Spare buffer for [`SessionResult::levels`].
-    levels: Vec<usize>,
-    /// Spare buffer for the render's chunk list.
-    chunks: Vec<RenderedChunk>,
-    /// Spare buffer for the render's source name.
-    source_name: String,
-    /// Spare buffer for [`SessionResult::policy_name`].
-    policy_name: String,
 }
 
 impl SessionScratch {
@@ -209,19 +201,6 @@ impl SessionScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Returns a consumed session's buffers to the pool so the next
-    /// [`simulate_in`] call reuses their capacity instead of allocating.
-    /// Call this once the [`SessionResult`] has been fully read (scored,
-    /// aggregated); dropping the result instead is always safe, it just
-    /// forfeits the recycling.
-    pub fn reclaim(&mut self, result: SessionResult) {
-        self.levels = result.levels;
-        self.policy_name = result.policy_name;
-        let (source_name, chunks) = result.render.into_parts();
-        self.source_name = source_name;
-        self.chunks = chunks;
     }
 }
 
@@ -259,9 +238,9 @@ pub fn simulate(
     )
 }
 
-/// [`simulate`] against caller-owned scratch buffers — the zero-allocation
-/// session path. Behaviour and results are identical to [`simulate`];
-/// only the allocation strategy differs.
+/// [`simulate`] against caller-owned scratch buffers. Behaviour and
+/// results are identical to [`simulate`]; only the working buffers are
+/// reused. This is the reference the batch engine is held to.
 ///
 /// # Errors
 ///
@@ -293,18 +272,13 @@ pub fn simulate_in(
     }
     let ladder = encoded.ladder();
     let d = source.chunk_duration_s();
-    // Split the scratch into independent field borrows; only the
-    // result-bound buffers (levels, chunks, names) are moved out and come
-    // back via `reclaim`. The visual-quality table is an encode artifact
-    // (manifest metadata), borrowed straight from the encoding.
+    // Split the scratch into independent field borrows. The
+    // visual-quality table is an encode artifact (manifest metadata),
+    // borrowed straight from the encoding.
     let SessionScratch {
         stalls,
         tput: throughput_hist,
         dl: download_hist,
-        levels: scratch_levels,
-        chunks: scratch_chunks,
-        source_name: scratch_source_name,
-        policy_name: scratch_policy_name,
     } = scratch;
     let ctx = SessionContext {
         encoded,
@@ -327,9 +301,7 @@ pub fn simulate_in(
     let mut t = 0.0_f64;
     let mut startup_delay = 0.0;
     let mut playing = false;
-    let mut levels = std::mem::take(scratch_levels);
-    levels.clear();
-    levels.reserve(n);
+    let mut levels = Vec::with_capacity(n);
     throughput_hist.clear();
     throughput_hist.reserve(n);
     download_hist.clear();
@@ -362,7 +334,6 @@ pub fn simulate_in(
         };
         let decision = policy.decide(&state, &ctx);
         if decision.level >= ladder.len() {
-            *scratch_levels = levels;
             return Err(SimError::InvalidLevel {
                 level: decision.level,
                 ladder_len: ladder.len(),
@@ -372,20 +343,13 @@ pub fn simulate_in(
             && decision.pause_s >= 0.0
             && decision.pause_s <= config.max_pause_s + EPS)
         {
-            *scratch_levels = levels;
             return Err(SimError::InvalidPause(decision.pause_s));
         }
         if decision.pause_s > EPS {
             pb.pending_pause += decision.pause_s;
         }
 
-        let size = match encoded.size_bits(i, decision.level) {
-            Ok(size) => size,
-            Err(e) => {
-                *scratch_levels = levels;
-                return Err(e.into());
-            }
-        };
+        let size = encoded.size_bits(i, decision.level)?;
         let transfer = trace.download_time(t + config.rtt_s, size);
         let dt = config.rtt_s + transfer;
         if playing {
@@ -415,44 +379,28 @@ pub fn simulate_in(
         }
     }
 
-    // The histories and the vq table stay behind in the scratch; levels,
-    // chunks, and the name strings travel inside the result and come back
-    // to the pool via [`SessionScratch::reclaim`].
-    let mut chunks = std::mem::take(scratch_chunks);
-    chunks.clear();
-    chunks.reserve(n);
-    chunks.extend((0..n).map(|i| {
-        let content = &source.chunks()[i];
-        let (forced, intentional) = pb.stalls[i];
-        RenderedChunk {
-            bitrate_kbps: ladder.kbps(levels[i]).expect("validated level"),
-            vq: ctx.vq[i][levels[i]],
-            rebuffer_s: forced + intentional,
-            intentional_rebuffer_s: intentional,
-            motion: content.motion,
-            complexity: content.complexity,
-        }
-    }));
-    let mut source_name = std::mem::take(scratch_source_name);
-    source_name.clear();
-    source_name.push_str(source.name());
-    let render = match RenderedVideo::new(source_name, d, startup_delay, chunks) {
-        Ok(render) => render,
-        Err(e) => {
-            *scratch_levels = levels;
-            return Err(e.into());
-        }
-    };
+    let chunks: Vec<RenderedChunk> = (0..n)
+        .map(|i| {
+            let content = &source.chunks()[i];
+            let (forced, intentional) = pb.stalls[i];
+            RenderedChunk {
+                bitrate_kbps: ladder.kbps(levels[i]).expect("validated level"),
+                vq: ctx.vq[i][levels[i]],
+                rebuffer_s: forced + intentional,
+                intentional_rebuffer_s: intentional,
+                motion: content.motion,
+                complexity: content.complexity,
+            }
+        })
+        .collect();
+    let render = RenderedVideo::new(source.name().to_string(), d, startup_delay, chunks)?;
     let wall_time_s = startup_delay + render.content_duration_s() + render.total_rebuffer_s()
         - render.startup_delay_s();
-    let mut policy_name = std::mem::take(scratch_policy_name);
-    policy_name.clear();
-    policy_name.push_str(policy.name());
     Ok(SessionResult {
         wall_time_s,
         bits_downloaded,
         levels,
-        policy_name,
+        policy_name: policy.name().to_string(),
         render,
     })
 }
@@ -786,9 +734,9 @@ mod tests {
 
     #[test]
     fn scratch_reuse_reproduces_one_shot_results() {
-        // The zero-allocation contract: running many sessions through one
-        // reclaimed scratch yields byte-identical results to fresh
-        // `simulate` calls, across different videos and traces.
+        // Running many sessions through one reused scratch yields
+        // byte-identical results to fresh `simulate` calls, across
+        // different videos and traces.
         let mut scratch = SessionScratch::new();
         let (src_a, enc_a) = setup(12);
         let (src_b, enc_b) = setup(7);
@@ -817,13 +765,13 @@ mod tests {
             assert_eq!(fresh.wall_time_s, reused.wall_time_s);
             assert_eq!(fresh.bits_downloaded, reused.bits_downloaded);
             assert_eq!(fresh.render, reused.render);
-            scratch.reclaim(reused);
         }
     }
 
     #[test]
     fn scratch_survives_failing_sessions() {
-        // An invalid decision must not poison the pool for later sessions.
+        // An invalid decision must not poison the scratch for later
+        // sessions.
         struct BadLevel;
         impl AbrPolicy for BadLevel {
             fn name(&self) -> &str {

@@ -34,8 +34,9 @@
 //! ```
 //!
 //! Observability hooks: `SENSEI_FLEET_TELEMETRY=1` / `SENSEI_FLEET_PROGRESS=1`
-//! enable the fleet's metric shards and live progress line (handled inside
-//! `Fleet::new`), and `SENSEI_FLEET_REPORT_OUT=<path>` writes the full run
+//! enable the fleet's metric shards and live progress line (passed to the
+//! fleet as `FleetConfig::with_telemetry` / `with_progress`), and
+//! `SENSEI_FLEET_REPORT_OUT=<path>` writes the full run
 //! report — telemetry section included — for machine consumption. With
 //! telemetry on, the run also checks its report's telemetry section after
 //! a JSON round trip (every session and tile counted, the planners ran,
@@ -267,7 +268,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         FleetConfig::default().workers
     };
-    let mut fleet_config = FleetConfig::new(workers);
+    let telemetry = flag("SENSEI_FLEET_TELEMETRY");
+    let mut fleet_config = FleetConfig::new(workers)
+        .with_telemetry(telemetry)
+        .with_progress(flag("SENSEI_FLEET_PROGRESS"));
     if let Some((index, count)) = shard_env()? {
         fleet_config = fleet_config.with_shard(index, count);
     }
@@ -286,7 +290,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Machine-readable report drop for CI: the full JSON, telemetry
     // section and all, at whatever path the caller asks for.
     write_report_out(&report)?;
-    if flag("SENSEI_FLEET_TELEMETRY") {
+    if telemetry {
         check_telemetry(&report)?;
     }
     // Family-conditional aggregates: the baseline carries one entry per
