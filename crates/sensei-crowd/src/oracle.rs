@@ -191,10 +191,24 @@ impl QoeFold<'_> {
             + oracle.rebuffer_penalty * (stall / self.chunk_duration_s).max(0.0)
             + oracle.switch_penalty * switch;
         let e = (reference - sensitivity * deg).clamp(-2.0, 1.0);
+        self.push_term(e);
+        e
+    }
+
+    /// Folds in a chunk whose experienced quality `e` is already known —
+    /// a term [`Self::push`] returned for the same chunk, judged against
+    /// the same top bitrate after the same previous chunk.
+    #[inline]
+    pub(crate) fn push_term(&mut self, e: f64) {
         self.sum += e;
         self.worst = self.worst.min(e);
         self.count += 1;
-        e
+    }
+
+    /// The bitrate every chunk is judged against. Two folds with the same
+    /// top, chunk duration and fed chunks hold the same bits.
+    pub(crate) fn top_kbps(&self) -> f64 {
+        self.top_kbps
     }
 
     /// True normalized QoE in `[0, 1]` of the chunks folded so far.

@@ -15,13 +15,24 @@
 //!
 //! The exhaustive variant (every chunk × every incident × 30 raters) is
 //! what Fig. 12c's "w/o cost pruning" line pays for.
+//!
+//! No probe is rendered. One O(n) pass over the pristine reference of an
+//! `n`-chunk video keeps the oracle's fold state before every chunk and
+//! every chunk's oracle and KSQI terms. A probe at chunk `k` changes only
+//! the chunks of its incident and the switch term of the chunk after
+//! them, so its true QoE resumes the reference's fold at `k` — O(n − k),
+//! with the unchanged tail folded from the kept terms — and its `Δq` sums
+//! over those few chunks alone. Rating then costs O(n) per participant
+//! (see [`crate::campaign`]).
 
-use crate::campaign::{Campaign, CampaignConfig, CampaignResult};
-use crate::oracle::TrueQoe;
+use crate::campaign::{Campaign, CampaignConfig, CampaignResult, Clip};
+use crate::oracle::{QoeFold, TrueQoe};
 use crate::rater::RaterPool;
 use crate::CrowdError;
 use sensei_qoe::Ksqi;
-use sensei_video::{BitrateLadder, Incident, RenderedVideo, SensitivityWeights, SourceVideo};
+use sensei_video::{
+    BitrateLadder, Incident, RenderedChunk, RenderedVideo, SensitivityWeights, SourceVideo,
+};
 
 /// Configuration of the two-step scheduler.
 #[derive(Debug, Clone)]
@@ -89,6 +100,9 @@ pub struct WeightProfiler {
     config: ProfilerConfig,
 }
 
+/// Per-chunk probe estimates: `(weight estimate, Δq)` pairs.
+type Estimates = Vec<Vec<(f64, f64)>>;
+
 impl WeightProfiler {
     /// Builds a profiler with the given rater pool and configuration.
     pub fn new(pool: RaterPool, config: ProfilerConfig) -> Self {
@@ -108,8 +122,7 @@ impl WeightProfiler {
     ///
     /// # Errors
     ///
-    /// Propagates campaign errors (quality-control exhaustion, mismatched
-    /// renders).
+    /// Propagates campaign errors (quality-control exhaustion).
     pub fn profile(
         &self,
         source: &SourceVideo,
@@ -117,9 +130,8 @@ impl WeightProfiler {
         seed: u64,
     ) -> Result<WeightProfile, CrowdError> {
         let n = source.num_chunks();
-        let reference = RenderedVideo::pristine(source, ladder);
-        let base = Ksqi::canonical();
-        let ref_scores = base.chunk_scores(&reference);
+        let mut reference = PristineFold::new(&self.oracle, source, ladder);
+        let mut estimates: Estimates = vec![Vec::new(); n];
 
         // ---- Step 1: 1-second stall at every chunk, M1 raters. ----
         let probes1: Vec<(usize, Incident)> = (0..n)
@@ -133,23 +145,17 @@ impl WeightProfiler {
                 )
             })
             .collect();
-        let (mos1, ref_mos1, result1) =
-            self.run_probe_campaign(source, ladder, &reference, &probes1, self.config.m1, seed)?;
-
-        // Per-probe weight estimate: ΔMOS / Δq (the diagonal regression),
-        // remembered together with the probe strength Δq so pooling can
-        // weight strong probes over noise-dominated ones.
-        let mut estimates: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
-        for ((k, incident), mos) in probes1.iter().zip(&mos1) {
-            let dq = probe_score_delta(source, ladder, &base, &ref_scores, incident)?;
-            if dq > 1e-9 {
-                estimates[*k].push((((ref_mos1 - mos) / dq).max(0.0), dq));
-            }
-        }
+        let result1 = self.rate_probes(
+            &mut reference,
+            &probes1,
+            self.config.m1,
+            seed,
+            &mut estimates,
+        )?;
         let step1_weights = finalize(&estimates, self.config.min_weight);
 
         // ---- Step 2: refine α-outliers with more incident types. ----
-        let provisional = SensitivityWeights::new(step1_weights.clone())?;
+        let provisional = SensitivityWeights::new(step1_weights)?;
         let outliers = provisional.outliers(self.config.alpha);
         let mut probes2: Vec<(usize, Incident)> = Vec::new();
         for &k in &outliers {
@@ -182,20 +188,13 @@ impl WeightProfiler {
         let mut renders_rated = probes1.len();
         let mut recruited = result1.raters_recruited;
         if !probes2.is_empty() && self.config.m2 > 0 {
-            let (mos2, ref_mos2, result2) = self.run_probe_campaign(
-                source,
-                ladder,
-                &reference,
+            let result2 = self.rate_probes(
+                &mut reference,
                 &probes2,
                 self.config.m2,
                 seed ^ 0x0005_7E92,
+                &mut estimates,
             )?;
-            for ((k, incident), mos) in probes2.iter().zip(&mos2) {
-                let dq = probe_score_delta(source, ladder, &base, &ref_scores, incident)?;
-                if dq > 1e-9 {
-                    estimates[*k].push((((ref_mos2 - mos) / dq).max(0.0), dq));
-                }
-            }
             total_cost += result2.cost_usd;
             // Step 2 recruitment overlaps step 1's tail in practice; charge
             // the serial part only.
@@ -227,9 +226,7 @@ impl WeightProfiler {
         seed: u64,
     ) -> Result<WeightProfile, CrowdError> {
         let n = source.num_chunks();
-        let reference = RenderedVideo::pristine(source, ladder);
-        let base = Ksqi::canonical();
-        let ref_scores = base.chunk_scores(&reference);
+        let mut reference = PristineFold::new(&self.oracle, source, ladder);
         let mut probes: Vec<(usize, Incident)> = Vec::new();
         for k in 0..n {
             for secs in [1.0, 2.0, 3.0, 4.0] {
@@ -252,15 +249,8 @@ impl WeightProfiler {
                 ));
             }
         }
-        let (mos, ref_mos, result) =
-            self.run_probe_campaign(source, ladder, &reference, &probes, 30, seed)?;
-        let mut estimates: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
-        for ((k, incident), m) in probes.iter().zip(&mos) {
-            let dq = probe_score_delta(source, ladder, &base, &ref_scores, incident)?;
-            if dq > 1e-9 {
-                estimates[*k].push((((ref_mos - m) / dq).max(0.0), dq));
-            }
-        }
+        let mut estimates: Estimates = vec![Vec::new(); n];
+        let result = self.rate_probes(&mut reference, &probes, 30, seed, &mut estimates)?;
         Ok(WeightProfile {
             weights: SensitivityWeights::new(finalize(&estimates, self.config.min_weight))?,
             cost_usd: result.cost_usd,
@@ -270,63 +260,177 @@ impl WeightProfiler {
         })
     }
 
-    /// Publishes probe renders plus the reference and collects MOS.
-    /// Returns (per-probe MOS, reference MOS, campaign accounting).
-    fn run_probe_campaign(
+    /// Publishes the probes plus the pristine reference (rated last: it
+    /// anchors the MOS deltas) to `raters` raters each, and adds each
+    /// probe's `ΔMOS / Δq` estimate (the diagonal regression) to its
+    /// chunk, together with the probe strength `Δq` so pooling can weight
+    /// strong probes over noise-dominated ones.
+    fn rate_probes(
         &self,
-        source: &SourceVideo,
-        ladder: &BitrateLadder,
-        reference: &RenderedVideo,
+        reference: &mut PristineFold<'_>,
         probes: &[(usize, Incident)],
         raters: usize,
         seed: u64,
-    ) -> Result<(Vec<f64>, f64, CampaignResult), CrowdError> {
-        let mut renders: Vec<RenderedVideo> = probes
-            .iter()
-            .map(|(_, incident)| {
-                RenderedVideo::with_incidents(source, ladder, &[*incident])
-                    .map_err(CrowdError::from)
-            })
-            .collect::<Result<_, _>>()?;
-        // The pristine reference is also rated (it anchors the MOS deltas),
-        // published as the last render.
-        renders.push(reference.clone());
+        estimates: &mut Estimates,
+    ) -> Result<CampaignResult, CrowdError> {
+        let mut clips = Vec::with_capacity(probes.len() + 1);
+        let mut deltas = Vec::with_capacity(probes.len());
+        for (_, incident) in probes {
+            let (clip, dq) = reference.probe(incident)?;
+            clips.push(clip);
+            deltas.push(dq);
+        }
+        clips.push(reference.clip);
         let config = CampaignConfig {
             raters_per_render: raters,
             ..self.config.campaign.clone()
         };
-        let campaign = Campaign::new(
-            source,
-            reference.clone(),
-            &renders,
-            &self.oracle,
-            &self.pool,
-            config,
-        )?;
-        let result = campaign.run(seed)?;
+        let result = Campaign::from_clips(reference.clip, clips, &self.pool, config)?.run(seed)?;
         let ref_mos = *result.mos01.last().expect("reference was appended");
-        let probe_mos = result.mos01[..probes.len()].to_vec();
-        Ok((probe_mos, ref_mos, result))
+        for ((&(k, _), mos), &dq) in probes.iter().zip(&result.mos01).zip(&deltas) {
+            if dq > 1e-9 {
+                estimates[k].push((((ref_mos - mos) / dq).max(0.0), dq));
+            }
+        }
+        Ok(result)
     }
 }
 
-/// KSQI chunk-score delta caused by a probe (pristine minus degraded,
-/// summed over affected chunks) — the `Δq` denominator of the diagonal
-/// regression.
-fn probe_score_delta(
-    source: &SourceVideo,
-    ladder: &BitrateLadder,
-    base: &Ksqi,
-    ref_scores: &[f64],
-    incident: &Incident,
-) -> Result<f64, CrowdError> {
-    let render = RenderedVideo::with_incidents(source, ladder, &[*incident])?;
-    let scores = base.chunk_scores(&render);
-    Ok(ref_scores
-        .iter()
-        .zip(&scores)
-        .map(|(r, s)| (r - s).max(0.0))
-        .sum())
+/// The pristine reference of one video, scored once: the state a
+/// single-incident probe shares with it, kept so the probe is scored
+/// without a render of its own.
+struct PristineFold<'a> {
+    oracle: &'a TrueQoe,
+    ladder: &'a BitrateLadder,
+    /// The pristine chunks, in playback order.
+    chunks: Vec<RenderedChunk>,
+    chunk_duration_s: f64,
+    /// The video's latent sensitivity (mean 1).
+    sensitivity: Vec<f64>,
+    /// `folds[i]`: the oracle's fold over chunks `0..i` (`n + 1` states).
+    folds: Vec<QoeFold<'a>>,
+    /// The oracle's experienced quality of each chunk.
+    terms: Vec<f64>,
+    ksqi: Ksqi,
+    /// KSQI score of each chunk.
+    scores: Vec<f64>,
+    /// The reference as a campaign clip.
+    clip: Clip,
+    /// Scratch: the probe's copy of the chunks it changes.
+    window: Vec<RenderedChunk>,
+}
+
+impl<'a> PristineFold<'a> {
+    fn new(oracle: &'a TrueQoe, source: &SourceVideo, ladder: &'a BitrateLadder) -> Self {
+        let render = RenderedVideo::pristine(source, ladder);
+        let ksqi = Ksqi::canonical();
+        let scores = ksqi.chunk_scores(&render);
+        let sensitivity = source.true_sensitivity();
+        let chunk_duration_s = render.chunk_duration_s();
+        let mut fold = oracle.fold(ladder.max_kbps(), chunk_duration_s, 0.0);
+        let mut folds = Vec::with_capacity(render.num_chunks() + 1);
+        let mut terms = Vec::with_capacity(render.num_chunks());
+        for (c, &s) in render.chunks().iter().zip(&sensitivity) {
+            folds.push(fold.clone());
+            terms.push(fold.push(s, c));
+        }
+        folds.push(fold.clone());
+        let clip = Clip {
+            true_qoe01: fold.qoe01(),
+            watch_s: render.content_duration_s() + render.total_rebuffer_s(),
+        };
+        let (_, chunks) = render.into_parts();
+        Self {
+            oracle,
+            ladder,
+            chunks,
+            chunk_duration_s,
+            sensitivity,
+            folds,
+            terms,
+            ksqi,
+            scores,
+            clip,
+            window: Vec::new(),
+        }
+    }
+
+    /// The clip of the pristine rendering with `incident` injected, and
+    /// the probe's `Δq`: the KSQI chunk scores it loses, summed over
+    /// chunks (pristine minus degraded, floored at 0). Bit for bit what
+    /// `RenderedVideo::with_incidents` scored whole would give.
+    fn probe(&mut self, incident: &Incident) -> Result<(Clip, f64), CrowdError> {
+        let n = self.chunks.len();
+        let span = incident.span(n, self.ladder)?;
+        // Chunks `k..end` can differ from the reference: the incident's,
+        // and the next one through its switch term.
+        let (k, end) = (span.start, (span.end + 1).min(n));
+        self.window.clear();
+        self.window.extend_from_slice(&self.chunks[k..end]);
+        for c in &mut self.window[..span.len()] {
+            incident.degrade(self.ladder, c)?;
+        }
+
+        // The oracle judges every chunk against the session's highest
+        // bitrate; while that matches the reference's, the reference's
+        // fold resumes at `k` and its terms after the window stand. Every
+        // chunk outside the window streams at the ladder's top.
+        let outside_kbps = if end - k < n {
+            self.ladder.max_kbps()
+        } else {
+            0.0
+        };
+        let max_kbps = self
+            .window
+            .iter()
+            .map(|c| c.bitrate_kbps)
+            .fold(outside_kbps, f64::max);
+        let fresh = self.oracle.fold(max_kbps, self.chunk_duration_s, 0.0);
+        let true_qoe01 = if fresh.top_kbps() == self.folds[k].top_kbps() {
+            let mut fold = self.folds[k].clone();
+            for (c, &s) in self.window.iter().zip(&self.sensitivity[k..end]) {
+                fold.push(s, c);
+            }
+            for &e in &self.terms[end..] {
+                fold.push_term(e);
+            }
+            fold.qoe01()
+        } else {
+            let mut fold = fresh;
+            let chunks = self.chunks[..k]
+                .iter()
+                .chain(&self.window)
+                .chain(&self.chunks[end..]);
+            for (c, &s) in chunks.zip(&self.sensitivity) {
+                fold.push(s, c);
+            }
+            fold.qoe01()
+        };
+
+        // KSQI scores outside the window equal the reference's, so their
+        // deltas are +0.0 and only the window's are summed.
+        let mut prev = k.checked_sub(1).map(|i| &self.chunks[i]);
+        let mut dq = 0.0;
+        for (c, &reference) in self.window.iter().zip(&self.scores[k..end]) {
+            let switch = match prev {
+                Some(p) if (p.bitrate_kbps - c.bitrate_kbps).abs() > 1e-9 => (c.vq - p.vq).abs(),
+                _ => 0.0,
+            };
+            let score = self
+                .ksqi
+                .chunk_quality(c.vq, c.rebuffer_s, switch, self.chunk_duration_s);
+            dq += (reference - score).max(0.0);
+            prev = Some(c);
+        }
+
+        // The reference stalls nowhere, so the probe's stall is its window's.
+        let stall_s: f64 = self.window.iter().map(|c| c.rebuffer_s).sum();
+        let clip = Clip {
+            true_qoe01,
+            watch_s: self.clip.watch_s + stall_s,
+        };
+        Ok((clip, dq))
+    }
 }
 
 /// Pools per-chunk probe estimates into a normalized weight vector.
@@ -363,7 +467,168 @@ fn finalize(estimates: &[Vec<(f64, f64)>], min_weight: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sensei_video::content::{Genre, SceneKind, SceneSpec};
+
+    /// A probe scored the way the render-based scheduler did: the whole
+    /// render through the oracle, its watch time, and `Δq` summed over
+    /// every chunk's KSQI score against the pristine reference's.
+    fn scored_render(
+        source: &SourceVideo,
+        ladder: &BitrateLadder,
+        incident: Incident,
+    ) -> (Clip, f64) {
+        let oracle = TrueQoe::default();
+        let base = Ksqi::canonical();
+        let ref_scores = base.chunk_scores(&RenderedVideo::pristine(source, ladder));
+        let render = RenderedVideo::with_incidents(source, ladder, &[incident]).unwrap();
+        let dq = ref_scores
+            .iter()
+            .zip(&base.chunk_scores(&render))
+            .map(|(r, s)| (r - s).max(0.0))
+            .sum();
+        let clip = Clip {
+            true_qoe01: oracle.qoe01(source, &render).unwrap(),
+            watch_s: render.content_duration_s() + render.total_rebuffer_s(),
+        };
+        (clip, dq)
+    }
+
+    /// Stalls of several lengths and drops to every level over one to
+    /// three chunks, at every chunk of an `n`-chunk video.
+    fn incidents(n: usize, ladder: &BitrateLadder) -> Vec<Incident> {
+        let mut all = Vec::new();
+        for chunk in 0..n {
+            for duration_s in [0.25, 1.0, 2.0, 3.0, 4.0, 14.0] {
+                all.push(Incident::Rebuffer { chunk, duration_s });
+            }
+            for level in 0..ladder.len() {
+                for len_chunks in 1..=3.min(n - chunk) {
+                    all.push(Incident::BitrateDrop {
+                        chunk,
+                        len_chunks,
+                        level,
+                    });
+                }
+            }
+        }
+        all
+    }
+
+    /// Every probe of `source` scores bit for bit as its render does.
+    /// `Δq` may differ from the render's only in the sign of a zero,
+    /// which `==` does not see and the `Δq > 1e-9` gate ignores.
+    fn assert_probes_score_as_renders(source: &SourceVideo, ladder: &BitrateLadder) {
+        let oracle = TrueQoe::default();
+        let mut reference = PristineFold::new(&oracle, source, ladder);
+        let pristine = RenderedVideo::pristine(source, ladder);
+        assert_eq!(
+            reference.clip.true_qoe01.to_bits(),
+            oracle.qoe01(source, &pristine).unwrap().to_bits()
+        );
+        for incident in incidents(source.num_chunks(), ladder) {
+            let (clip, dq) = reference.probe(&incident).unwrap();
+            let (want, want_dq) = scored_render(source, ladder, incident);
+            assert_eq!(
+                clip.true_qoe01.to_bits(),
+                want.true_qoe01.to_bits(),
+                "{incident:?}"
+            );
+            assert_eq!(
+                clip.watch_s.to_bits(),
+                want.watch_s.to_bits(),
+                "{incident:?}"
+            );
+            assert_eq!(dq, want_dq, "{incident:?}");
+        }
+    }
+
+    /// A ladder whose top sits above the oracle's 2850 kbps floor, so a
+    /// drop of every chunk lowers the bitrate chunks are judged against
+    /// and the probe must be folded whole.
+    fn tall_ladder() -> BitrateLadder {
+        BitrateLadder::new(vec![300.0, 1200.0, 4300.0]).unwrap()
+    }
+
+    #[test]
+    fn probes_score_as_their_renders_at_every_chunk() {
+        for ladder in [BitrateLadder::default_paper(), tall_ladder()] {
+            assert_probes_score_as_renders(&source(), &ladder);
+        }
+    }
+
+    #[test]
+    fn probes_of_a_one_chunk_video_score_as_their_renders() {
+        // On the tall ladder every drop lowers the judging bitrate, and
+        // the insensitive scenes keep the degraded QoE off its 0 clamp.
+        for kind in [SceneKind::KeyMoment, SceneKind::Scenic, SceneKind::AdBreak] {
+            let one =
+                SourceVideo::from_script("one-chunk", Genre::Sports, &[SceneSpec::new(kind, 1)], 5)
+                    .unwrap();
+            for ladder in [BitrateLadder::default_paper(), tall_ladder()] {
+                assert_probes_score_as_renders(&one, &ladder);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random scene scripts, on both ladders.
+        #[test]
+        fn probes_score_as_their_renders(
+            seed in 0u64..1_000_000,
+            scenes in prop::collection::vec((0usize..5, 1usize..4), 1..4),
+            tall in 0u8..2,
+        ) {
+            let kinds = [
+                SceneKind::NormalPlay,
+                SceneKind::KeyMoment,
+                SceneKind::Scenic,
+                SceneKind::AdBreak,
+                SceneKind::Replay,
+            ];
+            let script: Vec<SceneSpec> = scenes
+                .iter()
+                .map(|&(kind, len)| SceneSpec::new(kinds[kind], len))
+                .collect();
+            let video = SourceVideo::from_script("prop", Genre::Sports, &script, seed).unwrap();
+            let ladder = if tall == 1 { tall_ladder() } else { BitrateLadder::default_paper() };
+            assert_probes_score_as_renders(&video, &ladder);
+        }
+    }
+
+    #[test]
+    fn invalid_probes_fail_as_their_renders_do() {
+        let src = source();
+        let ladder = BitrateLadder::default_paper();
+        let oracle = TrueQoe::default();
+        let mut reference = PristineFold::new(&oracle, &src, &ladder);
+        for incident in [
+            Incident::Rebuffer {
+                chunk: 12,
+                duration_s: 1.0,
+            },
+            Incident::Rebuffer {
+                chunk: 0,
+                duration_s: 0.0,
+            },
+            Incident::BitrateDrop {
+                chunk: 11,
+                len_chunks: 2,
+                level: 0,
+            },
+            Incident::BitrateDrop {
+                chunk: 0,
+                len_chunks: 0,
+                level: 5,
+            },
+        ] {
+            let want = RenderedVideo::with_incidents(&src, &ladder, &[incident]).unwrap_err();
+            assert_eq!(
+                reference.probe(&incident).unwrap_err(),
+                CrowdError::Video(want)
+            );
+        }
+    }
 
     fn source() -> SourceVideo {
         SourceVideo::from_script(

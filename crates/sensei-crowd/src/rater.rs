@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One crowd worker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rater {
     /// Additive rating bias on the normalized `[0, 1]` scale.
     pub bias: f64,
@@ -80,20 +80,26 @@ impl RaterPool {
         }
     }
 
-    /// Samples `n` raters deterministically.
-    pub fn sample(&self, n: usize) -> Vec<Rater> {
+    /// The pool's raters in sign-up order: an endless deterministic
+    /// stream that draws each rater only when it is read.
+    pub(crate) fn stream(&self) -> impl Iterator<Item = Rater> {
+        let pool = self.clone();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..n)
-            .map(|_| {
-                let reliable = !rng.gen_bool(self.unreliable_fraction);
-                Rater {
-                    bias: gaussian(&mut rng) * self.bias_sd,
-                    noise_sd: (self.noise_sd * (0.7 + 0.6 * rng.gen::<f64>())).max(0.01),
-                    reliable,
-                    watch_probability: if reliable { 0.995 } else { 0.6 },
-                }
-            })
-            .collect()
+        std::iter::repeat_with(move || {
+            let reliable = !rng.gen_bool(pool.unreliable_fraction);
+            Rater {
+                bias: gaussian(&mut rng) * pool.bias_sd,
+                noise_sd: (pool.noise_sd * (0.7 + 0.6 * rng.gen::<f64>())).max(0.01),
+                reliable,
+                watch_probability: if reliable { 0.995 } else { 0.6 },
+            }
+        })
+    }
+
+    /// Samples `n` raters deterministically: the first `n` raters of the
+    /// stream a campaign draws lazily.
+    pub fn sample(&self, n: usize) -> Vec<Rater> {
+        self.stream().take(n).collect()
     }
 }
 
@@ -152,6 +158,18 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.bias, y.bias);
             assert_eq!(x.reliable, y.reliable);
+        }
+    }
+
+    #[test]
+    fn samples_are_prefixes_of_the_stream() {
+        for pool in [RaterPool::general(9), RaterPool::masters(4)] {
+            let long = pool.sample(60);
+            for n in [0, 1, 7, 60] {
+                let streamed: Vec<Rater> = pool.stream().take(n).collect();
+                assert_eq!(pool.sample(n), streamed);
+                assert_eq!(&long[..n], &streamed[..]);
+            }
         }
     }
 

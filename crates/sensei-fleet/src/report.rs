@@ -1348,8 +1348,17 @@ impl FleetReport {
                     u64_field(gain_v, "positive", &ctx)?,
                 ))
             };
+            // Policies are looked up by kind, so a repeated one would
+            // shadow its twin and misreport the fleet.
+            let policy = policy_kind(v, &ctx)?;
+            if per_policy.iter().any(|s: &PolicyStats| s.policy == policy) {
+                return Err(FleetError::Persist(format!(
+                    "`stats.per_policy` repeats policy `{}`",
+                    policy.label()
+                )));
+            }
             per_policy.push(PolicyStats {
-                policy: policy_kind(v, &ctx)?,
+                policy,
                 sessions: u64_field(v, "sessions", &ctx)?,
                 qoe: moments_from_json(field(v, "qoe", &ctx)?, &ctx)?,
                 bitrate_kbps: moments_from_json(field(v, "bitrate_kbps", &ctx)?, &ctx)?,

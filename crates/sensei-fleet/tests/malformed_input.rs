@@ -180,6 +180,19 @@ fn rejected_merge_leaves_the_target_unchanged() {
     }
 }
 
+/// A report whose per-policy list names a policy twice does not parse:
+/// lookups by kind would see only the first of the two.
+#[test]
+fn repeated_policies_are_rejected() {
+    let mut report = sample_report();
+    let first = report.stats.per_policy[0].clone();
+    report.stats.per_policy.push(first);
+    match FleetReport::from_json(&report.to_json()) {
+        Err(FleetError::Persist(msg)) => assert!(msg.contains("repeats policy"), "{msg}"),
+        other => panic!("expected a persist error, got {other:?}"),
+    }
+}
+
 /// Applies byte edits — `(kind, position, byte)`: 0 replaces, 1
 /// inserts, 2 deletes — and then an optional truncation to `text`.
 /// Three in four edit bytes are JSON-significant, so edits reach past

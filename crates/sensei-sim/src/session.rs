@@ -142,7 +142,9 @@ impl Playback<'_> {
             if self.finished() {
                 break;
             }
-            if self.at_boundary() && self.pending_pause > EPS {
+            // The pause test goes first: `at_boundary` divides and
+            // rounds, and most steps (every BBA step) have no pause.
+            if self.pending_pause > EPS && self.at_boundary() {
                 let k = self.boundary_chunk().min(self.stalls.len() - 1);
                 let s = self.pending_pause.min(dt);
                 self.stalls[k].1 += s;

@@ -153,7 +153,12 @@ fn integrate(
     }
     let duration = len as f64 * interval_s;
     let mut remaining = bits;
-    let mut t = start_s.max(0.0) % duration;
+    // `%` is exact but a soft-float call; a start inside the first lap
+    // is its own remainder.
+    let mut t = start_s.max(0.0);
+    if t >= duration {
+        t %= duration;
+    }
     let mut elapsed = 0.0;
     // Only the first bucket is found by division; the walk then steps
     // bucket by bucket. Re-deriving the index from `t` would land back

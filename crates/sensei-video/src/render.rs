@@ -17,6 +17,7 @@ use crate::content::SourceVideo;
 use crate::encode::BitrateLadder;
 use crate::quality::visual_quality;
 use crate::VideoError;
+use std::ops::Range;
 
 /// One chunk of a rendered video.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,6 +68,74 @@ pub enum Incident {
         /// Ladder level to drop to (0 = lowest).
         level: usize,
     },
+}
+
+impl Incident {
+    /// The chunks the incident changes in an `n`-chunk rendering on
+    /// `ladder`, after the checks [`RenderedVideo::with_incidents`]
+    /// applies: in range, a finite positive stall, an existing level.
+    /// Changing a chunk's bitrate also changes the switch term of the
+    /// chunk after the span, which a QoE model charges to that chunk.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the incident references a chunk or ladder
+    /// level out of range, or a non-positive stall duration.
+    pub fn span(&self, n: usize, ladder: &BitrateLadder) -> Result<Range<usize>, VideoError> {
+        match *self {
+            Incident::Rebuffer { chunk, duration_s } => {
+                if chunk >= n {
+                    return Err(VideoError::ChunkOutOfRange {
+                        index: chunk,
+                        len: n,
+                    });
+                }
+                if !(duration_s.is_finite() && duration_s > 0.0) {
+                    return Err(VideoError::InvalidContent {
+                        field: "rebuffer duration",
+                        value: duration_s,
+                    });
+                }
+                Ok(chunk..chunk + 1)
+            }
+            Incident::BitrateDrop {
+                chunk,
+                len_chunks,
+                level,
+            } => {
+                if chunk >= n || chunk + len_chunks > n {
+                    return Err(VideoError::ChunkOutOfRange {
+                        index: chunk + len_chunks,
+                        len: n,
+                    });
+                }
+                ladder.kbps(level)?;
+                Ok(chunk..chunk + len_chunks)
+            }
+        }
+    }
+
+    /// Injects the incident into `chunk`, one of the chunks
+    /// [`Self::span`] returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a bitrate drop names a level `ladder` lacks.
+    pub fn degrade(
+        &self,
+        ladder: &BitrateLadder,
+        chunk: &mut RenderedChunk,
+    ) -> Result<(), VideoError> {
+        match *self {
+            Incident::Rebuffer { duration_s, .. } => chunk.rebuffer_s += duration_s,
+            Incident::BitrateDrop { level, .. } => {
+                let kbps = ladder.kbps(level)?;
+                chunk.bitrate_kbps = kbps;
+                chunk.vq = visual_quality(kbps, chunk.complexity);
+            }
+        }
+        Ok(())
+    }
 }
 
 impl RenderedChunk {
@@ -187,41 +256,9 @@ impl RenderedVideo {
     ) -> Result<Self, VideoError> {
         let mut render = Self::pristine(source, ladder);
         let n = render.chunks.len();
-        for &incident in incidents {
-            match incident {
-                Incident::Rebuffer { chunk, duration_s } => {
-                    if chunk >= n {
-                        return Err(VideoError::ChunkOutOfRange {
-                            index: chunk,
-                            len: n,
-                        });
-                    }
-                    if !(duration_s.is_finite() && duration_s > 0.0) {
-                        return Err(VideoError::InvalidContent {
-                            field: "rebuffer duration",
-                            value: duration_s,
-                        });
-                    }
-                    render.chunks[chunk].rebuffer_s += duration_s;
-                }
-                Incident::BitrateDrop {
-                    chunk,
-                    len_chunks,
-                    level,
-                } => {
-                    if chunk >= n || chunk + len_chunks > n {
-                        return Err(VideoError::ChunkOutOfRange {
-                            index: chunk + len_chunks,
-                            len: n,
-                        });
-                    }
-                    let kbps = ladder.kbps(level)?;
-                    for i in chunk..chunk + len_chunks {
-                        let complexity = render.chunks[i].complexity;
-                        render.chunks[i].bitrate_kbps = kbps;
-                        render.chunks[i].vq = visual_quality(kbps, complexity);
-                    }
-                }
+        for incident in incidents {
+            for i in incident.span(n, ladder)? {
+                incident.degrade(ladder, &mut render.chunks[i])?;
             }
         }
         Ok(render)
