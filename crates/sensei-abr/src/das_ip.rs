@@ -103,8 +103,10 @@ impl DasIp {
                     .size_bits(next_chunk, level)
                     .expect("next chunk in range"),
             );
-            self.scratch.vqs.push(ctx.vq[next_chunk][level]);
         }
+        self.scratch
+            .vqs
+            .extend_from_slice(ctx.encoded.vq_row(next_chunk));
     }
 
     /// Computes every level's index and returns the argmax (first winner
@@ -116,7 +118,7 @@ impl DasIp {
         let d = ctx.chunk_duration_s;
         let prev = state
             .last_level
-            .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
+            .map(|l| (ctx.encoded.vq(state.next_chunk.saturating_sub(1), l), l));
         let mut best_level = 0usize;
         let mut best_index = f64::NEG_INFINITY;
         for (level, (&size, &vq)) in sizes.iter().zip(vqs.iter()).enumerate() {
@@ -262,7 +264,6 @@ mod tests {
         let enc = encoded(&src);
         let ctx = SessionContext {
             encoded: &enc,
-            vq: enc.vq_table(),
             weights: None,
             chunk_duration_s: src.chunk_duration_s(),
         };

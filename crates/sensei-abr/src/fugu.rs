@@ -326,7 +326,7 @@ impl Fugu {
         }
         let prev = state
             .last_level
-            .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
+            .map(|l| (ctx.encoded.vq(state.next_chunk.saturating_sub(1), l), l));
         stack.clear();
         stack.resize(
             (h + 1) * s,
@@ -717,7 +717,6 @@ mod tests {
         let enc = encoded(&src);
         let ctx = SessionContext {
             encoded: &enc,
-            vq: enc.vq_table(),
             weights: None,
             chunk_duration_s: src.chunk_duration_s(),
         };
@@ -779,7 +778,6 @@ mod tests {
         let enc = encoded(&src);
         let ctx = SessionContext {
             encoded: &enc,
-            vq: enc.vq_table(),
             weights: None,
             chunk_duration_s: src.chunk_duration_s(),
         };

@@ -174,7 +174,7 @@ pub(crate) mod test_support {
         let d = ctx.chunk_duration_s;
         let prev0 = state
             .last_level
-            .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
+            .map(|l| (ctx.encoded.vq(state.next_chunk.saturating_sub(1), l), l));
         let mut best = (0, 0, f64::NEG_INFINITY);
         for (cand, root) in roots.iter().enumerate() {
             let mut levels = vec![0usize; plan.h];
@@ -188,7 +188,7 @@ pub(crate) mod test_support {
                         let dt = download_time(si, t, chunk, level);
                         let stall = (dt - buf).max(0.0);
                         buf = ((buf - dt).max(0.0) + d).min(plan.max_buffer_s);
-                        let vq = ctx.vq[chunk][level];
+                        let vq = ctx.encoded.vq(chunk, level);
                         let switch = match prev {
                             Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
                             _ => 0.0,

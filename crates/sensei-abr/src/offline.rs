@@ -195,7 +195,7 @@ impl Planner for OracleMpc {
             buf: state.buffer_s,
             prev: state
                 .last_level
-                .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l)),
+                .map(|l| (ctx.encoded.vq(state.next_chunk.saturating_sub(1), l), l)),
             total: 0.0,
         };
         let OracleScratch {
@@ -602,7 +602,6 @@ mod tests {
             mpc.horizon = 4;
             let ctx = SessionContext {
                 encoded: &enc,
-                vq: enc.vq_table(),
                 weights: mpc.sensitivity_aware.then_some(&weights),
                 chunk_duration_s: src.chunk_duration_s(),
             };
@@ -641,7 +640,6 @@ mod tests {
         for mpc in &mut [OracleMpc::aware(&trace), OracleMpc::unaware(&trace)] {
             let ctx = SessionContext {
                 encoded: &enc,
-                vq: enc.vq_table(),
                 weights: mpc.sensitivity_aware.then_some(&weights),
                 chunk_duration_s: src.chunk_duration_s(),
             };
@@ -672,7 +670,6 @@ mod tests {
         let mut warm = OracleMpc::aware(&trace);
         let ctx = SessionContext {
             encoded: &enc,
-            vq: enc.vq_table(),
             weights: Some(&weights),
             chunk_duration_s: src.chunk_duration_s(),
         };
@@ -711,7 +708,6 @@ mod tests {
         let trace = ThroughputTrace::constant("slow", 1000.0, 600.0).unwrap();
         let ctx = SessionContext {
             encoded: &enc,
-            vq: enc.vq_table(),
             weights: None,
             chunk_duration_s: src.chunk_duration_s(),
         };

@@ -94,7 +94,7 @@ pub(crate) fn state_vector(state: &PlayerState<'_>, ctx: &SessionContext<'_>) ->
     let mut v = Vec::with_capacity(STATE_DIM);
     // Last chunk's visual quality (0 before the first chunk).
     let last_vq = match state.last_level {
-        Some(l) if state.next_chunk > 0 => ctx.vq[state.next_chunk - 1][l],
+        Some(l) if state.next_chunk > 0 => ctx.encoded.vq(state.next_chunk - 1, l),
         _ => 0.0,
     };
     v.push(last_vq);
@@ -275,10 +275,8 @@ mod tests {
     fn state_vector_has_documented_shape() {
         let src = source();
         let enc = encoded(&src);
-        let vq: Vec<Vec<f64>> = (0..src.num_chunks()).map(|_| vec![0.5; 5]).collect();
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: None,
             chunk_duration_s: 4.0,
         };

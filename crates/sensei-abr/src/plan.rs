@@ -114,8 +114,8 @@ impl ChunkTables {
             for level in 0..self.n_levels {
                 let size = ctx.encoded.size_bits(chunk, level);
                 self.sizes.push(size.expect("plan stays in range"));
-                self.vqs.push(ctx.vq[chunk][level]);
             }
+            self.vqs.extend_from_slice(ctx.encoded.vq_row(chunk));
         }
     }
 

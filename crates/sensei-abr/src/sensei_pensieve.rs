@@ -274,10 +274,8 @@ mod tests {
         let src = source();
         let enc = encoded(&src);
         let weights = SensitivityWeights::ground_truth(&src);
-        let vq: Vec<Vec<f64>> = (0..src.num_chunks()).map(|_| vec![0.5; 5]).collect();
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: Some(&weights),
             chunk_duration_s: 4.0,
         };
@@ -303,10 +301,8 @@ mod tests {
         // capped pause and a bitrate choice.
         let src = source();
         let enc = encoded(&src);
-        let vq: Vec<Vec<f64>> = (0..src.num_chunks()).map(|_| vec![0.5; 5]).collect();
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: None,
             chunk_duration_s: 4.0,
         };
@@ -340,10 +336,8 @@ mod tests {
     fn pauses_are_ignored_during_startup() {
         let src = source();
         let enc = encoded(&src);
-        let vq: Vec<Vec<f64>> = (0..src.num_chunks()).map(|_| vec![0.5; 5]).collect();
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: None,
             chunk_duration_s: 4.0,
         };

@@ -256,13 +256,11 @@ fn decide_sweeps_with_mid_session_rebinds_match_cold() {
     let all = traces();
     let plain_ctx = SessionContext {
         encoded: &enc,
-        vq: enc.vq_table(),
         weights: None,
         chunk_duration_s: src.chunk_duration_s(),
     };
     let weighted_ctx = SessionContext {
         encoded: &enc,
-        vq: enc.vq_table(),
         weights: Some(&weights),
         chunk_duration_s: src.chunk_duration_s(),
     };

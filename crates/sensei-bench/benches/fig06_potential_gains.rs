@@ -21,22 +21,17 @@ use sensei_video::{
 };
 
 /// Max-weighted-quality assignment under a total-bits budget.
-fn assign(
-    encoded: &EncodedVideo,
-    vq: &[Vec<f64>],
-    weights: &[f64],
-    budget_bits: f64,
-) -> Vec<usize> {
+fn assign(encoded: &EncodedVideo, weights: &[f64], budget_bits: f64) -> Vec<usize> {
     let n = encoded.num_chunks();
     let pick = |lambda: f64| -> (Vec<usize>, f64) {
         let mut levels = Vec::with_capacity(n);
         let mut bits = 0.0;
-        for c in 0..n {
+        for (c, &w) in weights.iter().enumerate().take(n) {
             let mut best = 0;
             let mut best_v = f64::NEG_INFINITY;
-            for (l, &q) in vq[c].iter().enumerate().take(encoded.ladder().len()) {
+            for (l, &q) in encoded.vq_row(c).iter().enumerate() {
                 let size = encoded.size_bits(c, l).expect("in range");
-                let v = weights[c] * q - lambda * size;
+                let v = w * q - lambda * size;
                 if v > best_v {
                     best_v = v;
                     best = l;
@@ -92,17 +87,6 @@ fn main() {
             }
             let src = &entry.video;
             let encoded = EncodedVideo::encode(src, &ladder, 5);
-            let vq: Vec<Vec<f64>> = src
-                .chunks()
-                .iter()
-                .map(|c| {
-                    ladder
-                        .levels()
-                        .iter()
-                        .map(|&b| sensei_video::visual_quality(b, c.complexity))
-                        .collect()
-                })
-                .collect();
             // Capacity budget: what the trace can deliver over playback.
             let budget = trace.mean_over(0.0, src.duration_s()) * 1000.0 * src.duration_s();
             let truth = SensitivityWeights::ground_truth(src);
@@ -111,13 +95,13 @@ fn main() {
                 (truth.as_slice(), &mut aware_total),
                 (uniform.as_slice(), &mut unaware_total),
             ] {
-                let levels = assign(&encoded, &vq, weights, budget);
+                let levels = assign(&encoded, weights, budget);
                 let chunks: Vec<RenderedChunk> = levels
                     .iter()
                     .enumerate()
                     .map(|(c, &l)| RenderedChunk {
                         bitrate_kbps: ladder.levels()[l],
-                        vq: vq[c][l],
+                        vq: encoded.vq(c, l),
                         rebuffer_s: 0.0,
                         intentional_rebuffer_s: 0.0,
                         motion: src.chunks()[c].motion,

@@ -22,7 +22,7 @@ use sensei_sim::{simulate, AbrPolicy, PlayerConfig, PlayerState, SessionContext}
 use sensei_video::content::{Genre, SceneKind, SceneSpec};
 use sensei_video::{BitrateLadder, EncodedVideo, SensitivityWeights, SourceVideo};
 
-fn fixture() -> (SourceVideo, EncodedVideo, Vec<Vec<f64>>, SensitivityWeights) {
+fn fixture() -> (SourceVideo, EncodedVideo, SensitivityWeights) {
     let src = SourceVideo::from_script(
         "perf",
         Genre::Sports,
@@ -36,19 +36,8 @@ fn fixture() -> (SourceVideo, EncodedVideo, Vec<Vec<f64>>, SensitivityWeights) {
     .unwrap();
     let ladder = BitrateLadder::default_paper();
     let enc = EncodedVideo::encode(&src, &ladder, 2);
-    let vq: Vec<Vec<f64>> = src
-        .chunks()
-        .iter()
-        .map(|c| {
-            ladder
-                .levels()
-                .iter()
-                .map(|&b| sensei_video::visual_quality(b, c.complexity))
-                .collect()
-        })
-        .collect();
     let weights = SensitivityWeights::ground_truth(&src);
-    (src, enc, vq, weights)
+    (src, enc, weights)
 }
 
 fn state() -> PlayerState<'static> {
@@ -64,13 +53,12 @@ fn state() -> PlayerState<'static> {
 }
 
 fn bench_decisions(c: &mut Criterion) {
-    let (_, enc, vq, weights) = fixture();
+    let (_, enc, weights) = fixture();
     let state = state();
     let mut group = c.benchmark_group("abr_decision");
     group.bench_function("bba", |b| {
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: None,
             chunk_duration_s: 4.0,
         };
@@ -80,7 +68,6 @@ fn bench_decisions(c: &mut Criterion) {
     group.bench_function("fugu_mpc", |b| {
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: None,
             chunk_duration_s: 4.0,
         };
@@ -90,7 +77,6 @@ fn bench_decisions(c: &mut Criterion) {
     group.bench_function("sensei_fugu", |b| {
         let ctx = SessionContext {
             encoded: &enc,
-            vq: &vq,
             weights: Some(&weights),
             chunk_duration_s: 4.0,
         };
@@ -101,7 +87,7 @@ fn bench_decisions(c: &mut Criterion) {
 }
 
 fn bench_session(c: &mut Criterion) {
-    let (src, enc, _, weights) = fixture();
+    let (src, enc, weights) = fixture();
     let trace = sensei_trace::generate::fcc_like(2000.0, 600, 3);
     c.bench_function("full_session_sensei_fugu", |b| {
         b.iter(|| {

@@ -74,7 +74,6 @@ fn stale_warm_start_state_never_leaks_into_the_next_session() {
         let weights = kind.uses_weights().then_some(&asset.weights);
         let ctx = SessionContext {
             encoded: &asset.encoded,
-            vq: asset.encoded.vq_table(),
             weights,
             chunk_duration_s: asset.source.chunk_duration_s(),
         };

@@ -70,12 +70,11 @@ impl TrueQoe {
         render: &RenderedVideo,
     ) -> Result<Vec<f64>, CrowdError> {
         let mut fold = self.fold_render(source, render)?;
-        let s = source.true_sensitivity();
         Ok(render
             .chunks()
             .iter()
-            .zip(&s)
-            .map(|(c, &s)| fold.push(s, c))
+            .zip(sensitivities(source))
+            .map(|(c, s)| fold.push(s, c))
             .collect())
     }
 
@@ -87,8 +86,7 @@ impl TrueQoe {
     /// Returns an error when the render does not match the source video.
     pub fn qoe01(&self, source: &SourceVideo, render: &RenderedVideo) -> Result<f64, CrowdError> {
         let mut fold = self.fold_render(source, render)?;
-        let s = source.true_sensitivity();
-        for (c, &s) in render.chunks().iter().zip(&s) {
+        for (c, s) in render.chunks().iter().zip(sensitivities(source)) {
             fold.push(s, c);
         }
         Ok(fold.qoe01())
@@ -147,6 +145,17 @@ impl TrueQoe {
     pub fn mos(&self, source: &SourceVideo, render: &RenderedVideo) -> Result<f64, CrowdError> {
         Ok(1.0 + 4.0 * self.qoe01(source, render)?)
     }
+}
+
+/// The latent sensitivities of `source`'s chunks normalized to mean 1,
+/// bit for bit the entries of [`SourceVideo::true_sensitivity`]: the raw
+/// values are summed once, in the same order, and each chunk's value is
+/// divided by the mean as it is read, so scoring a render allocates
+/// nothing.
+fn sensitivities(source: &SourceVideo) -> impl Iterator<Item = f64> + '_ {
+    let chunks = source.chunks();
+    let mean = chunks.iter().map(|c| c.sensitivity).sum::<f64>() / chunks.len() as f64;
+    chunks.iter().map(move |c| c.sensitivity / mean)
 }
 
 /// The oracle's running fold over one session's chunks, fed in playback
@@ -224,6 +233,7 @@ impl QoeFold<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{build_series, IncidentKind};
     use sensei_video::content::{Genre, SceneKind, SceneSpec};
     use sensei_video::{BitrateLadder, Incident};
 
@@ -332,6 +342,51 @@ mod tests {
         let q_scenic = oracle.qoe01(&src, &drop_at(1)).unwrap();
         let q_key = oracle.qoe01(&src, &drop_at(7)).unwrap();
         assert!(q_scenic > q_key);
+    }
+
+    /// `experienced_quality` and `qoe01` as they were computed from a
+    /// normalized `true_sensitivity()` vector.
+    fn vector_path(oracle: &TrueQoe, src: &SourceVideo, render: &RenderedVideo) -> (Vec<f64>, f64) {
+        let mut fold = oracle.fold_render(src, render).unwrap();
+        let s = src.true_sensitivity();
+        let e = render
+            .chunks()
+            .iter()
+            .zip(&s)
+            .map(|(c, &s)| fold.push(s, c))
+            .collect();
+        (e, fold.qoe01())
+    }
+
+    #[test]
+    fn folded_sensitivities_equal_the_normalized_vector() {
+        let oracle = TrueQoe::default();
+        let ladder = BitrateLadder::default_paper();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for entry in sensei_video::corpus::table1(2021) {
+            let src = &entry.video;
+            let folded: Vec<f64> = sensitivities(src).collect();
+            assert_eq!(
+                bits(&folded),
+                bits(&src.true_sensitivity()),
+                "{}",
+                src.name()
+            );
+            let series = IncidentKind::ALL
+                .iter()
+                .map(|&kind| build_series(src, &ladder, kind).unwrap());
+            for render in series.flatten() {
+                let (e, q) = vector_path(&oracle, src, &render);
+                let got = oracle.experienced_quality(src, &render).unwrap();
+                assert_eq!(bits(&got), bits(&e), "{}", src.name());
+                assert_eq!(
+                    oracle.qoe01(src, &render).unwrap().to_bits(),
+                    q.to_bits(),
+                    "{}",
+                    src.name()
+                );
+            }
+        }
     }
 
     #[test]

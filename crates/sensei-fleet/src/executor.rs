@@ -7,7 +7,7 @@
 //! worker doesn't idle the rest), run each tile through one
 //! structure-of-arrays session batch (`Experiment::score_batch_in`), and
 //! **fold the tile's scored lanes straight into their worker-local
-//! [`FleetStats`] partial** ([`FleetStats::fold_scores`]). Tiling is what
+//! [`FleetStats`] partial** (`FleetStats::fold_scores`). Tiling is what
 //! amortizes the per-network work: the perturbed network is set up once
 //! per tile (`TraceCache`) and, unless an oracle lane reads the whole
 //! trace, drawn only as far as the tile's downloads reach; the oracles

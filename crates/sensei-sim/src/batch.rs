@@ -10,7 +10,7 @@
 //! step runs as three tight lane loops:
 //!
 //! 1. **Drain** — each playing lane consumes buffer excess down to the
-//!    admission headroom (per-lane [`Playback`] arithmetic).
+//!    admission headroom (per-lane `Playback` arithmetic).
 //! 2. **Decide** — one [`AbrPolicy::select_batch`] call per policy group
 //!    resolves every lane's decision for this chunk; no per-session
 //!    dispatch (a batched policy like BBA reads the lane buffers as one
@@ -205,13 +205,13 @@ impl LaneView<'_> {
         source
             .chunks()
             .iter()
-            .zip(encoded.vq_table())
+            .zip(0..encoded.num_chunks())
             .zip(self.levels)
             .zip(self.stalls)
             .map(
-                move |(((content, vq), &level), &(forced, intentional))| RenderedChunk {
+                move |(((content, k), &level), &(forced, intentional))| RenderedChunk {
                     bitrate_kbps: kbps[level],
-                    vq: vq[level],
+                    vq: encoded.vq(k, level),
                     rebuffer_s: forced + intentional,
                     intentional_rebuffer_s: intentional,
                     motion: content.motion,
@@ -454,7 +454,6 @@ pub fn simulate_lanes_in<N: Network>(
             };
             let ctx = SessionContext {
                 encoded,
-                vq: encoded.vq_table(),
                 weights: group.weights,
                 chunk_duration_s: d,
             };

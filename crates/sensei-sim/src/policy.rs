@@ -51,11 +51,10 @@ impl PlayerState<'_> {
 /// Static per-session context visible to a policy.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionContext<'a> {
-    /// Encoded chunk sizes at every ladder level.
+    /// Encoded chunk sizes at every ladder level, and each chunk's
+    /// per-level visual quality ([`EncodedVideo::vq`]) — metadata a real
+    /// manifest can carry (Puffer ships per-chunk SSIM the same way).
     pub encoded: &'a EncodedVideo,
-    /// Per-chunk, per-level visual quality (`vq[chunk][level]`) — metadata a
-    /// real manifest can carry (Puffer ships per-chunk SSIM the same way).
-    pub vq: &'a [Vec<f64>],
     /// Per-chunk sensitivity weights; `Some` only for SENSEI-enabled
     /// players whose manifest carried them.
     pub weights: Option<&'a SensitivityWeights>,

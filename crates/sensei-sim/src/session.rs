@@ -274,9 +274,7 @@ pub fn simulate_in(
     }
     let ladder = encoded.ladder();
     let d = source.chunk_duration_s();
-    // Split the scratch into independent field borrows. The
-    // visual-quality table is an encode artifact (manifest metadata),
-    // borrowed straight from the encoding.
+    // Split the scratch into independent field borrows.
     let SessionScratch {
         stalls,
         tput: throughput_hist,
@@ -284,7 +282,6 @@ pub fn simulate_in(
     } = scratch;
     let ctx = SessionContext {
         encoded,
-        vq: encoded.vq_table(),
         weights,
         chunk_duration_s: d,
     };
@@ -387,7 +384,7 @@ pub fn simulate_in(
             let (forced, intentional) = pb.stalls[i];
             RenderedChunk {
                 bitrate_kbps: ladder.kbps(levels[i]).expect("validated level"),
-                vq: ctx.vq[i][levels[i]],
+                vq: encoded.vq(i, levels[i]),
                 rebuffer_s: forced + intentional,
                 intentional_rebuffer_s: intentional,
                 motion: content.motion,

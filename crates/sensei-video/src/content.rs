@@ -211,7 +211,7 @@ impl SourceVideo {
         seed: u64,
     ) -> Result<Self, VideoError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut chunks = Vec::new();
+        let mut chunks = Vec::with_capacity(script.iter().map(|spec| spec.len_chunks).sum());
         for spec in script {
             for _ in 0..spec.len_chunks {
                 chunks.push(sample_chunk(spec.kind, &mut rng));
@@ -265,9 +265,15 @@ impl SourceVideo {
     /// The latent sensitivity vector (ground truth the crowd pipeline tries
     /// to recover). Normalized to mean 1 so videos are comparable.
     pub fn true_sensitivity(&self) -> Vec<f64> {
-        let raw: Vec<f64> = self.chunks.iter().map(|c| c.sensitivity).collect();
-        let mean = raw.iter().sum::<f64>() / raw.len() as f64;
-        raw.iter().map(|&s| s / mean).collect()
+        self.normalized_sensitivity().collect()
+    }
+
+    /// [`Self::true_sensitivity`] as an iterator, for callers that collect
+    /// it into storage of their own.
+    pub(crate) fn normalized_sensitivity(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let mean =
+            self.chunks.iter().map(|c| c.sensitivity).sum::<f64>() / self.chunks.len() as f64;
+        self.chunks.iter().map(move |c| c.sensitivity / mean)
     }
 }
 

@@ -108,15 +108,20 @@ impl BitrateLadder {
 /// A source video encoded at every ladder level, with per-chunk VBR sizes
 /// and per-chunk, per-level visual quality (the manifest metadata a real
 /// system ships — Puffer carries per-chunk SSIM the same way).
+///
+/// The encoding keeps what the encoder draws, flat: one VBR factor per
+/// chunk (8 bytes) and one row-major `chunk·L + level` visual-quality
+/// table (`8·L` bytes per chunk). A chunk's size is derived from its
+/// factor on demand, so no per-level size table is stored.
 #[derive(Debug, Clone)]
 pub struct EncodedVideo {
     ladder: BitrateLadder,
     chunk_duration_s: f64,
-    /// `sizes_bits[chunk][level]`.
-    sizes_bits: Vec<Vec<f64>>,
-    /// `vq[chunk][level]`, precomputed at encode time so the session hot
-    /// path never recomputes the perceptual-quality curve.
-    vq: Vec<Vec<f64>>,
+    /// `factors[chunk]`: the chunk's VBR factor, shared by every level.
+    factors: Vec<f64>,
+    /// `vq[chunk·L + level]`, precomputed at encode time so the session
+    /// hot path never recomputes the perceptual-quality curve.
+    vq: Vec<f64>,
 }
 
 impl EncodedVideo {
@@ -127,9 +132,8 @@ impl EncodedVideo {
     /// bitrate, simple chunks undershoot, mirroring real H.264 encodes.
     pub fn encode(source: &SourceVideo, ladder: &BitrateLadder, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let d = source.chunk_duration_s();
-        let sizes_bits = source
-            .chunks()
+        let chunks = source.chunks();
+        let factors = chunks
             .iter()
             .map(|c| {
                 // One VBR factor per chunk: all levels share the content.
@@ -138,37 +142,47 @@ impl EncodedVideo {
                     let u2: f64 = rng.gen_range(0.0..1.0);
                     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * 0.03
                 };
-                let factor = (0.92 + 0.16 * c.complexity + eps).clamp(0.8, 1.25);
+                (0.92 + 0.16 * c.complexity + eps).clamp(0.8, 1.25)
+            })
+            .collect();
+        let mut vq = Vec::with_capacity(chunks.len() * ladder.len());
+        for c in chunks {
+            vq.extend(
                 ladder
                     .levels()
                     .iter()
-                    .map(|&b| b * 1000.0 * d * factor)
-                    .collect()
-            })
-            .collect();
-        let vq = source
-            .chunks()
-            .iter()
-            .map(|c| {
-                ladder
-                    .levels()
-                    .iter()
-                    .map(|&b| visual_quality(b, c.complexity))
-                    .collect()
-            })
-            .collect();
+                    .map(|&b| visual_quality(b, c.complexity)),
+            );
+        }
         Self {
             ladder: ladder.clone(),
-            chunk_duration_s: d,
-            sizes_bits,
+            chunk_duration_s: source.chunk_duration_s(),
+            factors,
             vq,
         }
     }
 
-    /// Per-chunk, per-level visual quality (`vq[chunk][level]`) — encode
-    /// artifacts, computed once here rather than per session.
-    pub fn vq_table(&self) -> &[Vec<f64>] {
-        &self.vq
+    /// Visual quality of one chunk at one level — an encode artifact,
+    /// computed once at encode time rather than per session.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the chunk or level is out of range, as indexing a
+    /// table would.
+    #[inline]
+    pub fn vq(&self, chunk: usize, level: usize) -> f64 {
+        self.vq_row(chunk)[level]
+    }
+
+    /// Visual quality of one chunk at every level, lowest level first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the chunk is out of range.
+    #[inline]
+    pub fn vq_row(&self, chunk: usize) -> &[f64] {
+        let n_levels = self.ladder.len();
+        &self.vq[chunk * n_levels..(chunk + 1) * n_levels]
     }
 
     /// The ladder this video was encoded with.
@@ -183,40 +197,27 @@ impl EncodedVideo {
 
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.sizes_bits.len()
+        self.factors.len()
     }
 
-    /// Size in bits of one chunk at one level.
+    /// Size in bits of one chunk at one level: the level's nominal
+    /// `bitrate × duration` scaled by the chunk's VBR factor.
     ///
     /// # Errors
     ///
     /// Returns an error when the chunk or level is out of range.
+    #[inline]
     pub fn size_bits(&self, chunk: usize, level: usize) -> Result<f64, VideoError> {
-        let row = self
-            .sizes_bits
-            .get(chunk)
-            .ok_or(VideoError::ChunkOutOfRange {
-                index: chunk,
-                len: self.sizes_bits.len(),
-            })?;
-        row.get(level)
-            .copied()
-            .ok_or(VideoError::UnknownBitrate(level as f64))
-    }
-
-    /// Sizes of one chunk across all levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the chunk is out of range.
-    pub fn chunk_sizes(&self, chunk: usize) -> Result<&[f64], VideoError> {
-        self.sizes_bits
-            .get(chunk)
-            .map(Vec::as_slice)
-            .ok_or(VideoError::ChunkOutOfRange {
-                index: chunk,
-                len: self.sizes_bits.len(),
-            })
+        let factor = self.factors.get(chunk).ok_or(VideoError::ChunkOutOfRange {
+            index: chunk,
+            len: self.factors.len(),
+        })?;
+        let kbps = self
+            .ladder
+            .levels()
+            .get(level)
+            .ok_or(VideoError::UnknownBitrate(level as f64))?;
+        Ok(kbps * 1000.0 * self.chunk_duration_s * factor)
     }
 }
 
@@ -312,7 +313,5 @@ mod tests {
         let e = EncodedVideo::encode(&v, &l, 3);
         assert!(e.size_bits(8, 0).is_err());
         assert!(e.size_bits(0, 5).is_err());
-        assert!(e.chunk_sizes(8).is_err());
-        assert_eq!(e.chunk_sizes(0).unwrap().len(), 5);
     }
 }

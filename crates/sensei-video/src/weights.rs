@@ -6,13 +6,17 @@
 //! chunk, normalized to mean 1 so that a weight of 2 means "twice as
 //! sensitive as the video's average chunk".
 
+use std::sync::Arc;
+
 use crate::content::SourceVideo;
 use crate::VideoError;
 
 /// A per-chunk quality-sensitivity weight vector.
+///
+/// The weights are immutable once built, so clones share one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityWeights {
-    w: Vec<f64>,
+    w: Arc<[f64]>,
 }
 
 impl SensitivityWeights {
@@ -49,7 +53,7 @@ impl SensitivityWeights {
     /// pipeline tries to recover). Only test/oracle code should use this.
     pub fn ground_truth(source: &SourceVideo) -> Self {
         Self {
-            w: source.true_sensitivity(),
+            w: source.normalized_sensitivity().collect(),
         }
     }
 
@@ -115,7 +119,7 @@ impl SensitivityWeights {
         Ok(self
             .w
             .iter()
-            .zip(&other.w)
+            .zip(other.w.iter())
             .map(|(a, b)| (a - b).abs())
             .sum::<f64>()
             / self.w.len() as f64)

@@ -86,18 +86,25 @@ impl SampleUniform for f32 {
     }
 }
 
+// An integer draw is `lo + x mod span` for one raw u64 `x`. Every span
+// fits in a u64 except the full 2^64 of an inclusive u64/i64 range,
+// where `x` is already the draw, so the reduction is a u64 `%` rather
+// than a 128-bit division; the draws are those of `(x as u128) % span`.
 macro_rules! int_sample_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
             fn sample_half_open<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
-                let span = (hi as i128 - lo as i128) as u128;
-                let draw = (rng.next_u64() as u128) % span;
-                (lo as i128 + draw as i128) as $t
+                let span = (hi as i128 - lo as i128) as u64;
+                let draw = rng.next_u64() % span;
+                (lo as i128 + i128::from(draw)) as $t
             }
             fn sample_inclusive<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
-                let span = (hi as i128 - lo as i128) as u128 + 1;
-                let draw = (rng.next_u64() as u128) % span;
-                (lo as i128 + draw as i128) as $t
+                let x = rng.next_u64();
+                let draw = match ((hi as i128 - lo as i128) as u64).checked_add(1) {
+                    Some(span) => x % span,
+                    None => x,
+                };
+                (lo as i128 + i128::from(draw)) as $t
             }
         }
     )*};
@@ -223,6 +230,49 @@ mod tests {
             let j = rng.gen_range(1..=4);
             assert!((1..=4).contains(&j));
         }
+    }
+
+    /// One draw by the 128-bit reduction the integer ranges used before
+    /// the u64 one: `lo + (x as u128) % span`.
+    fn u128_draw(x: u64, lo: i128, span: u128) -> i128 {
+        lo + ((u128::from(x) % span) as i128)
+    }
+
+    /// Draws 2000 values from `range` and holds each equal to
+    /// [`u128_draw`] over the same raw stream.
+    macro_rules! assert_u128_draws {
+        ($t:ty, $range:expr, $lo:expr, $span:expr) => {{
+            let mut rng = StdRng::seed_from_u64(41);
+            let mut raw = rng.clone();
+            for _ in 0..2000 {
+                let v: $t = rng.gen_range($range);
+                let want = u128_draw(raw.next_u64(), $lo as i128, $span);
+                assert_eq!(v as i128, want, "{} over {:?}", stringify!($t), $range);
+            }
+        }};
+    }
+
+    #[test]
+    fn u64_reduction_equals_the_u128_formula() {
+        let full = 1u128 << 64;
+        // Spans 1, 2, 3 and u64::MAX, half-open and inclusive.
+        assert_u128_draws!(u64, 0..1, 0, 1);
+        assert_u128_draws!(u64, 5..7, 5, 2);
+        assert_u128_draws!(u64, 0..=2, 0, 3);
+        assert_u128_draws!(u64, 0..u64::MAX, 0, u128::from(u64::MAX));
+        assert_u128_draws!(u64, 1..=u64::MAX, 1, u128::from(u64::MAX));
+        assert_u128_draws!(usize, 0..3, 0, 3);
+        // The full u64 and i64 ranges: a span of 2^64.
+        assert_u128_draws!(u64, 0..=u64::MAX, 0, full);
+        assert_u128_draws!(i64, i64::MIN..=i64::MAX, i64::MIN, full);
+        assert_u128_draws!(i64, i64::MIN..i64::MAX, i64::MIN, full - 1);
+        // Negative signed ranges.
+        assert_u128_draws!(i8, -128..=-126, -128, 3);
+        assert_u128_draws!(i8, i8::MIN..=i8::MAX, i8::MIN, 256);
+        assert_u128_draws!(i8, -7..-5, -7, 2);
+        assert_u128_draws!(i32, -1_000_000..-999_999, -1_000_000, 1);
+        assert_u128_draws!(i32, i32::MIN..=-3, i32::MIN, (1 << 31) - 2);
+        assert_u128_draws!(i32, i32::MIN..i32::MAX, i32::MIN, u128::from(u32::MAX));
     }
 
     #[test]
