@@ -5,10 +5,10 @@
 //! *entire throughput trace in advance* to eliminate prediction error. The
 //! paper solves a full-trace bitrate assignment; we approximate it with a
 //! receding-horizon controller that integrates the *exact* future
-//! throughput (no scenarios, no estimation) — documented in DESIGN.md as a
-//! substitution. The sensitivity-aware variant weights chunk quality and
-//! may schedule intentional rebuffering; the unaware variant optimizes the
-//! same objective with uniform weights.
+//! throughput (no scenarios, no estimation) — listed under
+//! "Substitutions" in README.md. The sensitivity-aware variant weights
+//! chunk quality and may schedule intentional rebuffering; the unaware
+//! variant optimizes the same objective with uniform weights.
 //!
 //! ## Planning cost, and where it goes
 //!

@@ -159,7 +159,7 @@ impl Pensieve {
     ///
     /// Returns an error on an empty corpus/trace set or simulator failure.
     pub fn train(
-        corpus: &[(SourceVideo, EncodedVideo)],
+        corpus: &[(&SourceVideo, &EncodedVideo)],
         traces: &[ThroughputTrace],
         config: &PensieveConfig,
         seed: u64,
@@ -178,7 +178,7 @@ impl Pensieve {
                 ep,
                 config.episodes,
             ));
-            let (source, encoded) = &corpus[ep % corpus.len()];
+            let (source, encoded) = corpus[ep % corpus.len()];
             let trace = &traces[(ep / corpus.len()) % traces.len()];
             let mut explorer = Explorer {
                 agent: &agent,
@@ -302,13 +302,8 @@ mod tests {
     fn trained_policy_avoids_catastrophic_stalling() {
         let src = source();
         let enc = encoded(&src);
-        let pensieve = Pensieve::train(
-            &[(src.clone(), enc.clone())],
-            &train_traces(200),
-            &quick_config(),
-            7,
-        )
-        .unwrap();
+        let pensieve =
+            Pensieve::train(&[(&src, &enc)], &train_traces(200), &quick_config(), 7).unwrap();
         // Evaluate on a held-out trace.
         let eval = sensei_trace::generate::hsdpa_like(1500.0, 600, 999);
         let result = simulate(
@@ -330,13 +325,8 @@ mod tests {
     fn trained_policy_is_competitive_with_bba() {
         let src = source();
         let enc = encoded(&src);
-        let pensieve = Pensieve::train(
-            &[(src.clone(), enc.clone())],
-            &train_traces(300),
-            &quick_config(),
-            11,
-        )
-        .unwrap();
+        let pensieve =
+            Pensieve::train(&[(&src, &enc)], &train_traces(300), &quick_config(), 11).unwrap();
         let qoe = Ksqi::canonical();
         let mut p_total = 0.0;
         let mut b_total = 0.0;
@@ -374,7 +364,7 @@ mod tests {
             ..PensieveConfig::default()
         };
         let run = || {
-            let p = Pensieve::train(&[(src.clone(), enc.clone())], &traces, &cfg, 3).unwrap();
+            let p = Pensieve::train(&[(&src, &enc)], &traces, &cfg, 3).unwrap();
             let eval = sensei_trace::generate::fcc_like(2000.0, 600, 2);
             let r = simulate(
                 &src,

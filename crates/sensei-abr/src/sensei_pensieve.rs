@@ -140,7 +140,7 @@ impl SenseiPensieve {
     ///
     /// Returns an error on an empty corpus/trace set or simulator failure.
     pub fn train(
-        corpus: &[(SourceVideo, EncodedVideo, SensitivityWeights)],
+        corpus: &[(&SourceVideo, &EncodedVideo, &SensitivityWeights)],
         traces: &[ThroughputTrace],
         config: &PensieveConfig,
         seed: u64,
@@ -159,7 +159,7 @@ impl SenseiPensieve {
                 ep,
                 config.episodes,
             ));
-            let (source, encoded, weights) = &corpus[ep % corpus.len()];
+            let (source, encoded, weights) = corpus[ep % corpus.len()];
             let trace = &traces[(ep / corpus.len()) % traces.len()];
             let mut explorer = Explorer {
                 agent: &agent,
@@ -364,19 +364,13 @@ mod tests {
         let enc = encoded(&src);
         let weights = SensitivityWeights::ground_truth(&src);
         let traces = train_traces(700);
-        let sensei = SenseiPensieve::train(
-            &[(src.clone(), enc.clone(), weights.clone())],
-            &traces,
-            &quick_config(),
-            13,
-        )
-        .unwrap();
+        let sensei =
+            SenseiPensieve::train(&[(&src, &enc, &weights)], &traces, &quick_config(), 13).unwrap();
         let plain_cfg = PensieveConfig {
             episodes: 3000,
             ..PensieveConfig::default()
         };
-        let plain =
-            crate::Pensieve::train(&[(src.clone(), enc.clone())], &traces, &plain_cfg, 13).unwrap();
+        let plain = crate::Pensieve::train(&[(&src, &enc)], &traces, &plain_cfg, 13).unwrap();
         let oracle = TrueQoe::default();
         let config = PlayerConfig::default();
         let mut s_total = 0.0;

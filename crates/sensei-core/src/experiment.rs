@@ -472,10 +472,8 @@ impl Experiment {
                     config.seed ^ (0x13_000 + i as u64),
                 ));
             }
-            let plain_corpus: Vec<(SourceVideo, EncodedVideo)> = assets
-                .iter()
-                .map(|a| (a.source.clone(), a.encoded.clone()))
-                .collect();
+            let plain_corpus: Vec<(&SourceVideo, &EncodedVideo)> =
+                assets.iter().map(|a| (&a.source, &a.encoded)).collect();
             let plain_cfg = PensieveConfig {
                 episodes: config.rl_episodes,
                 player: config.player,
@@ -483,9 +481,9 @@ impl Experiment {
             };
             let pensieve =
                 Pensieve::train(&plain_corpus, &train_traces, &plain_cfg, config.seed ^ 0x9E)?;
-            let sensei_corpus: Vec<(SourceVideo, EncodedVideo, SensitivityWeights)> = assets
+            let sensei_corpus: Vec<(&SourceVideo, &EncodedVideo, &SensitivityWeights)> = assets
                 .iter()
-                .map(|a| (a.source.clone(), a.encoded.clone(), a.weights.clone()))
+                .map(|a| (&a.source, &a.encoded, &a.weights))
                 .collect();
             let sensei_cfg = PensieveConfig {
                 episodes: config.rl_episodes,

@@ -1,17 +1,24 @@
 //! The batch==scalar soundness contract the batch-first engine rests on.
 //!
 //! `Experiment::score_batch_in` runs N lanes through the
-//! structure-of-arrays session batch and scores them in place; that is
-//! only a pure optimization if every lane's score is **byte-identical**
-//! to an independent scalar reference built directly on
-//! `sensei_sim::simulate_in` with a fresh policy. This asserts exactly
-//! that for every `PolicyKind` (trained RL policies and trace-bound
-//! oracles included) and for every batch width in {1, 3, 8, 64} — width 1
-//! being the degenerate scalar case `run_session_in` delegates to.
+//! structure-of-arrays session batch and scores them in place, with
+//! every policy kind's batched override (`begin_batch`/`select_batch`)
+//! deciding for its lanes. That is only a pure optimization if every
+//! lane's score is **byte-identical** to an independent reference: one
+//! `sensei_sim::simulate` session per lane with a fresh policy that
+//! decides through plain per-lane `decide` (`DecideOnly`). This asserts
+//! exactly that for every `PolicyKind` (trained RL policies and
+//! trace-bound oracles included) and for every batch width in
+//! {1, 3, 8, 64} — width 1 being the degenerate case `run_session_in`
+//! delegates to. The lane engine itself is held to the scalar session
+//! loop by `sensei-sim`'s own tests.
 
+mod common;
+
+use common::DecideOnly;
 use sensei_core::experiment::VideoAsset;
 use sensei_core::{Experiment, ExperimentConfig, LaneScore, PolicyKind, SessionRuntime};
-use sensei_sim::{simulate_in, PlayerConfig, SessionScratch};
+use sensei_sim::{simulate, PlayerConfig};
 use sensei_trace::ThroughputTrace;
 
 /// Quick 3-video environment with *tiny* RL training so `Pensieve` and
@@ -25,8 +32,8 @@ fn env_with_rl() -> Experiment {
 }
 
 /// The scalar reference: a fresh policy straight from the environment,
-/// one `simulate_in` session, oracle scoring of the assembled render — no
-/// batch engine anywhere.
+/// one `simulate` session deciding through per-lane `decide` only,
+/// oracle scoring of the assembled render — no batched override anywhere.
 fn scalar_reference(
     env: &Experiment,
     asset: &VideoAsset,
@@ -34,11 +41,9 @@ fn scalar_reference(
     kind: PolicyKind,
     player: &PlayerConfig,
 ) -> LaneScore {
-    let mut policy = env.policy(kind, trace).unwrap();
+    let mut policy = DecideOnly(env.policy(kind, trace).unwrap());
     let weights = kind.uses_weights().then_some(&asset.weights);
-    let mut scratch = SessionScratch::new();
-    let result = simulate_in(
-        &mut scratch,
+    let result = simulate(
         &asset.source,
         &asset.encoded,
         trace,
@@ -96,7 +101,7 @@ fn score_in_batches(
 }
 
 #[test]
-fn every_kind_and_width_is_byte_identical_to_simulate_in() {
+fn every_kind_and_width_is_byte_identical_to_per_lane_decide() {
     let env = env_with_rl();
     let players: [PlayerConfig; 3] = [
         PlayerConfig::default(),

@@ -7,8 +7,11 @@
 //! `PolicyKind`, including the trained RL policies and the trace-bound
 //! oracles, across a 3-video × 3-trace block.
 
+mod common;
+
+use common::DecideOnly;
 use sensei_core::{Experiment, ExperimentConfig, PolicyKind, SessionRuntime};
-use sensei_sim::{simulate_in, PlayerState, SessionContext, SessionScratch};
+use sensei_sim::{simulate, PlayerState, SessionContext};
 
 /// Quick 3-video environment with *tiny* RL training so `Pensieve` and
 /// `SenseiPensieve` are constructible. The episode count only has to make
@@ -57,8 +60,9 @@ fn stale_warm_start_state_never_leaks_into_the_next_session() {
     // incumbent. Abandon a session mid-stream — the slot then holds a
     // committed plan for a chunk step that will never come — and reuse
     // the instance for a full session on a *different* trace through the
-    // production entry path (rebind + the simulator's own reset). The
-    // result must match a fresh instance bit for bit.
+    // production entry path (rebind + the engine's `begin_batch`). The
+    // result must match a fresh instance deciding chunk by chunk bit for
+    // bit.
     let env = Experiment::build(&ExperimentConfig::quick(17)).unwrap();
     let mpc_kinds = [
         PolicyKind::Fugu,
@@ -97,11 +101,9 @@ fn stale_warm_start_state_never_leaks_into_the_next_session() {
             last_level = Some(reused.decide(&state, &ctx).level);
         }
         // Production reuse protocol: rebind to the next session's trace;
-        // `simulate_in` itself resets the policy.
+        // the lane engine's `begin_batch` clears the per-session state.
         reused.rebind(next_trace);
-        let mut scratch = SessionScratch::new();
-        let got = simulate_in(
-            &mut scratch,
+        let got = simulate(
             &asset.source,
             &asset.encoded,
             next_trace,
@@ -110,9 +112,8 @@ fn stale_warm_start_state_never_leaks_into_the_next_session() {
             weights,
         )
         .unwrap();
-        let mut fresh = env.policy(kind, next_trace).unwrap();
-        let want = simulate_in(
-            &mut scratch,
+        let mut fresh = DecideOnly(env.policy(kind, next_trace).unwrap());
+        let want = simulate(
             &asset.source,
             &asset.encoded,
             next_trace,

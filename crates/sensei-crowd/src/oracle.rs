@@ -1,6 +1,7 @@
 //! The hidden ground-truth QoE function ("what users actually feel").
 //!
-//! Design (documented in DESIGN.md §3):
+//! Design (a stand-in for real user ratings; see "Substitutions" in
+//! README.md):
 //!
 //! 1. **Sensitivity-amplified degradation.** Each chunk's *experienced*
 //!    quality is its reference quality minus its degradations (visual

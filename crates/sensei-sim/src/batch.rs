@@ -27,25 +27,125 @@
 //! [`RenderedVideo`]) per lane, through a pool of recycled buffers, for
 //! callers that want whole sessions.
 //!
-//! **The soundness contract:** each lane performs *exactly* the arithmetic
-//! [`crate::simulate_in`] performs for the same session, in the same
-//! order — the batch only regroups independent per-lane work into lane
-//! loops. Results are therefore byte-identical to the scalar path for any
-//! batch width (asserted across every policy kind by
-//! `sensei-core/tests/batch_soundness.rs`). This is also why the transfer
-//! loop integrates through [`Network::download_time`] (for a whole trace,
-//! [`sensei_trace::ThroughputTrace::download_time`]) rather than a shared
-//! `CumulativeTrace` index: at chunk granularity the
+//! **The one engine:** this is the only player loop in the crate;
+//! [`crate::simulate`] runs a single session as a one-lane batch. Each
+//! lane performs *exactly* the arithmetic of the scalar session loop (one
+//! session, one [`AbrPolicy::decide`] per chunk) in the same order — the
+//! batch only regroups independent per-lane work into lane loops. Results
+//! are therefore byte-identical for any batch width: this module's tests
+//! hold lanes to a test-only scalar loop, and
+//! `sensei-core/tests/batch_soundness.rs` holds every policy kind's
+//! batched override to per-lane `decide` at widths 1 to 64.
+//!
+//! The transfer loop integrates through [`Network::download_time`] (for a
+//! whole trace, [`sensei_trace::ThroughputTrace::download_time`]) rather
+//! than a shared `CumulativeTrace` index: at chunk granularity the
 //! piecewise walk touches only a handful of buckets, and the `O(log n)`
 //! index rounds differently — the batch reserves cumulative indexing for
-//! the MPC planners (where repeated integration dominates and the planner
-//! owns the index on both paths).
+//! the MPC planners, where repeated integration dominates and the planner
+//! owns the index.
 
 use crate::policy::{AbrPolicy, Decision, PlayerState, SessionContext};
-use crate::session::{Playback, PlayerConfig, SessionResult, EPS};
+use crate::session::{PlayerConfig, SessionResult};
 use crate::SimError;
 use sensei_trace::Network;
 use sensei_video::{EncodedVideo, RenderedChunk, RenderedVideo, SensitivityWeights, SourceVideo};
+
+/// One lane's playback bookkeeping. The stall ledger is the lane's slice
+/// of the batch's flat ledger, so it is recycled across batches. The
+/// test-only scalar loop shares it verbatim, which is what keeps the two
+/// byte-identical.
+pub(crate) struct Playback<'a> {
+    /// Media seconds played so far.
+    pub(crate) m: f64,
+    /// Media seconds downloaded so far (multiple of the chunk duration).
+    pub(crate) downloaded_end: f64,
+    /// Intentional pause waiting to be taken at the next chunk boundary.
+    pub(crate) pending_pause: f64,
+    /// Per-chunk (forced, intentional) stall seconds.
+    pub(crate) stalls: &'a mut [(f64, f64)],
+    /// Chunk duration.
+    pub(crate) d: f64,
+    /// Total media duration.
+    pub(crate) total: f64,
+}
+
+pub(crate) const EPS: f64 = 1e-9;
+
+impl Playback<'_> {
+    pub(crate) fn buffer(&self) -> f64 {
+        (self.downloaded_end - self.m).max(0.0)
+    }
+
+    fn finished(&self) -> bool {
+        self.m >= self.total - EPS
+    }
+
+    /// Index of the chunk the playhead is about to enter. Only meaningful
+    /// at (or epsilon-close to) a chunk boundary.
+    // The +0.5/floor is the documented nearest-boundary rounding;
+    // chunk indices are tiny.
+    #[allow(clippy::cast_possible_truncation)]
+    fn boundary_chunk(&self) -> usize {
+        ((self.m / self.d) + 0.5).floor() as usize
+    }
+
+    fn at_boundary(&self) -> bool {
+        let frac = self.m / self.d;
+        (frac - frac.round()).abs() * self.d < 1e-6
+    }
+
+    /// Advances playback by `dt` wall seconds, consuming intentional pauses
+    /// at boundaries and recording forced stalls when the buffer is empty.
+    /// Returns the wall time actually consumed (less than `dt` only when
+    /// the video finishes).
+    pub(crate) fn advance(&mut self, mut dt: f64) -> f64 {
+        let mut used = 0.0;
+        while dt > EPS {
+            if self.finished() {
+                break;
+            }
+            // The pause test goes first: `at_boundary` divides and
+            // rounds, and most steps (every BBA step) have no pause.
+            if self.pending_pause > EPS && self.at_boundary() {
+                let k = self.boundary_chunk().min(self.stalls.len() - 1);
+                let s = self.pending_pause.min(dt);
+                self.stalls[k].1 += s;
+                self.pending_pause -= s;
+                dt -= s;
+                used += s;
+                continue;
+            }
+            if self.buffer() <= EPS {
+                // Buffer empty at a boundary: forced stall for the rest of
+                // this window (the download in flight will refill it).
+                let k = self.boundary_chunk().min(self.stalls.len() - 1);
+                self.stalls[k].0 += dt;
+                used += dt;
+                dt = 0.0;
+                continue;
+            }
+            // Play until the nearest event: window end, buffer exhaustion,
+            // or the next boundary if a pause is pending there.
+            let mut step = dt.min(self.buffer());
+            if self.pending_pause > EPS {
+                let to_boundary = self.d - (self.m % self.d);
+                if to_boundary > EPS {
+                    step = step.min(to_boundary);
+                }
+            }
+            self.m += step;
+            dt -= step;
+            used += step;
+            // Snap to boundary to defeat float drift.
+            let frac = self.m / self.d;
+            if (frac - frac.round()).abs() * self.d < 1e-6 {
+                self.m = frac.round() * self.d;
+            }
+        }
+        used
+    }
+}
 
 /// One policy's lanes within a batch: the (shared, possibly stateful)
 /// policy instance, the weights its sessions receive, and one player
@@ -143,9 +243,9 @@ impl BatchStates<'_> {
         &self.buffers[self.base..self.base + self.len]
     }
 
-    /// The full [`PlayerState`] of lane `i` (0-based within the view),
-    /// identical to what the scalar loop would hand [`AbrPolicy::decide`]
-    /// for the same session at the same point.
+    /// The full [`PlayerState`] of lane `i` (0-based within the view):
+    /// what the default [`AbrPolicy::select_batch`] hands
+    /// [`AbrPolicy::decide`] for that lane.
     ///
     /// # Panics
     ///
@@ -232,8 +332,7 @@ struct SpareResult {
 }
 
 /// Reusable structure-of-arrays state for [`simulate_lanes_in`] and
-/// [`simulate_batch_in`] — the batch engine's counterpart of
-/// [`crate::SessionScratch`]. One `SessionBatch` per worker keeps the
+/// [`simulate_batch_in`]. One `SessionBatch` per worker keeps the
 /// steady-state lane loops free of heap allocation: flat lane arrays are
 /// cleared and refilled per batch, and result buffers return to the pool
 /// via [`Self::reclaim`]. After a successful run, [`Self::lane`] reads
@@ -337,8 +436,7 @@ impl SessionBatch {
 }
 
 /// Simulates one batch of sessions over a shared `(source, encoded,
-/// network)` triple — the lane-parallel counterpart of
-/// [`crate::simulate_in`] — and leaves every lane's outcome in `batch`,
+/// network)` triple and leaves every lane's outcome in `batch`,
 /// readable per lane through [`SessionBatch::lane`] in flat lane order
 /// (group 0's lanes first, in their given order).
 ///
@@ -362,8 +460,7 @@ pub fn simulate_lanes_in<N: Network>(
     let lanes: usize = groups.iter().map(|g| g.configs.len()).sum();
     let at_lane = |error: SimError, lane: usize| LaneFailure { lane, error };
     // Validation runs before the zero-lane early-out so a misconfigured
-    // harness fails loudly (as the scalar path would) even when it
-    // happens to request no lanes.
+    // harness fails loudly even when it happens to request no lanes.
     if encoded.num_chunks() != n {
         return Err(at_lane(
             SimError::ChunkCountMismatch {
@@ -373,8 +470,7 @@ pub fn simulate_lanes_in<N: Network>(
             0,
         ));
     }
-    // Validate per-group weights and per-lane configs up front, exactly
-    // the checks the scalar path performs on entry.
+    // Validate per-group weights and per-lane configs up front.
     let mut lane0 = 0;
     for group in groups.iter() {
         if let Some(w) = group.weights {
@@ -550,7 +646,7 @@ pub fn simulate_lanes_in<N: Network>(
 /// Simulates one batch of sessions ([`simulate_lanes_in`]) and assembles
 /// each lane's [`SessionResult`], appending them to `out` in flat lane
 /// order (group 0's lanes first, in their given order). Each lane's
-/// result is byte-identical to a [`crate::simulate_in`] call for the same
+/// result is byte-identical to a [`crate::simulate`] call for the same
 /// `(policy, config, weights)` session.
 ///
 /// # Errors
@@ -620,7 +716,7 @@ pub fn simulate_batch_in<N: Network>(
 mod tests {
     use super::*;
     use crate::policy::FixedLevel;
-    use crate::session::{simulate_in, SessionScratch};
+    use crate::reference::simulate_scalar;
     use sensei_trace::ThroughputTrace;
     use sensei_video::content::{Genre, SceneKind, SceneSpec};
     use sensei_video::BitrateLadder;
@@ -652,15 +748,43 @@ mod tests {
         ]
     }
 
+    /// Asks for a 1 s pause before chunk 3 and a 2 s pause before chunk 8,
+    /// and varies its level, so lanes exercise the pause arithmetic.
+    struct PauseAt;
+
+    impl AbrPolicy for PauseAt {
+        fn name(&self) -> &str {
+            "PauseAt"
+        }
+        fn decide(&mut self, state: &PlayerState<'_>, _: &SessionContext<'_>) -> Decision {
+            let pause_s = match state.next_chunk {
+                3 => 1.0,
+                8 => 2.0,
+                _ => 0.0,
+            };
+            Decision {
+                level: 1 + state.next_chunk % 3,
+                pause_s,
+            }
+        }
+    }
+
     #[test]
     fn batch_lanes_match_scalar_sessions_byte_for_byte() {
         let (src, enc) = setup(14);
         let trace = sensei_trace::generate::hsdpa_like(1500.0, 300, 7);
         let configs = configs();
-        // Two groups: a level-2 policy over three player variants and a
-        // level-0 policy over two.
+        // A tight buffer keeps the drain phase busy around the pauses.
+        let tight = [PlayerConfig {
+            max_buffer_s: 6.0,
+            ..PlayerConfig::default()
+        }];
+        // Three groups: a level-2 policy over three player variants, a
+        // level-0 policy over two, and a pausing policy over the tight
+        // buffer.
         let mut p2 = FixedLevel::new(2);
         let mut p0 = FixedLevel::new(0);
+        let mut pauses = PauseAt;
         let mut groups = [
             BatchLanes {
                 policy: &mut p2,
@@ -672,28 +796,38 @@ mod tests {
                 weights: None,
                 configs: &configs[..2],
             },
+            BatchLanes {
+                policy: &mut pauses,
+                weights: None,
+                configs: &tight,
+            },
         ];
         let mut batch = SessionBatch::new();
         let mut out = Vec::new();
         simulate_batch_in(&mut batch, &src, &enc, &trace, &mut groups, &mut out).unwrap();
-        assert_eq!(out.len(), 5);
+        assert_eq!(out.len(), 6);
+        let paused: f64 = out[5]
+            .render
+            .chunks()
+            .iter()
+            .map(|c| c.intentional_rebuffer_s)
+            .sum();
+        assert!((paused - 3.0).abs() < 1e-6, "pause lane paused {paused} s");
         // Scalar reference, lane by lane.
-        let mut scratch = SessionScratch::new();
-        let specs: Vec<(usize, PlayerConfig)> = [(2usize, 0), (2, 1), (2, 2), (0, 0), (0, 1)]
-            .into_iter()
-            .map(|(level, c)| (level, configs[c]))
-            .collect();
-        for (lane, (level, config)) in specs.into_iter().enumerate() {
-            let reference = simulate_in(
-                &mut scratch,
-                &src,
-                &enc,
-                &trace,
-                &mut FixedLevel::new(level),
-                &config,
-                None,
-            )
-            .unwrap();
+        let fixed = |level: usize, c: usize| -> (Box<dyn AbrPolicy>, PlayerConfig) {
+            (Box::new(FixedLevel::new(level)), configs[c])
+        };
+        let specs = vec![
+            fixed(2, 0),
+            fixed(2, 1),
+            fixed(2, 2),
+            fixed(0, 0),
+            fixed(0, 1),
+            (Box::new(PauseAt) as Box<dyn AbrPolicy>, tight[0]),
+        ];
+        for (lane, (mut policy, config)) in specs.into_iter().enumerate() {
+            let reference =
+                simulate_scalar(&src, &enc, &trace, &mut policy, &config, None).unwrap();
             let got = &out[lane];
             assert_eq!(got.levels, reference.levels, "lane {lane} levels");
             assert_eq!(got.render, reference.render, "lane {lane} render");
@@ -834,8 +968,7 @@ mod tests {
         }];
         simulate_batch_in(&mut batch, &src, &enc, &trace, &mut groups, &mut out).unwrap();
         assert!(out.is_empty());
-        // A mismatched encoding fails loudly even with zero lanes, like
-        // the scalar path would.
+        // A mismatched encoding fails loudly even with zero lanes.
         let (_, other_enc) = setup(7);
         let err =
             simulate_batch_in(&mut batch, &src, &other_enc, &trace, &mut [], &mut out).unwrap_err();

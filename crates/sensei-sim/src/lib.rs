@@ -26,6 +26,8 @@
 
 pub mod batch;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 pub mod session;
 
 pub use batch::{
@@ -33,7 +35,7 @@ pub use batch::{
     SessionBatch,
 };
 pub use policy::{AbrPolicy, Decision, PlayerState, SessionContext};
-pub use session::{simulate, simulate_in, PlayerConfig, SessionResult, SessionScratch};
+pub use session::{simulate, PlayerConfig, SessionResult};
 
 /// Errors produced by the simulator.
 #[derive(Debug, Clone, PartialEq)]

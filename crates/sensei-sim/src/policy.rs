@@ -11,7 +11,7 @@ use sensei_video::{EncodedVideo, SensitivityWeights};
 
 /// Dynamic player state visible to a policy at decision time.
 ///
-/// The history fields borrow the simulator's scratch buffers: the state is
+/// The history fields borrow the lane engine's flat arrays: the state is
 /// `Copy`, so policies that want to evaluate hypothetical variants (e.g.
 /// SENSEI's pause candidates) copy it for free instead of cloning two
 /// heap-allocated vectors per decision.
@@ -99,8 +99,10 @@ impl Decision {
 ///
 /// Policies follow a reuse lifecycle so one instance can serve thousands of
 /// sessions: [`Self::rebind`] attaches trace-bound policies to the next
-/// session's network, [`Self::reset`] clears per-session state (called by
-/// [`crate::simulate`] on entry), and [`Self::decide`] runs per chunk.
+/// session's network, [`Self::begin_batch`] prepares per-session state
+/// (its default calls [`Self::reset`]) before every batch — a
+/// [`crate::simulate`] session is a one-lane batch — and
+/// [`Self::decide`] runs per chunk.
 pub trait AbrPolicy {
     /// Algorithm name for reports.
     fn name(&self) -> &str;
@@ -110,6 +112,7 @@ pub trait AbrPolicy {
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision;
 
     /// Resets internal state before a new session; default is stateless.
+    /// The default [`Self::begin_batch`] calls it once per batch.
     fn reset(&mut self) {}
 
     /// Rebinds the policy to a new session's throughput trace. Only
