@@ -136,9 +136,11 @@ impl RuleId {
                     || path.starts_with("shims/criterion/"))
             }
             RuleId::NoEnvOutsideConfig => {
-                // Benches and examples are process entry points: env
-                // knobs there are the documented configuration surface.
-                !(path.starts_with("crates/sensei-bench/") || path.starts_with("examples/"))
+                // Bench targets and examples are process entry points:
+                // env knobs there are the documented configuration
+                // surface. The sensei-bench library takes its mode as a
+                // value, like every other library.
+                !(path.starts_with("crates/sensei-bench/benches/") || path.starts_with("examples/"))
             }
             // Library code only: tests/benches asserting over small
             // local sets are not merge paths.

@@ -111,6 +111,10 @@ fn benches_and_examples_are_config_entry_points() {
     let src = "fn f() -> bool { std::env::var(\"SENSEI_X\").is_ok() }";
     assert!(rules_fired("crates/sensei-bench/benches/fig.rs", src).is_empty());
     assert!(rules_fired("examples/fleet_families.rs", src).is_empty());
+    // The bench library is library code: only its bench targets are
+    // entry points.
+    let fired = rules_fired("crates/sensei-bench/src/lib.rs", src);
+    assert!(fired.iter().any(|r| r == "no-env-outside-config"));
 }
 
 // ---- no-lossy-cast ----------------------------------------------------

@@ -21,7 +21,7 @@
 //! | [`fleet`] | `sensei-fleet` | beyond §7 — sharded, deterministic fleet-scale session populations |
 //! | [`trace`] | `sensei-trace` | §7.1 — FCC / 3G-HSDPA-like throughput traces |
 //! | [`ml`] | `sensei-ml` | §4.2, §5.2 — regression, forests, LSTM, actor-critic substrate |
-//! | [`mod@bench`] | `sensei-bench` | §7 — the per-figure benchmark harness |
+//! | [`mod@bench`] | `sensei-bench` | §7 — the claims runner: every figure, checked against the paper |
 //!
 //! The crates form a DAG: substrates (`video`, `trace`, `ml`, `dash`) feed
 //! mid-layers (`qoe`, `sim`, `crowd`, `abr`), which feed the system layer

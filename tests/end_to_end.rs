@@ -76,7 +76,7 @@ fn experiment_grid_reproduces_the_headline_ordering() {
     // that carries them (SENSEI >= Fugu overall), and (2) SENSEI beats BBA
     // where bandwidth is constrained but usable (the paper's sweet spot;
     // on near-outage traces every MPC controller concedes to BBA's
-    // reservoir conservatism — see EXPERIMENTS.md).
+    // reservoir conservatism — see the fig14 record in BASELINE_claims.json).
     let env = Experiment::build(&ExperimentConfig::quick(2021)).unwrap();
     let results = env
         .run_grid(&[PolicyKind::Bba, PolicyKind::Fugu, PolicyKind::SenseiFugu])
@@ -84,7 +84,8 @@ fn experiment_grid_reproduces_the_headline_ordering() {
     let sensei = mean_qoe(&results, "SENSEI");
     let fugu = mean_qoe(&results, "Fugu");
     // Overall means may flip by a few percent on seeds whose trace set is
-    // dominated by near-outage cellular traces (see EXPERIMENTS.md).
+    // dominated by near-outage cellular traces (see the fig12a records in
+    // BASELINE_claims.json).
     assert!(sensei >= fugu * 0.9, "SENSEI {sensei:.3} vs Fugu {fugu:.3}");
     // Stable constrained traces (FCC-like): the regime where lookahead
     // planning plus sensitivity weights pay off most reliably.
