@@ -3,20 +3,48 @@
 //! The MPC family (Fugu, SENSEI-Fugu with and without the pause action,
 //! and both oracle variants) runs one branch-and-bound core. Its result
 //! bits are pinned by the parity suites; this suite pins its *work*. Each
-//! policy plays the same fixed sessions through the scalar `simulate`
-//! path and the batched `simulate_batch_in` path with telemetry on, and
-//! the six planner counters must equal the recorded constants exactly.
+//! policy plays the same fixed sessions through its per-decision `decide`
+//! path (`simulate` over a [`DecideOnly`] wrapper) and its batched
+//! `select_batch` path (`simulate_batch_in`) with telemetry on, and the
+//! six planner counters must equal the recorded constants exactly.
 //! A refactor that changes visit order, bound tightness, warm-start
 //! seeding, pause-candidate floors or the oracle's download-time rows
 //! moves at least one of them. The last two counters are the oracle
 //! walk's download-time reads and the reads a row filled earlier served.
 
 use sensei_abr::{Fugu, OracleMpc, SenseiFugu};
-use sensei_sim::{simulate, simulate_batch_in, AbrPolicy, BatchLanes, PlayerConfig, SessionBatch};
+use sensei_sim::{
+    simulate, simulate_batch_in, AbrPolicy, BatchLanes, Decision, PlayerConfig, PlayerState,
+    SessionBatch, SessionContext,
+};
 use sensei_telemetry::{self as telemetry, Counter};
 use sensei_trace::ThroughputTrace;
 use sensei_video::content::{Genre, SceneKind, SceneSpec};
 use sensei_video::{BitrateLadder, EncodedVideo, SensitivityWeights, SourceVideo};
+
+/// Hides a policy's batched overrides: `begin_batch` and `select_batch`
+/// stay at the trait defaults (reset once, then `decide` lane by lane).
+/// `simulate` is a one-lane batch, so a session through this wrapper is
+/// the plain per-chunk `decide` loop.
+struct DecideOnly<'a>(&'a mut dyn AbrPolicy);
+
+impl AbrPolicy for DecideOnly<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
+        self.0.decide(state, ctx)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn rebind(&mut self, trace: &ThroughputTrace) {
+        self.0.rebind(trace);
+    }
+}
 
 /// The counters pinned per run, in this order.
 const COUNTERS: [Counter; 6] = [
@@ -68,9 +96,10 @@ fn read(shard: &telemetry::TelemetryShard) -> [u64; 6] {
     COUNTERS.map(|c| shard.counter(c))
 }
 
-/// Runs one instance through every trace, first one scalar session per
-/// trace (default player), then one batch per trace over [`players`].
-/// Returns the counters of the scalar half and of the batched half.
+/// Runs one instance through every trace, first one per-decision session
+/// per trace (default player, through [`DecideOnly`]), then one batch per
+/// trace over [`players`]. Returns the counters of the scalar half and of
+/// the batched half.
 fn measure(
     policy: &mut dyn AbrPolicy,
     weights: Option<&SensitivityWeights>,
@@ -82,8 +111,17 @@ fn measure(
 
     telemetry::begin();
     for trace in &traces {
-        policy.rebind(trace);
-        simulate(&src, &enc, trace, policy, &PlayerConfig::default(), weights).unwrap();
+        let mut scalar = DecideOnly(&mut *policy);
+        scalar.rebind(trace);
+        simulate(
+            &src,
+            &enc,
+            trace,
+            &mut scalar,
+            &PlayerConfig::default(),
+            weights,
+        )
+        .unwrap();
     }
     let scalar = read(&telemetry::end());
 

@@ -140,7 +140,7 @@ impl Manifest {
             .attr("mediaPresentationDuration", format!("PT{total:.1}S"))
             .attr(
                 "maxSegmentDuration",
-                format!("PT{:.1}S", self.chunk_duration_s),
+                format!("PT{}S", exact_seconds(self.chunk_duration_s)),
             )
             .child(
                 Element::new("ProgramInformation")
@@ -222,6 +222,19 @@ fn parse_numbers(text: &str) -> Result<Vec<f64>, DashError> {
                 .map_err(|_| DashError::BadNumber(tok.to_string()))
         })
         .collect()
+}
+
+/// `seconds` as the shortest decimal that parses back to the same `f64`,
+/// with `.0` on whole numbers (`4.0`, `0.04`, `4.05`): the chunk duration
+/// a reader recovers is the one written, so no valid duration rounds to
+/// an invalid `PT0.0S`.
+fn exact_seconds(seconds: f64) -> String {
+    let text = seconds.to_string();
+    if text.contains('.') {
+        text
+    } else {
+        text + ".0"
+    }
 }
 
 /// Parses the `PT<seconds>S` ISO-8601 duration subset this crate writes.
@@ -326,6 +339,21 @@ mod tests {
             Manifest::parse(&xml).unwrap_err(),
             DashError::BadNumber(_)
         ));
+    }
+
+    #[test]
+    fn chunk_durations_round_trip_exactly() {
+        for d in [4.0, 2.0, 0.04, 4.05, 1e-3, 1.0 / 3.0, 12.5] {
+            let mut m = manifest(true);
+            m.chunk_duration_s = d;
+            let parsed = Manifest::parse(&m.to_xml().unwrap()).unwrap();
+            assert_eq!(parsed.chunk_duration_s.to_bits(), d.to_bits(), "{d}");
+        }
+        // Whole-tenth durations keep their one-decimal wire form.
+        assert!(manifest(true)
+            .to_xml()
+            .unwrap()
+            .contains("maxSegmentDuration=\"PT4.0S\""));
     }
 
     #[test]

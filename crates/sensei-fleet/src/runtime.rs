@@ -4,35 +4,40 @@
 //! `Fleet::execute` gives every worker thread one [`WorkerRuntime`] for the
 //! whole run. Policies and simulator buffers are reused through the
 //! embedded [`SessionRuntime`]; perturbed networks are the fleet-specific
-//! part, handled by [`TraceCache`]:
+//! part, handled by [`TraceCache`]. Every non-identity perturbation takes
+//! one path, the on-demand [`PerturbedStream`]:
 //!
-//! * **Deterministic perturbations** (bandwidth scaling, no jitter) do not
-//!   depend on any seed, so the perturbed trace is materialized once per
-//!   `(trace, perturbation)` pair and shared by every scenario the worker
-//!   runs against it.
+//! * **Scalings** (no jitter) do not depend on any seed. Their stream is
+//!   a zero-copy view of the base trace: a download reads `base[i] ·
+//!   scale` where it needs it, the product a whole build would store, so
+//!   nothing is drawn or kept per `(trace, perturbation)` pair.
 //! * **Jittered perturbations** are a pure function of their seed, and
 //!   the matrix derives that seed from the tile (see `Scenario::seed`),
 //!   so a jittered network never repeats across tiles. It is set up once
 //!   per tile and shared by every lane (player variant × policy) and
-//!   sub-batch replaying it. A tile whose lanes never read the whole
-//!   trace gets an on-demand stream (`TraceCache::network`) that draws
-//!   Gaussian pairs only as far as its downloads reach — on the Table-1
-//!   evaluation traces (1,200 one-second samples) the farthest sample a
-//!   BBA tile reads is about a fifth of the way in, so most of each
-//!   regeneration is never drawn. A tile with an oracle lane, and every
-//!   caller that wants cells (whose `trace_mean_kbps` is the realized
-//!   mean), completes the network into a whole trace
-//!   ([`TraceCache::resolve`]), value-identical to the stream's draws.
+//!   sub-batch replaying it. The stream draws Gaussian pairs only as far
+//!   as the tile's downloads reach — on the Table-1 evaluation traces
+//!   (1,200 one-second samples) the farthest sample a BBA tile reads is
+//!   about a fifth of the way in, so most of each regeneration is never
+//!   drawn.
 //!
-//! Memory stays bounded per worker: one trace per deterministic pair,
-//! one interned name per jittered pair, and two jittered sample buffers
-//! — the stream's and the last completed trace's — recycled into each
-//! other, however many videos, traces or seeds a run sweeps.
+//! A tile with an oracle lane, and every caller that wants cells (whose
+//! `trace_mean_kbps` is the realized mean), completes the network into a
+//! whole trace ([`TraceCache::resolve`]), value-identical to the
+//! stream's answers. The last completed trace stays in one slot, keyed
+//! by pair and seed (the seed is ignored without jitter), so every lane
+//! and sub-batch of that tile shares it.
 //!
-//! Caching never changes results: cached, streamed and freshly-applied
-//! perturbations are value-identical (asserted by the tests below and by
-//! `sensei-trace`'s stream property tests), and which worker's cache
-//! served a scenario is invisible to the merge-based aggregates.
+//! Memory stays bounded per worker: two sample buffers — the stream's
+//! and the completed slot's, recycled into each other — and one interned
+//! name per non-identity pair, however many videos, traces, scales or
+//! seeds a run sweeps.
+//!
+//! Caching never changes results: streamed, completed and
+//! freshly-applied perturbations are value-identical (asserted by the
+//! tests below and by `sensei-trace`'s stream property tests), and which
+//! worker's cache served a scenario is invisible to the merge-based
+//! aggregates.
 
 use crate::scenario::TracePerturbation;
 use sensei_core::SessionRuntime;
@@ -73,10 +78,11 @@ type PairKey = (usize, usize);
 
 /// A tile's network as [`TraceCache::network`] serves it.
 pub(crate) enum TileNetwork<'a> {
-    /// A whole trace: the base trace, a cached deterministic
-    /// perturbation, or an already-completed jittered one.
+    /// A whole trace: the base trace, or the perturbation the cache's
+    /// completed slot already holds.
     Trace(&'a ThroughputTrace),
-    /// A jittered perturbation drawn on demand.
+    /// A non-identity perturbation served on demand: a zero-copy view
+    /// when unjittered, Gaussian pairs drawn as read otherwise.
     Stream {
         /// The perturbation's interned name (what the completed trace
         /// would be called).
@@ -125,23 +131,22 @@ impl Network for TileNetwork<'_> {
 
 /// The per-worker perturbed-trace cache.
 ///
-/// The maps are `BTreeMap`s, not `HashMap`s: the cache is keyed-lookup
-/// only today, but an ordered map makes that deterministic by
-/// construction instead of by discipline, so no future iteration over
+/// The name map is a `BTreeMap`, not a `HashMap`: the cache is
+/// keyed-lookup only today, but an ordered map makes that deterministic
+/// by construction instead of by discipline, so no future iteration over
 /// it can ever feed aggregate state in an unspecified order
 /// (sensei-lint: `no-unordered-iteration`).
 pub struct TraceCache {
-    /// Seed-independent perturbations, materialized once per pair.
-    deterministic: BTreeMap<PairKey, ThroughputTrace>,
-    /// Interned names of jittered perturbations (seed-independent even
-    /// when the samples are not).
-    jitter_names: BTreeMap<PairKey, Arc<str>>,
+    /// Interned names of non-identity perturbations (seed-independent
+    /// even when the samples are not).
+    names: BTreeMap<PairKey, Arc<str>>,
     /// The recycled sample buffer of the current on-demand stream.
     stream_buf: Vec<f64>,
-    /// The most recently completed jittered trace and its `(pair, seed)`:
-    /// every lane and sub-batch of a tile shares one seed, so one slot
-    /// serves the whole tile. Tiles never share a seed, so more slots
-    /// would only hold memory.
+    /// The most recently completed perturbed trace, its pair and its
+    /// slot seed ([`slot_seed`]): every lane and sub-batch of a tile
+    /// shares one seed, so one slot serves the whole tile. Tiles never
+    /// share a jittered seed, and a scaling's stream is a free view, so
+    /// more slots would only hold memory.
     completed: Option<(PairKey, u64, ThroughputTrace)>,
 }
 
@@ -150,8 +155,7 @@ impl TraceCache {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            deterministic: BTreeMap::new(),
-            jitter_names: BTreeMap::new(),
+            names: BTreeMap::new(),
             stream_buf: Vec::new(),
             completed: None,
         }
@@ -159,9 +163,9 @@ impl TraceCache {
 
     /// Resolves the whole perturbed trace for one scenario,
     /// value-identical to `perturbation.apply(base, seed)`: served from
-    /// the cache when it already holds this network, and otherwise
-    /// drawn in full by the same generator `Self::network` streams,
-    /// into a recycled buffer.
+    /// the completed slot when it already holds this network, and
+    /// otherwise built in full by completing the stream
+    /// `Self::network` would serve, into a recycled buffer.
     ///
     /// # Errors
     ///
@@ -175,45 +179,36 @@ impl TraceCache {
         perturbation_idx: usize,
         seed: u64,
     ) -> Result<&'a ThroughputTrace, TraceError> {
-        use std::collections::btree_map::Entry;
         if perturbation.is_identity() {
             return Ok(base);
         }
         let pair = (trace_idx, perturbation_idx);
-        if perturbation.jitter_std_kbps == 0.0 {
-            // Seed-independent: materialize once (the seed passed to
-            // `apply` is unused without jitter), reuse forever.
-            return Ok(match self.deterministic.entry(pair) {
-                Entry::Occupied(e) => {
-                    telemetry::count(telemetry::Counter::TraceCacheHits, 1);
-                    e.into_mut()
-                }
-                Entry::Vacant(v) => {
-                    telemetry::count(telemetry::Counter::TraceMaterializations, 1);
-                    v.insert(perturbation.apply(base, seed)?.into_owned())
-                }
-            });
-        }
-        if self.holds(pair, seed) {
+        let key = slot_seed(perturbation, seed);
+        if self.holds(pair, key) {
             telemetry::count(telemetry::Counter::TraceCacheHits, 1);
             return Ok(&self.completed.as_ref().expect("checked above").2);
         }
+        telemetry::count(telemetry::Counter::TraceMaterializations, 1);
         let (name, stream) = self.start_stream(base, perturbation, pair, seed)?;
         let trace = stream.complete(name)?;
-        count_jitter_samples(trace.samples().len());
+        if perturbation.jitter_std_kbps > 0.0 {
+            count_jitter_samples(trace.samples().len());
+        }
         // The completed trace took the stream's buffer; the trace it
         // evicts hands its own buffer to the next stream.
-        if let Some((_, _, evicted)) = self.completed.replace((pair, seed, trace)) {
+        if let Some((_, _, evicted)) = self.completed.replace((pair, key, trace)) {
             self.stream_buf = evicted.into_samples();
         }
         Ok(&self.completed.as_ref().expect("stored above").2)
     }
 
     /// The network for one tile whose lanes never read the whole trace:
-    /// an on-demand [`PerturbedStream`] for a jittered perturbation the
-    /// cache does not already hold, and otherwise the whole trace
-    /// [`Self::resolve`] serves. The stream answers every download with
-    /// the bits of the trace `resolve` would build.
+    /// the base trace for the identity, the completed slot's trace when
+    /// it already holds this network, and otherwise an on-demand
+    /// [`PerturbedStream`] — a zero-copy view of the base trace for a
+    /// scaling, Gaussian pairs drawn as read for a jittered network. The
+    /// stream answers every download with the bits of the trace
+    /// [`Self::resolve`] would build.
     ///
     /// # Errors
     ///
@@ -227,19 +222,22 @@ impl TraceCache {
         seed: u64,
     ) -> Result<TileNetwork<'a>, TraceError> {
         let pair = (trace_idx, perturbation_idx);
-        if perturbation.jitter_std_kbps == 0.0 || self.holds(pair, seed) {
+        if perturbation.is_identity() || self.holds(pair, slot_seed(perturbation, seed)) {
             return self
                 .resolve(base, perturbation, trace_idx, perturbation_idx, seed)
                 .map(TileNetwork::Trace);
+        }
+        if perturbation.jitter_std_kbps > 0.0 {
+            telemetry::count(telemetry::Counter::TraceMaterializations, 1);
         }
         let (name, stream) = self.start_stream(base, perturbation, pair, seed)?;
         Ok(TileNetwork::Stream { name, stream })
     }
 
-    /// Starts `pair`'s jittered network for `seed` as an on-demand
-    /// stream over the recycled buffer, with the pair's interned name
-    /// (it depends on the pair but not the seed, so it is built once and
-    /// shared by handle).
+    /// Starts `pair`'s network for `seed` as an on-demand stream over
+    /// the recycled buffer, with the pair's interned name (it depends on
+    /// the pair but not the seed, so it is built once and shared by
+    /// handle).
     fn start_stream<'a>(
         &'a mut self,
         base: &'a ThroughputTrace,
@@ -247,8 +245,7 @@ impl TraceCache {
         pair: PairKey,
         seed: u64,
     ) -> Result<(Arc<str>, PerturbedStream<'a>), TraceError> {
-        telemetry::count(telemetry::Counter::TraceMaterializations, 1);
-        let name = self.jitter_names.entry(pair).or_insert_with(|| {
+        let name = self.names.entry(pair).or_insert_with(|| {
             Arc::from(base.perturbed_name(perturbation.scale, perturbation.jitter_std_kbps))
         });
         let stream = base.perturbed_stream(
@@ -260,11 +257,39 @@ impl TraceCache {
         Ok((Arc::clone(name), stream))
     }
 
-    /// Whether the completed slot holds `pair`'s network for `seed`.
+    /// Whether the completed slot holds `pair`'s network for the slot
+    /// seed `seed`.
     fn holds(&self, pair: PairKey, seed: u64) -> bool {
         self.completed
             .as_ref()
             .is_some_and(|(p, s, _)| *p == pair && *s == seed)
+    }
+
+    /// Sample capacity the cache keeps allocated between tiles: the
+    /// stream buffer's and the completed trace's (read by taking the
+    /// trace apart and rebuilding it around the same buffer).
+    #[cfg(test)]
+    fn retained_capacity(&mut self) -> usize {
+        let completed = self.completed.take().map_or(0, |(pair, seed, trace)| {
+            let (name, interval_s) = (trace.name_handle(), trace.interval_s());
+            let samples = trace.into_samples();
+            let capacity = samples.capacity();
+            let trace = ThroughputTrace::new(name, interval_s, samples).expect("was a trace");
+            self.completed = Some((pair, seed, trace));
+            capacity
+        });
+        self.stream_buf.capacity() + completed
+    }
+}
+
+/// The seed a network's slot is keyed by: the scenario's seed when
+/// jittered, and 0 otherwise — a scaling is the same trace whatever the
+/// seed, so every tile of its pair shares the slot.
+fn slot_seed(perturbation: &TracePerturbation, seed: u64) -> u64 {
+    if perturbation.jitter_std_kbps > 0.0 {
+        seed
+    } else {
+        0
     }
 }
 
@@ -311,8 +336,8 @@ mod tests {
             assert_eq!(*t, fresh, "cached build must equal a fresh apply");
             t.samples().as_ptr()
         };
-        // A different seed (different cell, same pair) hits the same entry:
-        // deterministic perturbations are seed-independent.
+        // A different seed (different cell, same pair) hits the completed
+        // slot: a scaling without jitter is seed-independent.
         let second = cache.resolve(&base, &p, 2, 3, 42).unwrap();
         assert_eq!(*second, fresh);
         assert!(
@@ -398,16 +423,109 @@ mod tests {
         assert_eq!(*cache.resolve(&base, &jittered, 2, 3, 21).unwrap(), fresh);
         let held = cache.network(&base, &jittered, 2, 3, 21).unwrap();
         assert_eq!(held.full_trace(), Some(&fresh));
-        // Identity and seed-independent perturbations are whole traces.
+        // The identity is the base trace itself.
         let id = cache
             .network(&base, &TracePerturbation::identity(), 0, 0, 1)
             .unwrap();
         assert!(std::ptr::eq(id.full_trace().unwrap(), &base));
+        // A scaling is on demand too: a view of the base trace that
+        // answers with `apply`'s bits, and completes to its trace.
         let scaled = TracePerturbation::scaled(0.7);
-        let net = cache.network(&base, &scaled, 0, 1, 1).unwrap();
-        assert_eq!(
-            net.full_trace().unwrap(),
-            &scaled.apply(&base, 1).unwrap().into_owned()
-        );
+        let fresh = scaled.apply(&base, 1).unwrap().into_owned();
+        {
+            let mut net = cache.network(&base, &scaled, 0, 1, 1).unwrap();
+            assert!(net.full_trace().is_none());
+            assert_eq!(&*net.name_handle(), fresh.name());
+            for (start, bits) in [(0.0, 2e6), (40.0, 5e6), (3.0, 1e5), (115.0, 9e6)] {
+                let want = fresh.download_time(start, bits);
+                assert_eq!(net.download_time(start, bits).to_bits(), want.to_bits());
+            }
+        }
+        assert_eq!(*cache.resolve(&base, &scaled, 0, 1, 1).unwrap(), fresh);
+        // The completed scaling is seed-independent: another tile of the
+        // pair is served whole from the slot.
+        let held = cache.network(&base, &scaled, 0, 1, 77).unwrap();
+        assert_eq!(held.full_trace(), Some(&fresh));
+    }
+
+    #[test]
+    fn counters_report_what_was_drawn() {
+        let base = base();
+        let scaled = TracePerturbation::scaled(0.7);
+        let jittered = TracePerturbation::jittered(300.0);
+        let mut cache = TraceCache::new();
+        let counts = |shard: &telemetry::TelemetryShard| {
+            [
+                telemetry::Counter::TraceMaterializations,
+                telemetry::Counter::TraceCacheHits,
+                telemetry::Counter::JitterSamples,
+            ]
+            .map(|c| shard.counter(c))
+        };
+        // A scaled view builds, hits and draws nothing.
+        telemetry::begin();
+        let mut net = cache.network(&base, &scaled, 0, 1, 4).unwrap();
+        net.download_time(10.0, 6e6);
+        net.count_draws();
+        drop(net);
+        assert_eq!(counts(&telemetry::end()), [0, 0, 0]);
+        // Completing it is one materialization without jitter samples,
+        // and the next tile of the pair is a hit.
+        telemetry::begin();
+        cache.resolve(&base, &scaled, 0, 1, 4).unwrap();
+        cache
+            .network(&base, &scaled, 0, 1, 5)
+            .unwrap()
+            .count_draws();
+        assert_eq!(counts(&telemetry::end()), [1, 1, 0]);
+        // A jittered stream is one materialization and counts its draws.
+        telemetry::begin();
+        let mut net = cache.network(&base, &jittered, 0, 2, 4).unwrap();
+        net.download_time(10.0, 6e6);
+        net.count_draws();
+        let TileNetwork::Stream { stream, .. } = &net else {
+            panic!("a jittered network the slot does not hold is a stream");
+        };
+        let drawn = stream.drawn() as u64;
+        drop(net);
+        assert!(drawn > 0);
+        assert_eq!(counts(&telemetry::end()), [1, 0, drawn]);
+    }
+
+    #[test]
+    fn cache_retains_no_per_pair_trace() {
+        let base = base();
+        let len = base.samples().len();
+        let mut cache = TraceCache::new();
+        // 50 scaled pairs, each read on demand and every fifth also
+        // completed, interleaved with 20 jittered tiles: the cache keeps
+        // at most the stream's buffer and the completed slot's trace.
+        for i in 0..50u32 {
+            let scaled = TracePerturbation::scaled(0.3 + f64::from(i) * 0.02);
+            let idx = i as usize;
+            let mut net = cache.network(&base, &scaled, 0, idx, 3).unwrap();
+            net.download_time(f64::from(i), 4e6);
+            drop(net);
+            if i % 5 == 0 {
+                let want = scaled.apply(&base, 3).unwrap().into_owned();
+                assert_eq!(*cache.resolve(&base, &scaled, 0, idx, 3).unwrap(), want);
+            }
+            if i % 5 == 2 {
+                let jittered = TracePerturbation {
+                    scale: 0.9,
+                    jitter_std_kbps: 200.0,
+                };
+                let seed = u64::from(i);
+                let mut net = cache.network(&base, &jittered, 1, 50, seed).unwrap();
+                net.download_time(30.0, 8e6);
+                drop(net);
+                cache.resolve(&base, &jittered, 1, 50, seed + 1).unwrap();
+            }
+            assert!(
+                cache.retained_capacity() <= 2 * len,
+                "after pair {i}: {} samples retained for a {len}-sample trace",
+                cache.retained_capacity()
+            );
+        }
     }
 }

@@ -24,7 +24,8 @@ fn quick_experiment(seed: u64) -> Experiment {
 
 /// A jittered matrix over `policies`: two player variants and three
 /// perturbations (plain jitter, scaled jitter, and a seed-independent
-/// scale, so streamed and whole-trace tiles mix in one run).
+/// scale, so jittered streams and zero-copy scaled views mix in one
+/// run).
 fn jittered_matrix(policies: &[PolicyKind], master_seed: u64) -> ScenarioMatrix {
     ScenarioMatrix::builder()
         .policies(policies.iter().copied())

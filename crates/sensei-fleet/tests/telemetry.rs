@@ -273,3 +273,39 @@ fn jitter_samples_count_only_what_the_sessions_read() {
         assert!(drawn < full_regeneration, "{drawn} vs {full_regeneration}");
     }
 }
+
+#[test]
+fn scaled_networks_are_views_that_draw_and_build_nothing() {
+    // Scalings without jitter are served as zero-copy views of the base
+    // trace: no whole trace is built, no cache slot is read and the
+    // Gaussian generator never runs, while the aggregates equal the
+    // telemetry-off run's.
+    let env = quick_experiment(11);
+    let matrix = ScenarioMatrix::builder()
+        .policies([PolicyKind::Bba])
+        .players([
+            PlayerConfig::default(),
+            PlayerConfig {
+                max_buffer_s: 12.0,
+                ..PlayerConfig::default()
+            },
+        ])
+        .perturbations([
+            TracePerturbation::identity(),
+            TracePerturbation::scaled(0.6),
+            TracePerturbation::scaled(1.4),
+        ])
+        .master_seed(0x5CA1E)
+        .build()
+        .unwrap();
+    let reference = run(&env, &matrix, 1, false);
+    for workers in [1usize, 2] {
+        let on = run(&env, &matrix, workers, true);
+        assert_eq!(reference.stats, on.stats, "{workers} workers");
+        let snap = on.telemetry.expect("telemetry was on");
+        assert_eq!(snap.counter(Counter::Tiles), matrix.num_tiles(&env));
+        assert_eq!(snap.counter(Counter::TraceMaterializations), 0);
+        assert_eq!(snap.counter(Counter::TraceCacheHits), 0);
+        assert_eq!(snap.counter(Counter::JitterSamples), 0);
+    }
+}

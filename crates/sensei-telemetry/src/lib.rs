@@ -53,9 +53,13 @@ pub enum Counter {
     /// engine exists to hoist).
     PolicyRebinds,
     /// Perturbed networks set up (cache misses + regenerations): a whole
-    /// trace built, or an on-demand stream started.
+    /// trace built (jittered or not), or a jittered on-demand stream
+    /// started. A scaling served as a zero-copy view of its base trace
+    /// builds nothing and counts here no more than under
+    /// [`Counter::TraceCacheHits`].
     TraceMaterializations,
-    /// Perturbed-trace cache hits (served without regeneration).
+    /// Perturbed-trace cache hits: a whole trace the completed slot
+    /// already held, served without regeneration.
     TraceCacheHits,
     /// Plan-search nodes visited by the MPC planners (each `(depth,
     /// level)` expansion of a prefix-sharing DFS).
@@ -80,6 +84,8 @@ pub enum Counter {
     /// Jittered throughput samples drawn by the Gaussian generator, on
     /// demand or to complete a trace — the work an on-demand network
     /// saves shows as this count falling below tiles × trace length.
+    /// Unjittered networks add nothing, whether read as a zero-copy
+    /// view or completed into a whole trace.
     JitterSamples,
 }
 

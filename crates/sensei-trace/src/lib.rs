@@ -457,15 +457,23 @@ impl ThroughputTrace {
             });
         }
         buf.clear();
+        let jittered = jitter_std_kbps > 0.0;
+        if jittered {
+            // Jittered samples are drawn into `buf` up to the whole trace
+            // at most; sizing it once keeps a recycled buffer at one
+            // trace's length instead of a doubling growth past it.
+            buf.reserve_exact(self.kbps.len());
+        }
         let mut stream = PerturbedStream {
             base: &self.kbps,
             interval_s: self.interval_s,
             scale,
             jitter_std_kbps,
+            jittered,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             samples: buf,
         };
-        let jitter_bound = if jitter_std_kbps > 0.0 {
+        let jitter_bound = if jittered {
             GAUSSIAN_BOUND * jitter_std_kbps
         } else {
             0.0
@@ -604,18 +612,26 @@ impl<N: Network + ?Sized> Network for &mut N {
 /// runs. A download that reaches an undrawn sample draws up to it first,
 /// so sessions that read only the start of a long trace never pay for
 /// the rest.
+///
+/// Without jitter the stream is a zero-copy view: sample `i` is
+/// `base[i] * scale`, the product a full build stores, computed where it
+/// is read. Nothing is buffered, so [`Self::drawn`] stays 0 until
+/// [`Self::complete`] builds the whole trace.
 #[derive(Debug)]
 pub struct PerturbedStream<'a> {
     base: &'a [f64],
     interval_s: f64,
     scale: f64,
     jitter_std_kbps: f64,
+    /// `jitter_std_kbps > 0.0`: whether samples are drawn and buffered.
+    jittered: bool,
     rng: rand::rngs::StdRng,
     samples: &'a mut Vec<f64>,
 }
 
 impl PerturbedStream<'_> {
-    /// Samples drawn so far.
+    /// Samples drawn so far (always 0 for an unjittered view before
+    /// [`Self::complete`]).
     #[must_use]
     pub fn drawn(&self) -> usize {
         self.samples.len()
@@ -624,6 +640,9 @@ impl PerturbedStream<'_> {
     /// Perturbed sample `i`, drawing up to it if needed.
     #[inline]
     fn sample(&mut self, i: usize) -> f64 {
+        if !self.jittered {
+            return self.base[i] * self.scale;
+        }
         if i >= self.samples.len() {
             self.draw_to(i + 1);
         }
@@ -644,7 +663,7 @@ impl PerturbedStream<'_> {
         self.samples
             .extend(self.base[start..end].iter().map(|&v| v * scale));
         let std = self.jitter_std_kbps;
-        if std > 0.0 {
+        if self.jittered {
             let mut pairs = self.samples[start..].chunks_exact_mut(2);
             for pair in &mut pairs {
                 let (zc, zs) = gaussian_pair(&mut self.rng);

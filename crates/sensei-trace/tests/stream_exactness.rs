@@ -117,6 +117,33 @@ proptest! {
         check_stream(&base, 1.0, std, seed, &[(0.0, 1e5)])?;
     }
 
+    /// Without jitter the stream is a zero-copy view: it buffers
+    /// nothing however far downloads read, answers with the full
+    /// trace's bits, and completes to `perturbed_into`'s trace.
+    #[test]
+    fn unjittered_streams_are_views_that_draw_nothing(
+        raw in prop::collection::vec(-800.0f64..4000.0, 1..48),
+        scale in 0.05f64..3.0,
+        reads in prop::collection::vec((0.0f64..3.0, 0.0f64..8e6), 0..24),
+    ) {
+        let Some(base) = base_trace(&raw, 1.0) else {
+            return Err(TestCaseError::Reject("all-zero base".into()));
+        };
+        let name = base.perturbed_name(scale, 0.0);
+        let full = base.perturbed_into(scale, 0.0, 5, name.as_str(), Vec::new()).unwrap();
+        let mut buf = vec![7.0; 3];
+        let mut stream = base.perturbed_stream(scale, 0.0, 5, &mut buf).unwrap();
+        prop_assert_eq!(stream.drawn(), 0);
+        let duration = base.duration_s();
+        for &(u, bits) in &reads {
+            let want = full.download_time(u * duration, bits);
+            let got = stream.download_time(u * duration, bits);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            prop_assert_eq!(stream.drawn(), 0);
+        }
+        prop_assert_eq!(stream.complete(name.as_str()).unwrap(), full);
+    }
+
     /// Bad scales fail set-up with the error `perturbed_into` returns.
     #[test]
     fn bad_scales_fail_alike(
