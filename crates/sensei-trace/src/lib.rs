@@ -630,8 +630,7 @@ pub struct PerturbedStream<'a> {
 }
 
 impl PerturbedStream<'_> {
-    /// Samples drawn so far (always 0 for an unjittered view before
-    /// [`Self::complete`]).
+    /// Samples drawn so far (0 without jitter).
     #[must_use]
     pub fn drawn(&self) -> usize {
         self.samples.len()
