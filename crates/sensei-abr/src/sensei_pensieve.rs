@@ -398,6 +398,135 @@ mod tests {
         );
     }
 
+    /// Pins the training bits of both agents: a short fixed run each, then
+    /// the exact action distributions on three fixed states. Any change to
+    /// the state builders, the decision loop, the reward, the sampler or
+    /// the RNG streams shows up here, where the run-to-run determinism test
+    /// cannot see it.
+    #[test]
+    fn trained_agents_keep_their_bits() {
+        let src = source();
+        let enc = encoded(&src);
+        let weights = SensitivityWeights::ground_truth(&src);
+        let traces = vec![
+            sensei_trace::generate::hsdpa_like(1200.0, 600, 41),
+            sensei_trace::generate::fcc_like(2400.0, 600, 42),
+        ];
+        let plain = crate::Pensieve::train(
+            &[(&src, &enc)],
+            &traces,
+            &PensieveConfig {
+                episodes: 40,
+                ..PensieveConfig::default()
+            },
+            5,
+        )
+        .unwrap();
+        let sensei = SenseiPensieve::train(
+            &[(&src, &enc, &weights)],
+            &traces,
+            &PensieveConfig {
+                episodes: 40,
+                ..PensieveConfig::sensei_default()
+            },
+            5,
+        )
+        .unwrap();
+        let ctx = SessionContext {
+            encoded: &enc,
+            weights: Some(&weights),
+            chunk_duration_s: 4.0,
+        };
+        let states = [
+            PlayerState {
+                next_chunk: 0,
+                buffer_s: 0.0,
+                last_level: None,
+                throughput_history_kbps: &[],
+                download_time_history_s: &[],
+                elapsed_s: 0.0,
+                playing: false,
+            },
+            PlayerState {
+                next_chunk: 5,
+                buffer_s: 9.5,
+                last_level: Some(1),
+                throughput_history_kbps: &[900.0, 1400.0, 2100.0, 1700.0, 1200.0],
+                download_time_history_s: &[1.9, 2.4, 1.1, 1.6, 2.8],
+                elapsed_s: 24.0,
+                playing: true,
+            },
+            PlayerState {
+                next_chunk: 12,
+                buffer_s: 3.0,
+                last_level: Some(3),
+                throughput_history_kbps: &[3200.0; 10],
+                download_time_history_s: &[1.25; 10],
+                elapsed_s: 55.0,
+                playing: true,
+            },
+        ];
+        const PLAIN: [[u64; 5]; 3] = [
+            [
+                0x3f9e00174a7ca48c,
+                0x3fd4a1a12a76e3a5,
+                0x3fd07e3989c3fe88,
+                0x3fd22ebd7476bc56,
+                0x3fbb45998a9a5cd0,
+            ],
+            [
+                0x3f8e0177c79f4ca8,
+                0x3fd1c0da652a0641,
+                0x3fd0895d7f4cf455,
+                0x3fd68b6827bfee7b,
+                0x3fb8e950d630722d,
+            ],
+            [
+                0x3f91647cf2e74832,
+                0x3fd22dae99539e77,
+                0x3fd127191d8998b7,
+                0x3fd5c096c742cd37,
+                0x3fb75166cac61c67,
+            ],
+        ];
+        const SENSEI: [[u64; 7]; 3] = [
+            [
+                0x3f25a2f898e62ce5,
+                0x3f3484bb1d6eafee,
+                0x3fefeac97ec2a669,
+                0x3f4c4e04545ed690,
+                0x3f3d2e1930a6c837,
+                0x3f39cf30cfb0d986,
+                0x3f3ac47fd7d59726,
+            ],
+            [
+                0x3f0e1e343b85a4c6,
+                0x3f20ab321981d754,
+                0x3feff866a8e6c229,
+                0x3f33355b5a5d61a9,
+                0x3f25603c558bcbef,
+                0x3f2498e851d280bd,
+                0x3f20fed70f610b44,
+            ],
+            [
+                0x3ec5bc5404342714,
+                0x3ed1d7c8063c6c59,
+                0x3fefff98c8075cee,
+                0x3eec8d48e5391cca,
+                0x3ee56d60d5a88d1d,
+                0x3ee86678daf9f521,
+                0x3edcf7ba12156f33,
+            ],
+        ];
+        let bits = |probs: Vec<f64>| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for (i, state) in states.iter().enumerate() {
+            let p = plain.agent().action_probs(&state_vector(state, &ctx));
+            assert_eq!(bits(p.unwrap()), PLAIN[i], "Pensieve, state {i}");
+            let s = sensei.agent.action_probs(&sensei_state(state, &ctx));
+            assert_eq!(bits(s.unwrap()), SENSEI[i], "SENSEI-Pensieve, state {i}");
+        }
+    }
+
     #[test]
     fn from_agent_checks_dimensions() {
         use sensei_ml::rl::A2cConfig;
