@@ -15,10 +15,10 @@
 //!   per-chunk weights in the objective and the intentional-rebuffering
 //!   action.
 //! * [`pensieve`] — Pensieve (Mao et al. 2017): an actor-critic policy
-//!   trained in the simulator, rewarded by KSQI chunk quality.
-//! * [`sensei_pensieve`] — SENSEI-Pensieve: weights of the next h chunks
-//!   appended to the state, rebuffering added to the action space, reward
-//!   reweighted (§5.2).
+//!   trained in the simulator, rewarded by KSQI chunk quality; and
+//!   SENSEI-Pensieve, the same agent with the weights of the next h chunks
+//!   appended to the state, rebuffering added to the action space, and the
+//!   reward reweighted (§5.2).
 //! * [`offline`] — the idealistic §2.4 controllers that know the entire
 //!   throughput trace, used to bound the potential gains (Fig. 6).
 //! * `plan` — the branch-and-bound core the horizon planners (Fugu,
@@ -42,16 +42,14 @@ pub mod pensieve;
 mod plan;
 pub mod predictor;
 pub mod sensei_fugu;
-pub mod sensei_pensieve;
 
 pub use bba::Bba;
 pub use das_ip::DasIp;
 pub use fugu::Fugu;
 pub use offline::OracleMpc;
-pub use pensieve::{Pensieve, PensieveConfig};
+pub use pensieve::{Pensieve, PensieveConfig, SenseiPensieve};
 pub use predictor::{ThroughputPredictor, ThroughputScenario};
 pub use sensei_fugu::SenseiFugu;
-pub use sensei_pensieve::SenseiPensieve;
 
 /// Errors produced by ABR construction and training.
 #[derive(Debug, Clone, PartialEq)]

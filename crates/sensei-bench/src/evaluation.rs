@@ -148,7 +148,6 @@ pub fn fig12c() -> Vec<Claim> {
                 .to_vec(),
         ),
         weight_source: WeightSource::GroundTruth,
-        train_rl: false,
         rl_episodes: 0,
         ..ExperimentConfig::default()
     })

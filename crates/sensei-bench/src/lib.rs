@@ -92,7 +92,6 @@ pub fn grid_config(mode: Mode) -> ExperimentConfig {
         seed: 2021,
         videos: (mode == Mode::Quick).then_some(quick),
         weight_source: WeightSource::Crowd,
-        train_rl: true,
         rl_episodes: 3000,
         ..ExperimentConfig::default()
     }
@@ -106,7 +105,7 @@ pub fn grid_config(mode: Mode) -> ExperimentConfig {
 pub fn build(config: &ExperimentConfig) -> Result<Experiment, CoreError> {
     let t0 = std::time::Instant::now();
     let env = Experiment::build(config)?;
-    let rl = if config.train_rl {
+    let rl = if config.rl_episodes > 0 {
         "trained"
     } else {
         "skipped"

@@ -236,7 +236,7 @@ fn quick_videos_are_table1_names() {
 fn labeled_renders_have_valid_labels() {
     let config = ExperimentConfig {
         weight_source: WeightSource::GroundTruth,
-        train_rl: false,
+        rl_episodes: 0,
         ..grid_config(Mode::Quick)
     };
     let env = Experiment::build(&config).unwrap();

@@ -41,9 +41,8 @@ pub struct ExperimentConfig {
     pub videos: Option<Vec<String>>,
     /// Where deployment weights come from.
     pub weight_source: WeightSource,
-    /// Whether to train the RL policies (Pensieve variants).
-    pub train_rl: bool,
-    /// RL training episodes.
+    /// RL training episodes; the RL policies (Pensieve variants) are
+    /// trained only when this is positive.
     pub rl_episodes: usize,
     /// Player configuration used in every session.
     pub player: PlayerConfig,
@@ -61,7 +60,6 @@ impl Default for ExperimentConfig {
             seed: 2021,
             videos: None,
             weight_source: WeightSource::Crowd,
-            train_rl: true,
             rl_episodes: 3000,
             player: PlayerConfig::default(),
             mpc_warm_start: true,
@@ -81,7 +79,6 @@ impl ExperimentConfig {
                 "FPS2".to_string(),
             ]),
             weight_source: WeightSource::GroundTruth,
-            train_rl: false,
             rl_episodes: 0,
             player: PlayerConfig::default(),
             mpc_warm_start: true,
@@ -357,9 +354,9 @@ pub struct Experiment {
     pub traces: Vec<ThroughputTrace>,
     /// The hidden true-QoE oracle.
     pub oracle: TrueQoe,
-    /// Trained Pensieve (when `train_rl`).
+    /// Trained Pensieve (when `rl_episodes > 0`).
     pub pensieve: Option<Pensieve>,
-    /// Trained SENSEI-Pensieve (when `train_rl`).
+    /// Trained SENSEI-Pensieve (when `rl_episodes > 0`).
     pub sensei_pensieve: Option<SenseiPensieve>,
     /// Player configuration.
     pub player: PlayerConfig,
@@ -458,7 +455,7 @@ impl Experiment {
 
         // Train the RL policies on *training* traces disjoint from the
         // evaluation set (different seeds and means), as Pensieve requires.
-        let (pensieve, sensei_pensieve) = if config.train_rl {
+        let (pensieve, sensei_pensieve) = if config.rl_episodes > 0 {
             let mut train_traces = Vec::new();
             for (i, m) in [600.0, 1000.0, 1500.0, 2200.0, 3200.0].iter().enumerate() {
                 train_traces.push(generate::hsdpa_like(
@@ -472,30 +469,23 @@ impl Experiment {
                     config.seed ^ (0x13_000 + i as u64),
                 ));
             }
-            let plain_corpus: Vec<(&SourceVideo, &EncodedVideo)> =
-                assets.iter().map(|a| (&a.source, &a.encoded)).collect();
+            let corpus: Vec<(&SourceVideo, &EncodedVideo, &SensitivityWeights)> = assets
+                .iter()
+                .map(|a| (&a.source, &a.encoded, &a.weights))
+                .collect();
             let plain_cfg = PensieveConfig {
                 episodes: config.rl_episodes,
                 player: config.player,
                 ..PensieveConfig::default()
             };
-            let pensieve =
-                Pensieve::train(&plain_corpus, &train_traces, &plain_cfg, config.seed ^ 0x9E)?;
-            let sensei_corpus: Vec<(&SourceVideo, &EncodedVideo, &SensitivityWeights)> = assets
-                .iter()
-                .map(|a| (&a.source, &a.encoded, &a.weights))
-                .collect();
+            let pensieve = Pensieve::train(&corpus, &train_traces, &plain_cfg, config.seed ^ 0x9E)?;
             let sensei_cfg = PensieveConfig {
                 episodes: config.rl_episodes,
                 player: config.player,
                 ..PensieveConfig::sensei_default()
             };
-            let sensei = SenseiPensieve::train(
-                &sensei_corpus,
-                &train_traces,
-                &sensei_cfg,
-                config.seed ^ 0x5E,
-            )?;
+            let sensei =
+                SenseiPensieve::train(&corpus, &train_traces, &sensei_cfg, config.seed ^ 0x5E)?;
             (Some(pensieve), Some(sensei))
         } else {
             (None, None)

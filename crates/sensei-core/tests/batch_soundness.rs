@@ -26,7 +26,6 @@ use sensei_trace::ThroughputTrace;
 /// policy quality).
 fn env_with_rl() -> Experiment {
     let mut cfg = ExperimentConfig::quick(17);
-    cfg.train_rl = true;
     cfg.rl_episodes = 12;
     Experiment::build(&cfg).unwrap()
 }

@@ -19,7 +19,6 @@ use sensei_sim::{simulate, PlayerState, SessionContext};
 /// policy quality.
 fn env_with_rl() -> Experiment {
     let mut cfg = ExperimentConfig::quick(17);
-    cfg.train_rl = true;
     cfg.rl_episodes = 12;
     Experiment::build(&cfg).unwrap()
 }

@@ -17,7 +17,6 @@ use sensei_sim::simulate;
 /// `SenseiPensieve` are constructible (only determinism matters here).
 fn env_with_rl() -> Experiment {
     let mut cfg = ExperimentConfig::quick(29);
-    cfg.train_rl = true;
     cfg.rl_episodes = 12;
     Experiment::build(&cfg).unwrap()
 }

@@ -117,20 +117,10 @@ impl ActorCritic {
         })
     }
 
-    /// Number of discrete actions.
-    pub fn n_actions(&self) -> usize {
-        self.n_actions
-    }
-
     /// Adjusts the entropy-bonus coefficient (training loops anneal this
     /// from exploratory to exploitative).
     pub fn set_entropy_coef(&mut self, coef: f64) {
         self.config.entropy_coef = coef.max(0.0);
-    }
-
-    /// State dimension.
-    pub fn state_dim(&self) -> usize {
-        self.policy.input_dim()
     }
 
     /// Action distribution for a state.
@@ -335,8 +325,7 @@ mod tests {
         };
         assert!(ActorCritic::new(4, 3, bad_gamma, 0).is_err());
         let ac = ActorCritic::new(4, 3, A2cConfig::default(), 0).unwrap();
-        assert_eq!(ac.n_actions(), 3);
-        assert_eq!(ac.state_dim(), 4);
+        assert_eq!(ac.action_probs(&[0.0; 4]).unwrap().len(), 3);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!    process shards combine both the same way.
 //! 3. **Cheap when off.** Recording is gated by one thread-local flag:
 //!    a disabled [`count`] is a single TLS read, and a disabled [`span`]
-//!    takes no clock reading at all. The `noop` cargo feature compiles
-//!    even that flag check away.
+//!    takes no clock reading at all.
 //!
 //! The catalog is a closed set of enums ([`Counter`], [`Phase`],
 //! [`Hist`]) rather than string keys: shards are flat arrays, recording
@@ -483,40 +482,23 @@ thread_local! {
 /// Whether this thread is currently recording.
 #[must_use]
 pub fn is_enabled() -> bool {
-    #[cfg(feature = "noop")]
-    {
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.with(Cell::get)
-    }
+    ENABLED.with(Cell::get)
 }
 
 /// Resets this thread's shard and turns recording on. Call once at the
 /// start of a worker's (or collector's) participation in a run; pair
-/// with [`end`]. Under the `noop` feature this does nothing.
+/// with [`end`].
 pub fn begin() {
-    #[cfg(not(feature = "noop"))]
-    {
-        SHARD.with(|s| *s.borrow_mut() = TelemetryShard::new());
-        ENABLED.with(|e| e.set(true));
-    }
+    SHARD.with(|s| *s.borrow_mut() = TelemetryShard::new());
+    ENABLED.with(|e| e.set(true));
 }
 
 /// Turns recording off and takes this thread's shard (leaving an empty
 /// one behind). Returns an empty shard if recording was never begun.
 #[must_use]
 pub fn end() -> TelemetryShard {
-    #[cfg(feature = "noop")]
-    {
-        TelemetryShard::new()
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.with(|e| e.set(false));
-        SHARD.with(|s| std::mem::take(&mut *s.borrow_mut()))
-    }
+    ENABLED.with(|e| e.set(false));
+    SHARD.with(|s| std::mem::take(&mut *s.borrow_mut()))
 }
 
 /// Adds `n` to a counter on this thread's shard (no-op when disabled).
@@ -696,8 +678,6 @@ mod tests {
         assert_eq!(Hist::ALL.len(), Hist::COUNT);
     }
 
-    // The recording tests require the real (non-noop) implementation.
-    #[cfg(not(feature = "noop"))]
     mod recording {
         use super::super::*;
 
