@@ -30,6 +30,7 @@
 //! roughly one ladder step of visual quality across the safe range
 //! `[0, B_safe]`.
 
+use crate::plan::{MAX_BUFFER_S, RISK_AVERSION, RTT_S};
 use crate::predictor::ThroughputPredictor;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
@@ -45,21 +46,21 @@ struct IndexScratch {
     vqs: Vec<f64>,
 }
 
-/// The DAS-IP index policy.
+/// `κ`: weight of the buffer subsidy against KSQI quality units.
+const SAFETY_WEIGHT: f64 = 1.5;
+
+/// `B_safe`: buffer level (seconds) past which more headroom earns no
+/// further subsidy.
+const SAFE_BUFFER_S: f64 = 12.0;
+
+/// The DAS-IP index policy. It scores with the MPC family's round-trip
+/// time, buffer cap and stall multiplier (the private `plan` module's
+/// constants), so the two control families price rebuffering
+/// identically.
 #[derive(Debug, Clone)]
 pub struct DasIp {
     predictor: ThroughputPredictor,
     qoe: Ksqi,
-    rtt_s: f64,
-    max_buffer_s: f64,
-    /// Stall multiplier during scoring, kept equal to the MPC family's so
-    /// the two control families price rebuffering identically.
-    risk_aversion: f64,
-    /// `κ`: weight of the buffer subsidy against KSQI quality units.
-    safety_weight: f64,
-    /// `B_safe`: buffer level (seconds) past which more headroom earns no
-    /// further subsidy.
-    safe_buffer_s: f64,
     scratch: IndexScratch,
 }
 
@@ -69,25 +70,8 @@ impl DasIp {
         Self {
             predictor: ThroughputPredictor::default(),
             qoe: Ksqi::canonical(),
-            rtt_s: 0.08,
-            max_buffer_s: 24.0,
-            risk_aversion: 3.0,
-            safety_weight: 1.5,
-            safe_buffer_s: 12.0,
             scratch: IndexScratch::default(),
         }
-    }
-
-    /// Overrides the throughput predictor.
-    pub fn with_predictor(mut self, predictor: ThroughputPredictor) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
-    /// Overrides the QoE model the index scores against.
-    pub fn with_qoe(mut self, qoe: Ksqi) -> Self {
-        self.qoe = qoe;
-        self
     }
 
     /// Fills the per-level size/vq row for `next_chunk`. The row is
@@ -128,15 +112,12 @@ impl DasIp {
             };
             let mut index = 0.0;
             for &(p, rate_kbps) in rates.iter() {
-                let dt = self.rtt_s + size / (rate_kbps * 1000.0);
+                let dt = RTT_S + size / (rate_kbps * 1000.0);
                 let stall = (dt - state.buffer_s).max(0.0);
                 let mut buf = (state.buffer_s - dt).max(0.0) + d;
-                buf = buf.min(self.max_buffer_s);
-                let q = self
-                    .qoe
-                    .chunk_quality(vq, stall * self.risk_aversion, switch, d);
-                let subsidy =
-                    self.safety_weight * (buf.min(self.safe_buffer_s) / self.safe_buffer_s);
+                buf = buf.min(MAX_BUFFER_S);
+                let q = self.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
+                let subsidy = SAFETY_WEIGHT * (buf.min(SAFE_BUFFER_S) / SAFE_BUFFER_S);
                 index += p * (q + subsidy);
             }
             if index > best_index {

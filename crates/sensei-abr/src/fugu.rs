@@ -21,7 +21,10 @@
 //!   bound at every depth, so the switch bound bites on constrained links
 //!   and the guided order leads with the best stall-bounded level.
 
-use crate::plan::{self, switch_penalty, switch_row, ChunkTables, PlanCore, Planner, Transition};
+use crate::plan::{
+    self, switch_penalty, switch_row, ChunkTables, PlanCore, Planner, Transition, MAX_BUFFER_S,
+    RISK_AVERSION, RTT_S,
+};
 use crate::predictor::ThroughputPredictor;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
@@ -72,19 +75,13 @@ struct FuguScratch {
     terms: Vec<f64>,
 }
 
-/// The Fugu MPC policy.
+/// The Fugu MPC policy: the default predictor, canonical KSQI as the
+/// objective (the paper fits KSQI for fairness across all algorithms),
+/// and the planner constants of the private `plan` module.
 #[derive(Debug, Clone)]
 pub struct Fugu {
     predictor: ThroughputPredictor,
     qoe: Ksqi,
-    horizon: usize,
-    rtt_s: f64,
-    max_buffer_s: f64,
-    /// Multiplier on predicted stall time during planning. Deployed MPC
-    /// controllers weight rebuffering far above its average-QoE cost
-    /// because real raters judge sessions by their worst moment; planning
-    /// risk-neutrally against a mean-additive model stalls too often.
-    risk_aversion: f64,
     tables: ChunkTables,
     /// The search scratch and warm carry, shared with SENSEI-Fugu, which
     /// drives this planner per pause candidate.
@@ -93,79 +90,28 @@ pub struct Fugu {
 }
 
 impl Fugu {
-    /// Builds Fugu with the default predictor and canonical KSQI.
+    /// Builds Fugu.
     pub fn new() -> Self {
         Self {
             predictor: ThroughputPredictor::default(),
             qoe: Ksqi::canonical(),
-            horizon: DEFAULT_HORIZON,
-            rtt_s: 0.08,
-            max_buffer_s: 24.0,
-            risk_aversion: 3.0,
             tables: ChunkTables::default(),
             core: PlanCore::default(),
             scratch: FuguScratch::default(),
         }
     }
 
-    /// Toggles the cross-chunk warm start (on by default). Disabling it
-    /// forces every search to start cold — bit-identical results, more
-    /// nodes — which is exactly what the warm-vs-cold parity suite runs
-    /// as its reference.
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.core.carry.set_enabled(enabled);
-        self
-    }
-
-    /// Overrides the stall risk-aversion multiplier used during planning.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `factor` is not at least 1 (planning must never treat
-    /// stalls as cheaper than the QoE model does).
-    pub fn with_risk_aversion(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "risk aversion must be >= 1, got {factor}");
-        self.risk_aversion = factor;
-        self
-    }
-
-    /// The stall risk-aversion multiplier in effect.
-    pub fn risk_aversion(&self) -> f64 {
-        self.risk_aversion
-    }
-
-    /// Overrides the throughput predictor (window and scenario set).
-    pub fn with_predictor(mut self, predictor: ThroughputPredictor) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
-    /// The throughput predictor in effect.
-    pub fn predictor(&self) -> &ThroughputPredictor {
-        &self.predictor
-    }
-
-    /// Overrides the QoE model used as the objective (the paper fits KSQI
-    /// for fairness across all algorithms).
-    pub fn with_qoe(mut self, qoe: Ksqi) -> Self {
-        self.qoe = qoe;
+    /// The cold reference of the parity suites: every search starts
+    /// unseeded.
+    #[cfg(test)]
+    pub(crate) fn cold(mut self) -> Self {
+        self.core.carry.set_cold();
         self
     }
 
     /// The QoE model used as the objective.
     pub(crate) fn qoe(&self) -> &Ksqi {
         &self.qoe
-    }
-
-    /// Overrides the planning horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `horizon` is 0 (configuration bug).
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        assert!(horizon > 0, "horizon must be at least 1");
-        self.horizon = horizon;
-        self
     }
 
     /// Fills the scenario `(probability, kbps)` pairs and the
@@ -186,7 +132,7 @@ impl Fugu {
         dt.clear();
         for &size in &self.tables.sizes {
             for &(_, rate_kbps) in rates.iter() {
-                dt.push(self.rtt_s + size / (rate_kbps * 1000.0));
+                dt.push(RTT_S + size / (rate_kbps * 1000.0));
             }
         }
     }
@@ -262,7 +208,7 @@ impl Fugu {
                         dt_min = dt_min.min(dt[((depth - 1) * n_levels + level) * s + si]);
                     }
                     let parent = caps[(depth - 1) * s + si];
-                    caps.push(((parent - dt_min).max(0.0) + d).min(self.max_buffer_s));
+                    caps.push(((parent - dt_min).max(0.0) + d).min(MAX_BUFFER_S));
                 }
             }
             // Guided order: most promising level (by expected
@@ -276,7 +222,7 @@ impl Fugu {
                         let stall_lb = (dt[(depth * n_levels + level) * s + si] - cap).max(0.0);
                         let q = self.qoe.chunk_quality(
                             tables.vqs[depth * n_levels + level],
-                            stall_lb * self.risk_aversion,
+                            stall_lb * RISK_AVERSION,
                             0.0,
                             d,
                         );
@@ -313,12 +259,9 @@ impl Fugu {
                     umax[depth * s + si] =
                         switch_row(&tables.vqs, n_levels, depth, row, |level, vq, switch| {
                             let stall_lb = (dts[level * s + si] - cap).max(0.0);
-                            let q = self.qoe.chunk_quality(
-                                vq,
-                                stall_lb * self.risk_aversion,
-                                switch,
-                                d,
-                            );
+                            let q = self
+                                .qoe
+                                .chunk_quality(vq, stall_lb * RISK_AVERSION, switch, d);
                             weights.map_or(q, |w| w[depth] * q)
                         });
                 }
@@ -342,8 +285,6 @@ impl Fugu {
         }
         let mut walk = FuguWalk {
             qoe: &self.qoe,
-            risk_aversion: self.risk_aversion,
-            max_buffer_s: self.max_buffer_s,
             d,
             weights,
             h,
@@ -380,8 +321,6 @@ struct ScenarioWalk {
 /// scored in expectation over the scenario probabilities.
 struct FuguWalk<'a> {
     qoe: &'a Ksqi,
-    risk_aversion: f64,
-    max_buffer_s: f64,
     d: f64,
     weights: Option<&'a [f64]>,
     h: usize,
@@ -413,11 +352,9 @@ impl Transition for FuguWalk<'_> {
             let dt = self.dt[(depth * self.n_levels + level) * s + si];
             let stall = (dt - parent.buf).max(0.0);
             let mut buf = (parent.buf - dt).max(0.0) + d;
-            buf = buf.min(self.max_buffer_s);
+            buf = buf.min(MAX_BUFFER_S);
             let switch = switch_penalty(parent.prev, vq, level);
-            let q = self
-                .qoe
-                .chunk_quality(vq, stall * self.risk_aversion, switch, d);
+            let q = self.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
             self.stack[(depth + 1) * s + si] = ScenarioWalk {
                 buf,
                 prev: Some((vq, level)),
@@ -447,7 +384,6 @@ impl Transition for FuguWalk<'_> {
         let s = self.probs.len();
         let n_levels = self.n_levels;
         let d = self.d;
-        let risk = self.risk_aversion;
         // `prev` is scenario-invariant by construction: every stack row
         // is written with the same `(vq, level)` across scenarios.
         let prev = self.stack[depth * s].prev;
@@ -463,7 +399,7 @@ impl Transition for FuguWalk<'_> {
             let base = (depth * n_levels + level) * s;
             for si in 0..s {
                 let stall = (self.dt[base + si] - self.pbuf[si]).max(0.0);
-                let q = self.qoe.chunk_quality(vq, stall * risk, switch, d);
+                let q = self.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
                 let wq = match wd {
                     Some(w) => w * q,
                     None => q,
@@ -506,7 +442,7 @@ impl Default for Fugu {
 
 impl Planner for Fugu {
     fn prepare_step(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
-        let h = self.horizon.min(ctx.num_chunks() - next_chunk);
+        let h = DEFAULT_HORIZON.min(ctx.num_chunks() - next_chunk);
         self.tables.fill(next_chunk, h, ctx);
         h
     }
@@ -654,12 +590,6 @@ mod tests {
         assert_eq!(result.levels.len(), 3);
     }
 
-    #[test]
-    #[should_panic(expected = "horizon")]
-    fn zero_horizon_is_rejected() {
-        let _ = Fugu::new().with_horizon(0);
-    }
-
     /// One scalar search with explicit objective weights: the prepared
     /// path SENSEI-Fugu drives, returning the first action and score.
     fn best_plan(
@@ -683,12 +613,10 @@ mod tests {
         ctx: &SessionContext<'_>,
         weights: Option<&[f64]>,
     ) -> (usize, f64) {
-        let rates = fugu.predictor().scenario_rates(state);
+        let rates = fugu.predictor.scenario_rates(state);
         let plan = FlatPlan {
             ctx,
             qoe: Ksqi::canonical(),
-            risk_aversion: fugu.risk_aversion(),
-            max_buffer_s: 24.0,
             h: DEFAULT_HORIZON.min(ctx.num_chunks() - state.next_chunk),
             weights,
             scenarios: rates.len(),
@@ -704,7 +632,7 @@ mod tests {
             &[root],
             |si| rates[si].0,
             |si, _, chunk, level| {
-                0.08 + ctx.encoded.size_bits(chunk, level).unwrap() / (rates[si].1 * 1000.0)
+                RTT_S + ctx.encoded.size_bits(chunk, level).unwrap() / (rates[si].1 * 1000.0)
             },
         );
         (first, q)

@@ -105,8 +105,12 @@ impl From<sensei_sim::SimError> for AbrError {
 }
 
 #[cfg(test)]
+mod warm_parity;
+
+#[cfg(test)]
 pub(crate) mod test_support {
     //! Shared fixtures for ABR tests.
+    use crate::plan::{MAX_BUFFER_S, RISK_AVERSION};
     use sensei_qoe::Ksqi;
     use sensei_sim::{PlayerState, SessionContext};
     use sensei_video::content::{Genre, SceneKind, SceneSpec};
@@ -136,8 +140,6 @@ pub(crate) mod test_support {
     pub struct FlatPlan<'a> {
         pub ctx: &'a SessionContext<'a>,
         pub qoe: Ksqi,
-        pub risk_aversion: f64,
-        pub max_buffer_s: f64,
         pub h: usize,
         /// Per-depth objective weights (`None` scores plain quality).
         pub weights: Option<&'a [f64]>,
@@ -185,16 +187,14 @@ pub(crate) mod test_support {
                         let chunk = state.next_chunk + j;
                         let dt = download_time(si, t, chunk, level);
                         let stall = (dt - buf).max(0.0);
-                        buf = ((buf - dt).max(0.0) + d).min(plan.max_buffer_s);
+                        buf = ((buf - dt).max(0.0) + d).min(MAX_BUFFER_S);
                         let vq = ctx.encoded.vq(chunk, level);
                         let switch = match prev {
                             Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
                             _ => 0.0,
                         };
                         prev = Some((vq, level));
-                        let cq = plan
-                            .qoe
-                            .chunk_quality(vq, stall * plan.risk_aversion, switch, d);
+                        let cq = plan.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
                         total += plan.weights.map_or(cq, |w| w[j] * cq);
                         t += dt;
                     }

@@ -30,7 +30,10 @@
 //! the rows are bit-invisible. Rows live for one decision only; a hash
 //! memo across decisions was measured to cost about as much as it saved.
 
-use crate::plan::{self, switch_penalty, ChunkTables, PlanCore, Planner, Transition};
+use crate::plan::{
+    self, switch_penalty, ChunkTables, PlanCore, Planner, Transition, MAX_BUFFER_S, RISK_AVERSION,
+    RTT_S,
+};
 use crate::sensei_fugu::PAUSE_LEVELS_S;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
@@ -61,23 +64,17 @@ struct OracleScratch {
     row_key: Vec<Option<u64>>,
 }
 
-/// Oracle-throughput receding-horizon controller.
+/// Oracle-throughput receding-horizon controller, planning with the
+/// same constants as [`crate::Fugu`] (see the private `plan` module).
 #[derive(Debug, Clone)]
 pub struct OracleMpc {
     cum: CumulativeTrace,
     qoe: Ksqi,
     horizon: usize,
-    rtt_s: f64,
-    max_buffer_s: f64,
     /// Whether the controller may schedule intentional rebuffering.
     allow_pause: bool,
     /// Whether the controller uses the manifest's sensitivity weights.
     sensitivity_aware: bool,
-    /// Multiplier on stall time during planning. Even with exact future
-    /// throughput, planning risk-neutrally against a mean-additive model
-    /// trades "cheap" stalls for bitrate that peak-end raters punish —
-    /// the same miscalibration [`crate::Fugu`] corrects.
-    risk_aversion: f64,
     name: String,
     tables: ChunkTables,
     core: PlanCore,
@@ -91,24 +88,13 @@ impl OracleMpc {
             cum: CumulativeTrace::new(trace),
             qoe: Ksqi::canonical(),
             horizon: 6,
-            rtt_s: 0.08,
-            max_buffer_s: 24.0,
             allow_pause: true,
             sensitivity_aware: true,
-            risk_aversion: 3.0,
             name: "Oracle(aware)".to_string(),
             tables: ChunkTables::default(),
             core: PlanCore::default(),
             scratch: OracleScratch::default(),
         }
-    }
-
-    /// Toggles the cross-chunk warm start (on by default). Disabling it
-    /// forces every search to start cold — bit-identical results, more
-    /// nodes — which is the warm-vs-cold parity suite's reference.
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.core.carry.set_enabled(enabled);
-        self
     }
 
     /// The §2.4 *dynamic-sensitivity-unaware* idealistic ABR (optimizes
@@ -120,6 +106,14 @@ impl OracleMpc {
             name: "Oracle(unaware)".to_string(),
             ..Self::aware(trace)
         }
+    }
+
+    /// The cold reference of the parity suites: every search starts
+    /// unseeded.
+    #[cfg(test)]
+    pub(crate) fn cold(mut self) -> Self {
+        self.core.carry.set_cold();
+        self
     }
 
     /// The manifest weights this variant plans with.
@@ -183,7 +177,7 @@ impl Planner for OracleMpc {
         let (_, stall_penalty, _, _) = self.qoe.coefficients();
         let pause_unit_cost = plan::playhead_weight(state, self.weights(ctx), ctx.chunk_duration_s)
             * stall_penalty
-            * self.risk_aversion;
+            * RISK_AVERSION;
         let pauses: &[f64] = if self.allow_pause && state.playing {
             &PAUSE_LEVELS_S
         } else {
@@ -214,9 +208,6 @@ impl Planner for OracleMpc {
         let mut walk = TraceWalk {
             cum: &self.cum,
             qoe: &self.qoe,
-            rtt_s: self.rtt_s,
-            max_buffer_s: self.max_buffer_s,
-            risk_aversion: self.risk_aversion,
             d: ctx.chunk_duration_s,
             h,
             n_levels,
@@ -271,9 +262,6 @@ struct OracleWalk {
 struct TraceWalk<'a> {
     cum: &'a CumulativeTrace,
     qoe: &'a Ksqi,
-    rtt_s: f64,
-    max_buffer_s: f64,
-    risk_aversion: f64,
     d: f64,
     h: usize,
     n_levels: usize,
@@ -310,9 +298,9 @@ impl TraceWalk<'_> {
             self.row_hits += reads;
         } else {
             let sizes = &self.tables.sizes[depth * self.n_levels..(depth + 1) * self.n_levels];
-            self.cum.download_times(t + self.rtt_s, sizes, row);
+            self.cum.download_times(t + RTT_S, sizes, row);
             for dt in row.iter_mut() {
-                *dt += self.rtt_s;
+                *dt += RTT_S;
             }
             self.row_key[depth] = key;
         }
@@ -340,7 +328,7 @@ impl Transition for TraceWalk<'_> {
         let dt = self.row(depth, parent.t, 1)[level];
         let stall = (dt - parent.buf).max(0.0);
         let mut buf = (parent.buf - dt).max(0.0) + self.d;
-        buf = buf.min(self.max_buffer_s);
+        buf = buf.min(MAX_BUFFER_S);
         let vq = self.tables.vqs[depth * self.n_levels + level];
         let switch = switch_penalty(parent.prev, vq, level);
         self.stack[depth + 1] = OracleWalk {
@@ -351,7 +339,7 @@ impl Transition for TraceWalk<'_> {
                 + self.weights[depth]
                     * self
                         .qoe
-                        .chunk_quality(vq, stall * self.risk_aversion, switch, self.d),
+                        .chunk_quality(vq, stall * RISK_AVERSION, switch, self.d),
         };
     }
 
@@ -372,7 +360,7 @@ impl Transition for TraceWalk<'_> {
             let switch = switch_penalty(parent.prev, vq, level);
             let q = self
                 .qoe
-                .chunk_quality(vq, stall * self.risk_aversion, switch, self.d);
+                .chunk_quality(vq, stall * RISK_AVERSION, switch, self.d);
             *slot = (parent.total + w * q) - self.pause_cost;
         }
     }
@@ -558,15 +546,13 @@ mod tests {
                 elapsed_s: state.elapsed_s,
                 pause_cost: playhead_w
                     * stall_penalty
-                    * mpc.risk_aversion
+                    * RISK_AVERSION
                     * (pause / d).clamp(0.0, 1.0),
             })
             .collect();
         let plan = FlatPlan {
             ctx,
             qoe: mpc.qoe.clone(),
-            risk_aversion: mpc.risk_aversion,
-            max_buffer_s: mpc.max_buffer_s,
             h,
             weights: Some(&weights),
             scenarios: 1,
@@ -578,7 +564,7 @@ mod tests {
             |_| 1.0,
             |_, t, chunk, level| {
                 let size = ctx.encoded.size_bits(chunk, level).unwrap();
-                mpc.rtt_s + mpc.cum.download_time(t + mpc.rtt_s, size)
+                RTT_S + mpc.cum.download_time(t + RTT_S, size)
             },
         );
         Decision {

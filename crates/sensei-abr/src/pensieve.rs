@@ -43,6 +43,10 @@ const HISTORY: usize = 8;
 /// Ladder levels the state describes and the bitrate actions cover.
 const LEVELS: usize = 5;
 
+/// Every bitrate action: the whole action space of an agent without
+/// pauses.
+const EVERY_LEVEL: [usize; LEVELS] = [0, 1, 2, 3, 4];
+
 /// Pensieve's state dimensionality.
 const STATE_DIM: usize = 1 + 1 + HISTORY + HISTORY + LEVELS + 1;
 
@@ -108,8 +112,7 @@ struct Variant {
     /// With none, the agent ignores the weights and its reward is plain.
     horizon: usize,
     /// Pause actions after the bitrate actions: pause-1s, pause-2s, …
-    /// Without them the sampler is unmasked, as there is nothing to mask
-    /// (and renormalizing would move Pensieve's bits).
+    /// Without them the selector allows every action.
     pauses: usize,
     /// Salt of the exploration RNG's seed.
     salt: u64,
@@ -306,15 +309,18 @@ impl Agent {
             .0
     }
 
-    /// The variant's selector: samples from `rng` while exploring, greedy
+    /// The selector over the `allowed` actions (every action for an agent
+    /// without pauses): samples from `rng` while exploring, greedy
     /// without one.
     fn pick(&self, s: &[f64], allowed: &[usize], rng: Option<&mut StdRng>) -> usize {
-        let net = &self.net;
-        match (self.variant.pauses > 0, rng) {
-            (false, Some(rng)) => net.sample_action(s, rng),
-            (false, None) => net.best_action(s),
-            (true, Some(rng)) => net.sample_action_masked(s, allowed, rng),
-            (true, None) => net.best_action_masked(s, allowed),
+        let allowed = if self.variant.pauses == 0 {
+            &EVERY_LEVEL[..]
+        } else {
+            allowed
+        };
+        match rng {
+            Some(rng) => self.net.sample_action_masked(s, allowed, rng),
+            None => self.net.best_action_masked(s, allowed),
         }
         .expect("state vector matches agent dims")
     }

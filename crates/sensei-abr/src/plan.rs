@@ -40,6 +40,20 @@ use sensei_sim::{BatchStates, Decision, PlayerState, SessionContext};
 use sensei_telemetry as telemetry;
 use sensei_video::SensitivityWeights;
 
+/// Round-trip time every planner adds to a predicted download, seconds.
+pub(crate) const RTT_S: f64 = 0.08;
+
+/// Buffer cap every planner's walk clamps to, seconds.
+pub(crate) const MAX_BUFFER_S: f64 = 24.0;
+
+/// Multiplier on planned stall time, shared by the MPC family and DAS-IP
+/// so both control families price rebuffering identically. Deployed MPC
+/// controllers weight rebuffering far above its average-QoE cost because
+/// real raters judge sessions by their worst moment; planning
+/// risk-neutrally against a mean-additive model stalls too often, even
+/// with exact future throughput.
+pub(crate) const RISK_AVERSION: f64 = 3.0;
+
 /// One planner's walk: how a plan step moves the per-prefix state.
 ///
 /// Rows are indexed by depth: row 0 is the root (the pre-plan state),
@@ -271,35 +285,26 @@ impl WarmSlot {
 }
 
 /// The one owner of a planner instance's warm carry: the scalar slot the
-/// searches seed from and commit to, one slot per batch lane (swapped
+/// searches seed from and commit to, and one slot per batch lane (swapped
 /// into the scalar slot around that lane's decision, like SENSEI-Fugu's
-/// pause ledger), and the cold-mode switch the parity suites use.
-#[derive(Debug, Clone)]
+/// pause ledger). Test builds add the cold switch the parity suites use.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WarmCarry {
-    enabled: bool,
+    /// Cold, searches never seed or commit: the reference mode,
+    /// bit-identical results with more nodes.
+    #[cfg(test)]
+    cold: bool,
     slot: WarmSlot,
     lanes: Vec<WarmSlot>,
 }
 
-impl Default for WarmCarry {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            slot: WarmSlot::default(),
-            lanes: Vec::new(),
-        }
-    }
-}
-
 impl WarmCarry {
-    /// Turns the carry on or off. Off, searches never seed or commit: the
-    /// cold reference mode, bit-identical results with more nodes.
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.slot.committed_at = None;
-            self.lanes.clear();
-        }
+    /// Switches to the cold reference mode for the carry's lifetime.
+    #[cfg(test)]
+    pub(crate) fn set_cold(&mut self) {
+        self.cold = true;
+        self.slot.committed_at = None;
+        self.lanes.clear();
     }
 
     /// Session-boundary hygiene: the carry never crosses a session.
@@ -331,11 +336,13 @@ impl WarmCarry {
 
     /// Records `plan` as the winner of chunk step `next_chunk`.
     pub(crate) fn commit(&mut self, next_chunk: usize, plan: &[usize]) {
-        if self.enabled {
-            self.slot.committed_at = Some(next_chunk);
-            self.slot.plan.clear();
-            self.slot.plan.extend_from_slice(plan);
+        #[cfg(test)]
+        if self.cold {
+            return;
         }
+        self.slot.committed_at = Some(next_chunk);
+        self.slot.plan.clear();
+        self.slot.plan.extend_from_slice(plan);
     }
 }
 

@@ -13,7 +13,6 @@
 
 use crate::fugu::Fugu;
 use crate::plan::{self, Planner};
-use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
 use sensei_trace::ThroughputTrace;
 
@@ -63,13 +62,6 @@ impl SenseiFugu {
         }
     }
 
-    /// Toggles the inner MPC's cross-chunk warm start (on by default);
-    /// see [`Fugu::with_warm_start`].
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.inner = self.inner.with_warm_start(enabled);
-        self
-    }
-
     /// The Fig. 18b ablation: weighted objective, no new actions.
     pub fn without_pause_action() -> Self {
         Self {
@@ -78,25 +70,11 @@ impl SenseiFugu {
         }
     }
 
-    /// Overrides the objective QoE model of the inner MPC.
-    pub fn with_qoe(mut self, qoe: Ksqi) -> Self {
-        self.inner = self.inner.with_qoe(qoe);
-        self
-    }
-
-    /// Overrides the inner MPC's stall risk-aversion multiplier.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `factor` is below 1 (see [`Fugu::with_risk_aversion`]).
-    pub fn with_risk_aversion(mut self, factor: f64) -> Self {
-        self.inner = self.inner.with_risk_aversion(factor);
-        self
-    }
-
-    /// Overrides the inner MPC's throughput predictor.
-    pub fn with_predictor(mut self, predictor: crate::ThroughputPredictor) -> Self {
-        self.inner = self.inner.with_predictor(predictor);
+    /// The cold reference of the parity suites: the inner MPC's every
+    /// search starts unseeded.
+    #[cfg(test)]
+    pub(crate) fn cold(mut self) -> Self {
+        self.inner = self.inner.cold();
         self
     }
 }
@@ -208,7 +186,7 @@ impl Planner for SenseiFugu {
             paused_state.buffer_s += pause;
             let pause_cost = playhead_w
                 * stall_penalty
-                * self.inner.risk_aversion()
+                * plan::RISK_AVERSION
                 * (pause / ctx.chunk_duration_s).clamp(0.0, 1.0);
             // Hysteresis: an intentional stall must buy a clear planned
             // improvement, not a prediction-noise-sized one.
@@ -264,8 +242,11 @@ fn losing_floor(best_q: f64, pause_cost: f64, margin: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::fugu::DEFAULT_HORIZON;
+    use crate::plan::{RISK_AVERSION, RTT_S};
     use crate::test_support::{encoded, flat_best, source, FlatPlan, FlatRoot};
+    use crate::ThroughputPredictor;
     use sensei_crowd::TrueQoe;
+    use sensei_qoe::Ksqi;
     use sensei_sim::{simulate, PlayerConfig};
     use sensei_trace::ThroughputTrace;
     use sensei_video::SensitivityWeights;
@@ -361,7 +342,6 @@ mod tests {
         ctx: &SessionContext<'_>,
         spent: &mut f64,
     ) -> (Decision, bool) {
-        let fugu = Fugu::new();
         let d = ctx.chunk_duration_s;
         let h = DEFAULT_HORIZON.min(ctx.num_chunks() - state.next_chunk);
         let mut weights = vec![1.0; h];
@@ -369,14 +349,12 @@ mod tests {
             weights = w.window(state.next_chunk, h).to_vec();
             weights.resize(h, 1.0);
         }
-        let rates = fugu.predictor().scenario_rates(state);
+        let rates = ThroughputPredictor::default().scenario_rates(state);
         let qoe = Ksqi::canonical();
         let (_, stall_penalty, _, _) = qoe.coefficients();
         let plan = FlatPlan {
             ctx,
             qoe: qoe.clone(),
-            risk_aversion: fugu.risk_aversion(),
-            max_buffer_s: 24.0,
             h,
             weights: Some(&weights),
             scenarios: rates.len(),
@@ -405,11 +383,11 @@ mod tests {
                 &[root],
                 |si| rates[si].0,
                 |si, _, chunk, level| {
-                    0.08 + ctx.encoded.size_bits(chunk, level).unwrap() / (rates[si].1 * 1000.0)
+                    RTT_S + ctx.encoded.size_bits(chunk, level).unwrap() / (rates[si].1 * 1000.0)
                 },
             );
             let pause_cost =
-                playhead_w * stall_penalty * fugu.risk_aversion() * (pause / d).clamp(0.0, 1.0);
+                playhead_w * stall_penalty * RISK_AVERSION * (pause / d).clamp(0.0, 1.0);
             let margin = if pause > 0.0 { 0.05 } else { 0.0 };
             let q = plan_q - pause_cost - margin;
             if q > best.1 {

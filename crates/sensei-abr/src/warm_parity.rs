@@ -6,39 +6,21 @@
 //! incumbent with the shifted suffix of the previous step's winning
 //! plan. Because the seed is scored with the search's own exact leaf
 //! arithmetic, a warm search must be indistinguishable from a cold one
-//! (`with_warm_start(false)`, the fresh-per-step reference) — same
+//! (`cold()`, the fresh-per-step reference, built only in test builds) — same
 //! `Decision` at every chunk, same rendered session, bit for bit. These
 //! tests pin that contract across full sessions, manual `decide` sweeps
-//! with mid-session `rebind`s, and the telemetry that proves the warm
-//! path actually engaged.
+//! with mid-session `rebind`s, one mixed 64-lane batch, and the
+//! telemetry that proves the warm path actually engaged.
 
-use sensei_abr::{Fugu, OracleMpc, SenseiFugu};
-use sensei_sim::{simulate, AbrPolicy, Decision, PlayerConfig, PlayerState, SessionContext};
+use crate::test_support::{encoded, source};
+use crate::{Fugu, OracleMpc, SenseiFugu};
+use sensei_sim::{
+    simulate, simulate_batch_in, AbrPolicy, BatchLanes, Decision, PlayerConfig, PlayerState,
+    SessionBatch, SessionContext, SessionResult,
+};
 use sensei_telemetry::{self as telemetry, Counter};
 use sensei_trace::ThroughputTrace;
-use sensei_video::content::{Genre, SceneKind, SceneSpec};
-use sensei_video::{BitrateLadder, EncodedVideo, SensitivityWeights, SourceVideo};
-
-/// A 20-chunk sports-like video with a key moment in the second half
-/// (mirrors the crate's internal test fixture).
-fn source() -> SourceVideo {
-    SourceVideo::from_script(
-        "warm-parity",
-        Genre::Sports,
-        &[
-            SceneSpec::new(SceneKind::NormalPlay, 8),
-            SceneSpec::new(SceneKind::Scenic, 4),
-            SceneSpec::new(SceneKind::KeyMoment, 4),
-            SceneSpec::new(SceneKind::NormalPlay, 4),
-        ],
-        55,
-    )
-    .unwrap()
-}
-
-fn encoded(src: &SourceVideo) -> EncodedVideo {
-    EncodedVideo::encode(src, &BitrateLadder::default_paper(), 5)
-}
+use sensei_video::SensitivityWeights;
 
 /// Exact small-index → f64 conversion (chunk indices stay far below 2^32).
 fn fl(i: usize) -> f64 {
@@ -58,11 +40,7 @@ fn traces() -> Vec<ThroughputTrace> {
 
 /// Bitwise session equality: chosen levels plus every float surface of
 /// the rendered result.
-fn assert_sessions_identical(
-    warm: &sensei_sim::SessionResult,
-    cold: &sensei_sim::SessionResult,
-    label: &str,
-) {
+fn assert_sessions_identical(warm: &SessionResult, cold: &SessionResult, label: &str) {
     assert_eq!(warm.levels, cold.levels, "{label}: levels diverged");
     assert_eq!(
         warm.wall_time_s.to_bits(),
@@ -120,7 +98,7 @@ fn fugu_sessions_match_cold_bit_for_bit() {
     let mut warm = Fugu::new();
     for trace in &traces() {
         let w = simulate(&src, &enc, trace, &mut warm, &config, None).unwrap();
-        let mut cold = Fugu::new().with_warm_start(false);
+        let mut cold = Fugu::new().cold();
         let c = simulate(&src, &enc, trace, &mut cold, &config, None).unwrap();
         assert_sessions_identical(&w, &c, &format!("Fugu on {}", trace.name()));
     }
@@ -139,7 +117,7 @@ fn sensei_fugu_sessions_match_cold_bit_for_bit() {
         // pause-candidate loop (seed applies under every candidate's
         // search via the winner plan commit).
         let w = simulate(&src, &enc, trace, &mut warm, &config, Some(&weights)).unwrap();
-        let mut cold = SenseiFugu::new().with_warm_start(false);
+        let mut cold = SenseiFugu::new().cold();
         let c = simulate(&src, &enc, trace, &mut cold, &config, Some(&weights)).unwrap();
         assert_sessions_identical(&w, &c, &format!("SenseiFugu on {}", trace.name()));
 
@@ -153,7 +131,7 @@ fn sensei_fugu_sessions_match_cold_bit_for_bit() {
             Some(&weights),
         )
         .unwrap();
-        let mut cold2 = SenseiFugu::without_pause_action().with_warm_start(false);
+        let mut cold2 = SenseiFugu::without_pause_action().cold();
         let c2 = simulate(&src, &enc, trace, &mut cold2, &config, Some(&weights)).unwrap();
         assert_sessions_identical(
             &w2,
@@ -177,13 +155,13 @@ fn oracle_sessions_match_cold_bit_for_bit_across_rebinds() {
     for trace in &all {
         warm_aware.rebind(trace);
         let w = simulate(&src, &enc, trace, &mut warm_aware, &config, None).unwrap();
-        let mut cold = OracleMpc::aware(trace).with_warm_start(false);
+        let mut cold = OracleMpc::aware(trace).cold();
         let c = simulate(&src, &enc, trace, &mut cold, &config, None).unwrap();
         assert_sessions_identical(&w, &c, &format!("OracleMpc(aware) on {}", trace.name()));
 
         warm_unaware.rebind(trace);
         let w2 = simulate(&src, &enc, trace, &mut warm_unaware, &config, None).unwrap();
-        let mut cold2 = OracleMpc::unaware(trace).with_warm_start(false);
+        let mut cold2 = OracleMpc::unaware(trace).cold();
         let c2 = simulate(&src, &enc, trace, &mut cold2, &config, None).unwrap();
         assert_sessions_identical(&w2, &c2, &format!("OracleMpc(unaware) on {}", trace.name()));
     }
@@ -266,39 +244,146 @@ fn decide_sweeps_with_mid_session_rebinds_match_cold() {
     };
     assert_decide_sweep_matches(
         &mut Fugu::new(),
-        &mut Fugu::new().with_warm_start(false),
+        &mut Fugu::new().cold(),
         &plain_ctx,
         &all,
         "Fugu",
     );
     assert_decide_sweep_matches(
         &mut SenseiFugu::new(),
-        &mut SenseiFugu::new().with_warm_start(false),
+        &mut SenseiFugu::new().cold(),
         &weighted_ctx,
         &all,
         "SenseiFugu",
     );
     assert_decide_sweep_matches(
         &mut SenseiFugu::without_pause_action(),
-        &mut SenseiFugu::without_pause_action().with_warm_start(false),
+        &mut SenseiFugu::without_pause_action().cold(),
         &weighted_ctx,
         &all,
         "SenseiFugu(no-pause)",
     );
     assert_decide_sweep_matches(
         &mut OracleMpc::aware(&all[0]),
-        &mut OracleMpc::aware(&all[0]).with_warm_start(false),
+        &mut OracleMpc::aware(&all[0]).cold(),
         &plain_ctx,
         &all,
         "OracleMpc(aware)",
     );
     assert_decide_sweep_matches(
         &mut OracleMpc::unaware(&all[0]),
-        &mut OracleMpc::unaware(&all[0]).with_warm_start(false),
+        &mut OracleMpc::unaware(&all[0]).cold(),
         &plain_ctx,
         &all,
         "OracleMpc(unaware)",
     );
+}
+
+/// Hides a policy's batched overrides: a session through this wrapper is
+/// the plain per-chunk `decide` loop.
+struct DecideOnly<'a>(&'a mut dyn AbrPolicy);
+
+impl AbrPolicy for DecideOnly<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
+        self.0.decide(state, ctx)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn rebind(&mut self, trace: &ThroughputTrace) {
+        self.0.rebind(trace);
+    }
+}
+
+/// The MPC kinds of the mixed batch.
+const MPC_KINDS: usize = 5;
+
+/// MPC kind `kind`, warm or cold, and whether its lanes carry the
+/// manifest weights.
+fn mpc_kind(kind: usize, trace: &ThroughputTrace, cold: bool) -> (Box<dyn AbrPolicy>, bool) {
+    let fugu = |p: Fugu| -> Box<dyn AbrPolicy> { Box::new(if cold { p.cold() } else { p }) };
+    let sensei =
+        |p: SenseiFugu| -> Box<dyn AbrPolicy> { Box::new(if cold { p.cold() } else { p }) };
+    let oracle = |p: OracleMpc| -> Box<dyn AbrPolicy> { Box::new(if cold { p.cold() } else { p }) };
+    match kind {
+        0 => (fugu(Fugu::new()), false),
+        1 => (sensei(SenseiFugu::new()), true),
+        2 => (sensei(SenseiFugu::without_pause_action()), true),
+        3 => (oracle(OracleMpc::aware(trace)), true),
+        _ => (oracle(OracleMpc::unaware(trace)), false),
+    }
+}
+
+#[test]
+fn a_mixed_warm_batch_matches_cold_scalar_sessions() {
+    let src = source();
+    let enc = encoded(&src);
+    // A dull first half before a key second half makes pauses pay, so
+    // the per-lane pause ledgers matter.
+    let n = src.num_chunks();
+    let step = (0..n).map(|i| if i < n / 2 { 0.2 } else { 3.0 }).collect();
+    let weights = SensitivityWeights::new(step).unwrap();
+    let trace = sensei_trace::generate::fcc_like(1000.0, 600, 0);
+    let players = [24.0, 12.0, 8.0].map(|max_buffer_s| PlayerConfig {
+        max_buffer_s,
+        ..PlayerConfig::default()
+    });
+    // 64 lanes cycle the five kinds, then the players: each kind's group
+    // holds 12 or 13 lanes, so every group repeats lanes.
+    let configs: Vec<Vec<PlayerConfig>> = (0..MPC_KINDS)
+        .map(|kind| {
+            (0..64)
+                .filter(|i| i % MPC_KINDS == kind)
+                .map(|i| players[(i / MPC_KINDS) % players.len()])
+                .collect()
+        })
+        .collect();
+    let mut warm: Vec<_> = (0..MPC_KINDS)
+        .map(|kind| mpc_kind(kind, &trace, false))
+        .collect();
+    let mut groups: Vec<BatchLanes<'_, '_>> = warm
+        .iter_mut()
+        .zip(&configs)
+        .map(|((policy, weighted), configs)| BatchLanes {
+            policy: policy.as_mut(),
+            weights: weighted.then_some(&weights),
+            configs,
+        })
+        .collect();
+    let mut results = Vec::new();
+    let mut batch = SessionBatch::new();
+    simulate_batch_in(&mut batch, &src, &enc, &trace, &mut groups, &mut results).unwrap();
+    assert_eq!(results.len(), 64);
+    // Results come back group by group, each group in lane order.
+    let paused = results
+        .iter()
+        .flat_map(|r| r.render.chunks())
+        .any(|c| c.intentional_rebuffer_s > 0.0);
+    assert!(paused, "no lane paused");
+    let mut results = results.iter();
+    for (kind, configs) in configs.iter().enumerate() {
+        for (lane, config) in configs.iter().enumerate() {
+            let (mut cold, weighted) = mpc_kind(kind, &trace, true);
+            let mut scalar = DecideOnly(cold.as_mut());
+            let want = simulate(
+                &src,
+                &enc,
+                &trace,
+                &mut scalar,
+                config,
+                weighted.then_some(&weights),
+            )
+            .unwrap();
+            let label = format!("{} lane {lane} of the batch", cold.name());
+            assert_sessions_identical(results.next().unwrap(), &want, &label);
+        }
+    }
 }
 
 /// The parity above is only meaningful if the warm path actually runs:
@@ -316,15 +401,7 @@ fn warm_sessions_report_hits_and_cold_sessions_none() {
     let warm_shard = telemetry::end();
 
     telemetry::begin();
-    let _ = simulate(
-        &src,
-        &enc,
-        &trace,
-        &mut Fugu::new().with_warm_start(false),
-        &config,
-        None,
-    )
-    .unwrap();
+    let _ = simulate(&src, &enc, &trace, &mut Fugu::new().cold(), &config, None).unwrap();
     let cold_shard = telemetry::end();
 
     let warm_hits = warm_shard.counter(Counter::WarmStartHits);

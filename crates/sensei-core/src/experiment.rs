@@ -46,12 +46,6 @@ pub struct ExperimentConfig {
     pub rl_episodes: usize,
     /// Player configuration used in every session.
     pub player: PlayerConfig,
-    /// Whether the MPC-family planners (Fugu, SENSEI-Fugu, OracleMpc)
-    /// warm-start each chunk step's search from the previous step's
-    /// winning plan. Bit-identical decisions either way (test-enforced);
-    /// `false` forces the cold reference searches, for parity suites and
-    /// apples-to-apples planner benchmarks.
-    pub mpc_warm_start: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -62,7 +56,6 @@ impl Default for ExperimentConfig {
             weight_source: WeightSource::Crowd,
             rl_episodes: 3000,
             player: PlayerConfig::default(),
-            mpc_warm_start: true,
         }
     }
 }
@@ -81,7 +74,6 @@ impl ExperimentConfig {
             weight_source: WeightSource::GroundTruth,
             rl_episodes: 0,
             player: PlayerConfig::default(),
-            mpc_warm_start: true,
         }
     }
 }
@@ -362,9 +354,6 @@ pub struct Experiment {
     pub player: PlayerConfig,
     /// Total crowdsourcing cost across the corpus.
     pub total_profile_cost_usd: f64,
-    /// Whether MPC-family policies are built with cross-chunk warm starts
-    /// (see [`ExperimentConfig::mpc_warm_start`]).
-    pub mpc_warm_start: bool,
 }
 
 impl Experiment {
@@ -499,7 +488,6 @@ impl Experiment {
             sensei_pensieve,
             player: config.player,
             total_profile_cost_usd: total_cost,
-            mpc_warm_start: config.mpc_warm_start,
         })
     }
 
@@ -538,13 +526,9 @@ impl Experiment {
         let whole_trace = || trace.ok_or_else(|| missing_trace(kind));
         Ok(match kind {
             PolicyKind::Bba => Box::new(Bba::paper_default()),
-            PolicyKind::Fugu => Box::new(Fugu::new().with_warm_start(self.mpc_warm_start)),
-            PolicyKind::SenseiFugu => {
-                Box::new(SenseiFugu::new().with_warm_start(self.mpc_warm_start))
-            }
-            PolicyKind::SenseiFuguNoPause => {
-                Box::new(SenseiFugu::without_pause_action().with_warm_start(self.mpc_warm_start))
-            }
+            PolicyKind::Fugu => Box::new(Fugu::new()),
+            PolicyKind::SenseiFugu => Box::new(SenseiFugu::new()),
+            PolicyKind::SenseiFuguNoPause => Box::new(SenseiFugu::without_pause_action()),
             PolicyKind::Pensieve => Box::new(
                 self.pensieve
                     .clone()
@@ -555,12 +539,8 @@ impl Experiment {
                     CoreError::BadConfig("SENSEI-Pensieve was not trained".into())
                 })?)
             }
-            PolicyKind::OracleAware => {
-                Box::new(OracleMpc::aware(whole_trace()?).with_warm_start(self.mpc_warm_start))
-            }
-            PolicyKind::OracleUnaware => {
-                Box::new(OracleMpc::unaware(whole_trace()?).with_warm_start(self.mpc_warm_start))
-            }
+            PolicyKind::OracleAware => Box::new(OracleMpc::aware(whole_trace()?)),
+            PolicyKind::OracleUnaware => Box::new(OracleMpc::unaware(whole_trace()?)),
             PolicyKind::DasIp => Box::new(DasIp::new()),
         })
     }

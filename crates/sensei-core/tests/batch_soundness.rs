@@ -171,58 +171,6 @@ fn batches_across_videos_and_traces_stay_identical() {
 }
 
 #[test]
-fn warm_started_planning_is_byte_identical_to_cold_at_every_width() {
-    // Two environments identical but for `mpc_warm_start`: the warm one
-    // carries each lane's winning plan across chunk steps and seeds the
-    // next search's incumbent; the cold one searches from scratch every
-    // step. Seeding is result-invariant by construction, so every score —
-    // across the whole MPC family, every batch width, and repeated
-    // lanes — must match bit for bit.
-    let warm_env = Experiment::build(&ExperimentConfig::quick(17)).unwrap();
-    let mut cold_cfg = ExperimentConfig::quick(17);
-    cold_cfg.mpc_warm_start = false;
-    let cold_env = Experiment::build(&cold_cfg).unwrap();
-    let mpc_kinds = [
-        PolicyKind::Fugu,
-        PolicyKind::SenseiFugu,
-        PolicyKind::SenseiFuguNoPause,
-        PolicyKind::OracleAware,
-        PolicyKind::OracleUnaware,
-    ];
-    let lane_specs: Vec<(PolicyKind, PlayerConfig)> = (0..64)
-        .map(|i| (mpc_kinds[i % mpc_kinds.len()], PlayerConfig::default()))
-        .collect();
-    let asset = &warm_env.assets[0];
-    let trace = &warm_env.traces[1];
-    // Cold scalar references anchor both engines to fresh-per-step truth.
-    let references: Vec<LaneScore> = lane_specs
-        .iter()
-        .map(|(kind, player)| scalar_reference(&cold_env, asset, trace, *kind, player))
-        .collect();
-    for width in [1usize, 3, 8, 64] {
-        let warm_scores = score_in_batches(&warm_env, asset, trace, &lane_specs, width);
-        let cold_scores = score_in_batches(&cold_env, asset, trace, &lane_specs, width);
-        assert_eq!(warm_scores.len(), references.len());
-        for (lane, (warm, (cold, want))) in warm_scores
-            .iter()
-            .zip(cold_scores.iter().zip(&references))
-            .enumerate()
-        {
-            assert_scores_identical(
-                warm,
-                cold,
-                &format!("warm vs cold, width {width}, lane {lane}"),
-            );
-            assert_scores_identical(
-                warm,
-                want,
-                &format!("warm vs scalar, width {width}, lane {lane}"),
-            );
-        }
-    }
-}
-
-#[test]
 fn lane_order_is_preserved_across_policy_regrouping() {
     // Input lanes deliberately interleave kinds so the engine's
     // group-then-scatter path is exercised: scores must come back in the

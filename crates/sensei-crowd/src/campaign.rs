@@ -349,29 +349,6 @@ impl Needs {
     }
 }
 
-/// Convenience wrapper: rate `renders` of `source` with `m` ratings each
-/// under default campaign mechanics, returning normalized MOS per render.
-///
-/// # Errors
-///
-/// Propagates [`Campaign::run`] errors.
-pub fn rate_renders(
-    source: &SourceVideo,
-    reference: RenderedVideo,
-    renders: &[RenderedVideo],
-    m: usize,
-    seed: u64,
-) -> Result<Vec<f64>, CrowdError> {
-    let oracle = TrueQoe::default();
-    let pool = RaterPool::masters(seed ^ 0xC0FFEE);
-    let config = CampaignConfig {
-        raters_per_render: m,
-        ..CampaignConfig::default()
-    };
-    let campaign = Campaign::new(source, reference, renders, &oracle, &pool, config)?;
-    Ok(campaign.run(seed)?.mos01)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ use sensei_telemetry::{TelemetryShard, TelemetrySnapshot};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -57,9 +57,6 @@ use std::time::{Duration, Instant};
 pub struct FleetConfig {
     /// Worker threads to shard tiles across (must be ≥ 1).
     pub workers: usize,
-    /// Baseline policy for the QoE-gain CDFs; defaults to the matrix's
-    /// first policy.
-    pub baseline: Option<PolicyKind>,
     /// Run only this `(index, count)` process shard — the `index`-th of
     /// `count` contiguous tile slices from [`ShardPlan`] — and stamp the
     /// report with the covered [`ShardSlice`]. `None` (the default) runs
@@ -78,23 +75,15 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config with `workers` threads and the default baseline.
+    /// A config with `workers` threads.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         Self {
             workers,
-            baseline: None,
             shard: None,
             telemetry: false,
             progress: false,
         }
-    }
-
-    /// Sets the gain baseline policy.
-    #[must_use]
-    pub fn with_baseline(mut self, baseline: PolicyKind) -> Self {
-        self.baseline = Some(baseline);
-        self
     }
 
     /// Restricts the run to shard `index` of `count` contiguous tile
@@ -137,7 +126,6 @@ pub struct Fleet<'a> {
     experiment: &'a Experiment,
     matrix: &'a ScenarioMatrix,
     workers: usize,
-    baseline: PolicyKind,
     shard: Option<(u64, u64)>,
     telemetry: bool,
     progress: bool,
@@ -148,9 +136,8 @@ impl<'a> Fleet<'a> {
     ///
     /// # Errors
     ///
-    /// Returns an error when the config asks for zero workers, names a
-    /// baseline policy outside the matrix, or carries an out-of-range
-    /// shard split.
+    /// Returns an error when the config asks for zero workers or carries
+    /// an out-of-range shard split.
     pub fn new(
         experiment: &'a Experiment,
         matrix: &'a ScenarioMatrix,
@@ -158,10 +145,6 @@ impl<'a> Fleet<'a> {
     ) -> Result<Self, FleetError> {
         if config.workers == 0 {
             return Err(FleetError::NoWorkers);
-        }
-        let baseline = config.baseline.unwrap_or(matrix.policies()[0]);
-        if !matrix.policies().contains(&baseline) {
-            return Err(FleetError::BaselineNotInMatrix(baseline));
         }
         if let Some((index, count)) = config.shard {
             if count == 0 {
@@ -177,7 +160,6 @@ impl<'a> Fleet<'a> {
             experiment,
             matrix,
             workers: config.workers,
-            baseline,
             shard: config.shard,
             telemetry: config.telemetry,
             progress: config.progress,
@@ -232,10 +214,11 @@ impl<'a> Fleet<'a> {
     /// Simulates and scores one tile — every `(player, policy)` lane of
     /// one `(video, trace, perturbation)` triple — against a worker's
     /// runtime, appending the lanes' scores in canonical lane order to
-    /// `scores` and returning the network's trace name. This is the
-    /// stats path: unless a lane reads the whole trace (`reads_trace`,
-    /// tile-invariant), the network is drawn on demand, and no trace mean
-    /// is ever computed.
+    /// `scores` and returning the base trace's name, which the tile's
+    /// scores fold under (a perturbation keeps its base trace's family).
+    /// This is the stats path: unless a lane reads the whole trace
+    /// (`reads_trace`, tile-invariant), the network is drawn on demand,
+    /// and no trace mean is ever computed.
     ///
     /// Apart from the runtime's caches (which are result-invisible:
     /// reused policies are reset per session and cached or streamed
@@ -250,7 +233,7 @@ impl<'a> Fleet<'a> {
         lanes: &[(PolicyKind, PlayerConfig)],
         reads_trace: bool,
         scores: &mut Vec<LaneScore>,
-    ) -> Result<Arc<str>, (u64, CoreError)> {
+    ) -> Result<&'a str, (u64, CoreError)> {
         let (first_id, sc) = self.tile_scenario(tile);
         let WorkerRuntime { session, traces } = rt;
         let mut network = self
@@ -263,7 +246,7 @@ impl<'a> Fleet<'a> {
             .score_batch_in(session, asset, &mut network, lanes, scores)
             .map_err(|failure| (first_id + failure.lane as u64, failure.error))?;
         network.count_draws();
-        Ok(network.name_handle())
+        Ok(self.experiment.traces[sc.trace_idx].name())
     }
 
     /// A tile's first scenario ID and its decoded scenario (every lane of
@@ -378,7 +361,8 @@ impl<'a> Fleet<'a> {
                     let lanes = fleet.tile_lanes();
                     let reads_trace = lanes.iter().any(|(kind, _)| kind.reads_trace());
                     let policies = fleet.matrix.policies();
-                    let mut partial = FleetStats::new(policies, fleet.baseline);
+                    // The gain baseline is the matrix's first policy.
+                    let mut partial = FleetStats::new(policies, policies[0]);
                     let mut scores: Vec<LaneScore> =
                         Vec::with_capacity(usize::try_from(tile_size).unwrap_or(0));
                     if fleet.telemetry {
@@ -422,7 +406,7 @@ impl<'a> Fleet<'a> {
                             // group.
                             let _span = telemetry::span(telemetry::Phase::ShardFold);
                             for group in scores.chunks_exact(policies.len()) {
-                                partial.fold_scores(&trace_name, group);
+                                partial.fold_scores(trace_name, group);
                             }
                         }
                         tiles_done.fetch_add(1, Ordering::Relaxed);
@@ -477,7 +461,8 @@ impl<'a> Fleet<'a> {
         // how many sessions streamed through the run.
         // sensei-lint: allow(no-wall-clock) — collect_s phase split is observability; never feeds aggregates
         let merge_started = Instant::now();
-        let mut stats = FleetStats::new(self.matrix.policies(), self.baseline);
+        let policies = self.matrix.policies();
+        let mut stats = FleetStats::new(policies, policies[0]);
         {
             let _span = telemetry::span(telemetry::Phase::FinalMerge);
             for partial in partials.into_inner().expect("partials lock").iter() {

@@ -26,8 +26,8 @@
 //!   via [`merge_reports`]) produce bit-identical results.
 //! * [`FleetReport`] — streaming per-policy accumulators: QoE mean/variance
 //!   from exact quantized moment sums ([`Moments`]), fixed-bin stall-rate
-//!   and bitrate-switch histograms, a fixed-bin QoE-gain CDF against a
-//!   baseline policy, and sessions/sec throughput. Memory stays
+//!   and bitrate-switch histograms, a fixed-bin QoE-gain CDF against the
+//!   matrix's first policy, and sessions/sec throughput. Memory stays
 //!   `O(policies × bins)`, not `O(sessions)`.
 //!
 //! Cross-process sharding rides the same merge law: a [`ShardPlan`] splits
@@ -93,8 +93,6 @@ pub enum FleetError {
     EmptyAxis(&'static str),
     /// The executor was configured with zero workers.
     NoWorkers,
-    /// The gain baseline policy is not one of the matrix's policies.
-    BaselineNotInMatrix(sensei_core::PolicyKind),
     /// A policy appears more than once on the policy axis; the per-policy
     /// aggregates and gain baseline are keyed by policy, so duplicates
     /// would silently merge or shadow each other.
@@ -134,9 +132,6 @@ impl std::fmt::Display for FleetError {
         match self {
             FleetError::EmptyAxis(axis) => write!(f, "scenario axis `{axis}` is empty"),
             FleetError::NoWorkers => write!(f, "fleet configured with zero workers"),
-            FleetError::BaselineNotInMatrix(kind) => {
-                write!(f, "baseline policy {} is not in the matrix", kind.label())
-            }
             FleetError::DuplicatePolicy(kind) => {
                 write!(
                     f,

@@ -528,13 +528,18 @@ fn family_axis_matches(family: &FamilyStats, axis: &[PolicyStats]) -> bool {
             .all(|(f, p)| f.policy == p.policy)
 }
 
-/// The family key of a trace name: the prefix before the first `-`
-/// (generated traces are named `{family}-…`, and perturbation suffixes
-/// append at the end, so the prefix survives `@x…`/`+n…` decoration).
-/// Names without a `-` are their own family.
+/// The family key of a trace name: the prefix before the first `-`,
+/// `@` or `+`. Generated traces are named `{family}-…`, and perturbation
+/// decoration always starts with `@x` or `+n` (see
+/// `ThroughputTrace::perturbed_name`), so a perturbed trace keeps its
+/// base trace's family even when the base name has no `-`. Names without
+/// any of the three are their own family.
 #[must_use]
 pub fn family_of(trace_name: &str) -> &str {
-    trace_name.split('-').next().unwrap_or(trace_name)
+    trace_name
+        .split(['-', '@', '+'])
+        .next()
+        .unwrap_or(trace_name)
 }
 
 /// The order-independent part of a fleet report: everything here is
@@ -2131,11 +2136,13 @@ mod tests {
     }
 
     #[test]
-    fn family_keys_strip_at_the_first_dash() {
+    fn family_keys_strip_at_the_first_separator() {
         assert_eq!(family_of("hsdpa-700k-s12"), "hsdpa");
         assert_eq!(family_of("cell4-003-900k"), "cell4");
         assert_eq!(family_of("diurnal-003-900k@x0.80+n200"), "diurnal");
         assert_eq!(family_of("t"), "t");
+        assert_eq!(family_of("flat@x0.85"), "flat");
+        assert_eq!(family_of("flat+n100"), "flat");
     }
 
     #[test]

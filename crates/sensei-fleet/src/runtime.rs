@@ -29,9 +29,9 @@
 //! and sub-batch of that tile shares it.
 //!
 //! Memory stays bounded per worker: two sample buffers — the stream's
-//! and the completed slot's, recycled into each other — and one interned
-//! name per non-identity pair, however many videos, traces, scales or
-//! seeds a run sweeps.
+//! and the completed slot's, recycled into each other — however many
+//! videos, traces, scales or seeds a run sweeps. A stream carries no
+//! name; only a completed trace gets its perturbed name.
 //!
 //! Caching never changes results: streamed, completed and
 //! freshly-applied perturbations are value-identical (asserted by the
@@ -43,8 +43,6 @@ use crate::scenario::TracePerturbation;
 use sensei_core::SessionRuntime;
 use sensei_telemetry as telemetry;
 use sensei_trace::{Network, PerturbedStream, ThroughputTrace, TraceError};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Everything one executor worker owns across its scenarios.
 pub struct WorkerRuntime {
@@ -83,31 +81,16 @@ pub(crate) enum TileNetwork<'a> {
     Trace(&'a ThroughputTrace),
     /// A non-identity perturbation served on demand: a zero-copy view
     /// when unjittered, Gaussian pairs drawn as read otherwise.
-    Stream {
-        /// The perturbation's interned name (what the completed trace
-        /// would be called).
-        name: Arc<str>,
-        /// The on-demand samples.
-        stream: PerturbedStream<'a>,
-    },
+    Stream(PerturbedStream<'a>),
 }
 
 impl TileNetwork<'_> {
-    /// A shared handle to the network's trace name.
-    #[must_use]
-    pub(crate) fn name_handle(&self) -> Arc<str> {
-        match self {
-            TileNetwork::Trace(trace) => trace.name_handle(),
-            TileNetwork::Stream { name, .. } => Arc::clone(name),
-        }
-    }
-
     /// Records the samples an on-demand stream drew (set-up plus every
     /// download so far) under [`telemetry::Counter::JitterSamples`]; a
     /// whole trace was counted when [`TraceCache::resolve`] completed it.
     /// Call once, when the tile is done with the network.
     pub(crate) fn count_draws(&self) {
-        if let TileNetwork::Stream { stream, .. } = self {
+        if let TileNetwork::Stream(stream) = self {
             count_jitter_samples(stream.drawn());
         }
     }
@@ -117,29 +100,20 @@ impl Network for TileNetwork<'_> {
     fn download_time(&mut self, start_s: f64, bits: f64) -> f64 {
         match self {
             TileNetwork::Trace(trace) => trace.download_time(start_s, bits),
-            TileNetwork::Stream { stream, .. } => stream.download_time(start_s, bits),
+            TileNetwork::Stream(stream) => stream.download_time(start_s, bits),
         }
     }
 
     fn full_trace(&self) -> Option<&ThroughputTrace> {
         match self {
             TileNetwork::Trace(trace) => Some(trace),
-            TileNetwork::Stream { .. } => None,
+            TileNetwork::Stream(_) => None,
         }
     }
 }
 
 /// The per-worker perturbed-trace cache.
-///
-/// The name map is a `BTreeMap`, not a `HashMap`: the cache is
-/// keyed-lookup only today, but an ordered map makes that deterministic
-/// by construction instead of by discipline, so no future iteration over
-/// it can ever feed aggregate state in an unspecified order
-/// (sensei-lint: `no-unordered-iteration`).
 pub struct TraceCache {
-    /// Interned names of non-identity perturbations (seed-independent
-    /// even when the samples are not).
-    names: BTreeMap<PairKey, Arc<str>>,
     /// The recycled sample buffer of the current on-demand stream.
     stream_buf: Vec<f64>,
     /// The most recently completed perturbed trace, its pair and its
@@ -155,7 +129,6 @@ impl TraceCache {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            names: BTreeMap::new(),
             stream_buf: Vec::new(),
             completed: None,
         }
@@ -189,9 +162,10 @@ impl TraceCache {
             return Ok(&self.completed.as_ref().expect("checked above").2);
         }
         telemetry::count(telemetry::Counter::TraceMaterializations, 1);
-        let (name, stream) = self.start_stream(base, perturbation, pair, seed)?;
-        let trace = stream.complete(name)?;
-        if perturbation.jitter_std_kbps > 0.0 {
+        let (scale, jitter) = (perturbation.scale, perturbation.jitter_std_kbps);
+        let stream = base.perturbed_stream(scale, jitter, seed, &mut self.stream_buf)?;
+        let trace = stream.complete(base.perturbed_name(scale, jitter))?;
+        if jitter > 0.0 {
             count_jitter_samples(trace.samples().len());
         }
         // The completed trace took the stream's buffer; the trace it
@@ -230,31 +204,13 @@ impl TraceCache {
         if perturbation.jitter_std_kbps > 0.0 {
             telemetry::count(telemetry::Counter::TraceMaterializations, 1);
         }
-        let (name, stream) = self.start_stream(base, perturbation, pair, seed)?;
-        Ok(TileNetwork::Stream { name, stream })
-    }
-
-    /// Starts `pair`'s network for `seed` as an on-demand stream over
-    /// the recycled buffer, with the pair's interned name (it depends on
-    /// the pair but not the seed, so it is built once and shared by
-    /// handle).
-    fn start_stream<'a>(
-        &'a mut self,
-        base: &'a ThroughputTrace,
-        perturbation: &TracePerturbation,
-        pair: PairKey,
-        seed: u64,
-    ) -> Result<(Arc<str>, PerturbedStream<'a>), TraceError> {
-        let name = self.names.entry(pair).or_insert_with(|| {
-            Arc::from(base.perturbed_name(perturbation.scale, perturbation.jitter_std_kbps))
-        });
-        let stream = base.perturbed_stream(
+        base.perturbed_stream(
             perturbation.scale,
             perturbation.jitter_std_kbps,
             seed,
             &mut self.stream_buf,
-        )?;
-        Ok((Arc::clone(name), stream))
+        )
+        .map(TileNetwork::Stream)
     }
 
     /// Whether the completed slot holds `pair`'s network for the slot
@@ -361,7 +317,7 @@ mod tests {
         // Same seed → same trace, even after the scratch held another cell.
         let b = cache.resolve(&base, &p, 0, 1, 12).unwrap().clone();
         assert_ne!(a.samples(), b.samples(), "different seeds must differ");
-        assert_eq!(a.name(), b.name(), "the interned name is seed-independent");
+        assert_eq!(a.name(), b.name(), "the name is seed-independent");
         let a_again = cache.resolve(&base, &p, 0, 1, 11).unwrap().clone();
         assert_eq!(a, a_again);
         // And the regenerated trace still matches a fresh apply.
@@ -411,9 +367,8 @@ mod tests {
         let mut cache = TraceCache::new();
         {
             let mut net = cache.network(&base, &jittered, 2, 3, 21).unwrap();
-            assert!(matches!(net, TileNetwork::Stream { .. }));
+            assert!(matches!(net, TileNetwork::Stream(_)));
             assert!(net.full_trace().is_none());
-            assert_eq!(&*net.name_handle(), fresh.name());
             for (start, bits) in [(0.0, 2e6), (40.0, 5e6), (3.0, 1e5), (115.0, 9e6)] {
                 let want = fresh.download_time(start, bits);
                 assert_eq!(net.download_time(start, bits).to_bits(), want.to_bits());
@@ -435,7 +390,6 @@ mod tests {
         {
             let mut net = cache.network(&base, &scaled, 0, 1, 1).unwrap();
             assert!(net.full_trace().is_none());
-            assert_eq!(&*net.name_handle(), fresh.name());
             for (start, bits) in [(0.0, 2e6), (40.0, 5e6), (3.0, 1e5), (115.0, 9e6)] {
                 let want = fresh.download_time(start, bits);
                 assert_eq!(net.download_time(start, bits).to_bits(), want.to_bits());
@@ -467,7 +421,6 @@ mod tests {
         let mut net = cache.network(&base, &scaled, 0, 1, 4).unwrap();
         net.download_time(10.0, 6e6);
         net.count_draws();
-        drop(net);
         assert_eq!(counts(&telemetry::end()), [0, 0, 0]);
         // Completing it is one materialization without jitter samples,
         // and the next tile of the pair is a hit.
@@ -483,11 +436,10 @@ mod tests {
         let mut net = cache.network(&base, &jittered, 0, 2, 4).unwrap();
         net.download_time(10.0, 6e6);
         net.count_draws();
-        let TileNetwork::Stream { stream, .. } = &net else {
+        let TileNetwork::Stream(stream) = &net else {
             panic!("a jittered network the slot does not hold is a stream");
         };
         let drawn = stream.drawn() as u64;
-        drop(net);
         assert!(drawn > 0);
         assert_eq!(counts(&telemetry::end()), [1, 0, drawn]);
     }
@@ -505,7 +457,6 @@ mod tests {
             let idx = i as usize;
             let mut net = cache.network(&base, &scaled, 0, idx, 3).unwrap();
             net.download_time(f64::from(i), 4e6);
-            drop(net);
             if i % 5 == 0 {
                 let want = scaled.apply(&base, 3).unwrap().into_owned();
                 assert_eq!(*cache.resolve(&base, &scaled, 0, idx, 3).unwrap(), want);
@@ -518,7 +469,6 @@ mod tests {
                 let seed = u64::from(i);
                 let mut net = cache.network(&base, &jittered, 1, 50, seed).unwrap();
                 net.download_time(30.0, 8e6);
-                drop(net);
                 cache.resolve(&base, &jittered, 1, 50, seed + 1).unwrap();
             }
             assert!(

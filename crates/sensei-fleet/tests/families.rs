@@ -10,7 +10,7 @@
 mod common;
 
 use common::{canonical_fold, reference_cells};
-use sensei_core::{ExperimentConfig, PolicyKind};
+use sensei_core::{Experiment, ExperimentConfig, PolicyKind};
 use sensei_fleet::{
     Fleet, FleetConfig, FleetReport, ScenarioFamilies, ScenarioMatrix, TracePerturbation,
 };
@@ -136,4 +136,41 @@ fn grid_builder_still_accepts_family_experiments() {
         .unwrap()
         .stats;
     assert_eq!(stats, canonical_fold(&env, &matrix, &cells));
+}
+
+#[test]
+fn perturbations_keep_a_dashless_trace_in_one_family() {
+    // A base trace whose name has no `-` is its own family, and its
+    // scaled and jittered networks (`flat@x0.85`, `flat+n100`) must fold
+    // into that same family, not one family per perturbation.
+    let config = ExperimentConfig::quick(7);
+    let video = sensei_video::corpus::by_name("Soccer1", config.seed).unwrap();
+    let flat = sensei_trace::ThroughputTrace::constant("flat", 2000.0, 600.0).unwrap();
+    let env = Experiment::from_parts(&config, vec![video], vec![flat]).unwrap();
+    let matrix = ScenarioMatrix::builder()
+        .policies([PolicyKind::Bba])
+        .perturbations([
+            TracePerturbation::identity(),
+            TracePerturbation::scaled(0.85),
+            TracePerturbation::jittered(100.0),
+        ])
+        .build()
+        .unwrap();
+    let stats = Fleet::new(&env, &matrix, FleetConfig::new(1))
+        .unwrap()
+        .run()
+        .unwrap()
+        .stats;
+    let families: Vec<(&str, u64)> = stats
+        .per_family
+        .iter()
+        .map(|f| (f.family.as_str(), f.per_policy[0].sessions))
+        .collect();
+    assert_eq!(families, [("flat", 3)]);
+    // The sequential reference folds each cell under its perturbed name
+    // and lands on the same single family.
+    assert_eq!(
+        stats,
+        canonical_fold(&env, &matrix, &reference_cells(&env, &matrix))
+    );
 }

@@ -132,38 +132,6 @@ impl ActorCritic {
         Ok(softmax(&self.policy.forward(state)?))
     }
 
-    /// Samples an action from the current policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on state-dimension mismatch.
-    pub fn sample_action<R: Rng>(&self, state: &[f64], rng: &mut R) -> Result<usize, MlError> {
-        let probs = self.action_probs(state)?;
-        let mut u: f64 = rng.gen_range(0.0..1.0);
-        for (a, &p) in probs.iter().enumerate() {
-            if u < p {
-                return Ok(a);
-            }
-            u -= p;
-        }
-        Ok(self.n_actions - 1)
-    }
-
-    /// Greedy (argmax) action — used at evaluation time.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on state-dimension mismatch.
-    pub fn best_action(&self, state: &[f64]) -> Result<usize, MlError> {
-        let probs = self.action_probs(state)?;
-        Ok(probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0))
-    }
-
     /// Samples an action restricted to `allowed` (invalid-action masking:
     /// probabilities outside the set are renormalized away).
     ///
@@ -188,7 +156,8 @@ impl ActorCritic {
         Ok(probs.last().expect("non-empty mask").0)
     }
 
-    /// Greedy action restricted to `allowed`.
+    /// Greedy (argmax) action restricted to `allowed`, used at evaluation
+    /// time.
     ///
     /// # Errors
     ///
@@ -344,7 +313,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            counts[ac.sample_action(&[0.5, 0.5], &mut rng).unwrap()] += 1;
+            counts[ac
+                .sample_action_masked(&[0.5, 0.5], &[0, 1, 2], &mut rng)
+                .unwrap()] += 1;
         }
         let probs = ac.action_probs(&[0.5, 0.5]).unwrap();
         for (a, &c) in counts.iter().enumerate() {
@@ -373,7 +344,7 @@ mod tests {
         for _ in 0..300 {
             let mut episode = Vec::new();
             for _ in 0..8 {
-                let a = ac.sample_action(&[1.0], &mut rng).unwrap();
+                let a = ac.sample_action_masked(&[1.0], &[0, 1], &mut rng).unwrap();
                 episode.push(Transition {
                     state: vec![1.0],
                     action: a,
@@ -384,7 +355,7 @@ mod tests {
         }
         let p = ac.action_probs(&[1.0]).unwrap();
         assert!(p[1] > 0.85, "p(best arm) = {}", p[1]);
-        assert_eq!(ac.best_action(&[1.0]).unwrap(), 1);
+        assert_eq!(ac.best_action_masked(&[1.0], &[0, 1]).unwrap(), 1);
     }
 
     /// A contextual bandit: best action depends on the state sign.
@@ -404,7 +375,7 @@ mod tests {
             let best = if s > 0.0 { 1 } else { 0 };
             let mut episode = Vec::new();
             for _ in 0..4 {
-                let a = ac.sample_action(&[s], &mut rng).unwrap();
+                let a = ac.sample_action_masked(&[s], &[0, 1], &mut rng).unwrap();
                 episode.push(Transition {
                     state: vec![s],
                     action: a,
@@ -413,8 +384,8 @@ mod tests {
             }
             ac.train_episode(&episode).unwrap();
         }
-        assert_eq!(ac.best_action(&[1.0]).unwrap(), 1);
-        assert_eq!(ac.best_action(&[-1.0]).unwrap(), 0);
+        assert_eq!(ac.best_action_masked(&[1.0], &[0, 1]).unwrap(), 1);
+        assert_eq!(ac.best_action_masked(&[-1.0], &[0, 1]).unwrap(), 0);
     }
 
     #[test]

@@ -343,15 +343,6 @@ impl ThroughputTrace {
         self.perturbed_into(factor, 0.0, 0, self.perturbed_name(factor, 0.0), Vec::new())
     }
 
-    /// Returns a copy rescaled so its mean equals `target_mean_kbps`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the target mean is not a positive finite value.
-    pub fn rescaled_to_mean(&self, target_mean_kbps: f64) -> Result<Self, TraceError> {
-        self.scaled(target_mean_kbps / self.mean_kbps())
-    }
-
     /// Returns a copy perturbed by zero-mean Gaussian noise with standard
     /// deviation `std_kbps`, clamped at zero (throughput cannot be negative).
     ///
@@ -524,45 +515,17 @@ pub fn gaussian<R: rand::Rng>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Both Box–Muller variates of one `(u1, u2)` pair, cosine variate first —
-/// the exact per-pair draw a [`GaussianSource`] performs, factored out so
-/// whole-buffer jitter passes can consume pairs directly without the
-/// per-call spare branch. The pair order defines the stream:
-/// `(pair.0, pair.1)` is what two consecutive `next_value` calls return.
+/// Both Box–Muller variates of one `(u1, u2)` pair, cosine variate first,
+/// halving the transcendental cost per draw against repeated [`gaussian`]
+/// calls (which discard the sine variate). Jitter passes consume the
+/// pairs directly, and the pair order defines the noise stream: the
+/// cosine variate jitters one sample, the sine variate the next.
 pub fn gaussian_pair<R: rand::Rng>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f64::consts::PI * u2;
     (r * theta.cos(), r * theta.sin())
-}
-
-/// Streaming standard-normal source that uses **both** Box–Muller variates
-/// of each `(u1, u2)` pair, halving the transcendental cost per draw —
-/// the noise generator for whole-trace perturbations, where the per-sample
-/// cost dominates jittered fleet scenarios. The stream is a deterministic
-/// function of the RNG seed (but a *different* stream than repeated
-/// [`gaussian`] calls, which discard the sine variate).
-pub struct GaussianSource<R> {
-    rng: R,
-    spare: Option<f64>,
-}
-
-impl<R: rand::Rng> GaussianSource<R> {
-    /// Wraps an RNG.
-    pub fn new(rng: R) -> Self {
-        Self { rng, spare: None }
-    }
-
-    /// The next standard-normal variate.
-    pub fn next_value(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        let (zc, zs) = gaussian_pair(&mut self.rng);
-        self.spare = Some(zs);
-        zc
-    }
 }
 
 /// What a session downloads over: the time to transfer `bits` from
@@ -670,7 +633,7 @@ impl PerturbedStream<'_> {
                 pair[1] = (pair[1] + zs * std).max(0.0);
             }
             // Odd tail: draw a pair, apply the cosine variate, drop the
-            // sine — exactly what a `GaussianSource`'s final call does
+            // sine — exactly what a per-sample stream's final call does
             // (its cached spare would never be consumed).
             for v in pairs.into_remainder() {
                 let (zc, _) = gaussian_pair(&mut self.rng);
@@ -828,13 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn rescale_to_mean() {
-        let t = trace(&[1000.0, 3000.0]);
-        let s = t.rescaled_to_mean(1000.0).unwrap();
-        assert!((s.mean_kbps() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn gaussian_noise_changes_variance_not_mean_much() {
         let t = ThroughputTrace::constant("c", 2000.0, 600.0).unwrap();
         let n = t.with_gaussian_noise(500.0, 7).unwrap();
@@ -849,10 +805,33 @@ mod tests {
         assert_eq!(n.samples(), n2.samples());
     }
 
+    /// The per-sample reference of the jitter stream: a standard-normal
+    /// source handing out both Box–Muller variates of each pair, the
+    /// cosine variate first, the sine variate on the next call.
+    struct GaussianSource<R> {
+        rng: R,
+        spare: Option<f64>,
+    }
+
+    impl<R: rand::Rng> GaussianSource<R> {
+        fn new(rng: R) -> Self {
+            Self { rng, spare: None }
+        }
+
+        fn next_value(&mut self) -> f64 {
+            if let Some(z) = self.spare.take() {
+                return z;
+            }
+            let (zc, zs) = gaussian_pair(&mut self.rng);
+            self.spare = Some(zs);
+            zc
+        }
+    }
+
     #[test]
     fn batched_jitter_reproduces_the_streaming_draw_order_bit_for_bit() {
         // The paired one-pass jitter sweep in `perturbed_into` must emit
-        // exactly the stream a per-sample `GaussianSource` walk produced
+        // exactly the stream a per-sample `GaussianSource` walk produces
         // before the batching — including the odd-length tail, where the
         // final pair's sine variate is drawn but never consumed.
         use rand::SeedableRng;
