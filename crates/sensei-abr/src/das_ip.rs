@@ -88,9 +88,7 @@ impl DasIp {
                     .expect("next chunk in range"),
             );
         }
-        self.scratch
-            .vqs
-            .extend_from_slice(ctx.encoded.vq_row(next_chunk));
+        self.scratch.vqs.extend(ctx.encoded.vq_row(next_chunk));
     }
 
     /// Computes every level's index and returns the argmax (first winner

@@ -129,7 +129,7 @@ impl ChunkTables {
                 let size = ctx.encoded.size_bits(chunk, level);
                 self.sizes.push(size.expect("plan stays in range"));
             }
-            self.vqs.extend_from_slice(ctx.encoded.vq_row(chunk));
+            self.vqs.extend(ctx.encoded.vq_row(chunk));
         }
     }
 

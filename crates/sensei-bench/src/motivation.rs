@@ -71,7 +71,7 @@ pub fn fig01() -> Vec<Claim> {
         .expect("campaign completes");
     let mut table = Table::new("Chunk|t (s)|Scene|MOS (0-1)|MOS (1-5)");
     for (k, &m) in mos.iter().enumerate() {
-        let scene = match video.chunks()[k].scene {
+        let scene = match video.scene(k).expect("chunk in range") {
             SceneKind::KeyMoment => "shoot & goal",
             SceneKind::Replay => "celebrate & replay",
             SceneKind::Informational => "scoreboard",
@@ -84,7 +84,7 @@ pub fn fig01() -> Vec<Claim> {
     }
     table.print();
     let (gap, worst) = (max_min_gap_pct(&mos), argmin(&mos));
-    let scene = video.chunks()[worst].scene;
+    let scene = video.scene(worst).expect("chunk in range");
     println!("\n  measured: max-min gap = {gap:.1}% (paper: >40%)");
     println!("  measured: worst position = chunk {worst} ({scene:?}) — paper: the goal");
     let key_moment = f64::from(u8::from(scene == SceneKind::KeyMoment));
@@ -252,7 +252,7 @@ fn assign(encoded: &EncodedVideo, weights: &[f64], budget_bits: f64) -> Vec<usiz
         for (c, &w) in weights.iter().enumerate().take(encoded.num_chunks()) {
             let mut best = 0;
             let mut best_v = f64::NEG_INFINITY;
-            for (l, &q) in encoded.vq_row(c).iter().enumerate() {
+            for (l, q) in encoded.vq_row(c).enumerate() {
                 let v = w * q - lambda * size(c, l);
                 if v > best_v {
                     best_v = v;

@@ -411,7 +411,7 @@ impl Experiment {
             ));
         }
         let ladder = BitrateLadder::default_paper();
-        let mut assets = Vec::new();
+        let mut assets = Vec::with_capacity(corpus.len());
         let mut total_cost = 0.0;
         for entry in corpus {
             let encoded = EncodedVideo::encode(&entry.video, &ladder, config.seed ^ 0xE0C);

@@ -209,6 +209,15 @@ impl LstmRegressor {
         target: f64,
         lr: f64,
     ) -> Result<f64, MlError> {
+        let loss = self.backprop(seq, target)?;
+        self.apply_adam(lr);
+        Ok(loss)
+    }
+
+    /// Adds one example's squared-error gradients to the gradient buffers
+    /// (backpropagation through time) and returns the loss. The buffers
+    /// are cleared by the next Adam step.
+    fn backprop(&mut self, seq: &[Vec<f64>], target: f64) -> Result<f64, MlError> {
         if seq.is_empty() {
             return Err(MlError::DegenerateTrainingSet("empty sequence"));
         }
@@ -266,7 +275,6 @@ impl LstmRegressor {
             }
             dh = dh_prev;
         }
-        self.apply_adam(lr);
         Ok(loss)
     }
 
@@ -437,5 +445,57 @@ mod tests {
             (vec![vec![0.3, 0.1], vec![0.2, 0.2], vec![0.9, 0.0]], 0.6),
         ];
         assert!(net.train(&data, 5, 0.01, 1).is_ok());
+    }
+
+    /// Central difference of `(predict(seq) − target)²` in the one
+    /// parameter `param` selects.
+    fn numeric_gradient(
+        net: &LstmRegressor,
+        seq: &[Vec<f64>],
+        target: f64,
+        param: impl Fn(&mut LstmRegressor) -> &mut f64,
+    ) -> f64 {
+        let eps = 1e-6;
+        let loss_at = |delta: f64| {
+            let mut shifted = net.clone();
+            *param(&mut shifted) += delta;
+            let p = shifted.predict(seq).unwrap();
+            (p - target) * (p - target)
+        };
+        (loss_at(eps) - loss_at(-eps)) / (2.0 * eps)
+    }
+
+    #[test]
+    fn gradient_check_against_finite_differences() {
+        // Backprop through time against central differences, for a
+        // parameter of each gate's input weights, recurrent weights and
+        // bias, and for the whole head.
+        let mut net = LstmRegressor::new(2, 3, 11).unwrap();
+        let seq = vec![vec![0.4, -0.7], vec![0.9, 0.2], vec![-0.3, 0.5]];
+        let target = 0.8;
+        net.backprop(&seq, target).unwrap();
+        let check = |what: &str, analytic: f64, numeric: f64| {
+            assert!(
+                analytic != 0.0 && (analytic - numeric).abs() < 1e-8,
+                "{what}: analytic {analytic} vs numeric {numeric}"
+            );
+        };
+        let (input, hidden) = (net.input, net.hidden);
+        for gate in 0..4 {
+            let row = gate * hidden + 1;
+            let (x, h) = (row * input + 1, row * hidden + 2);
+            let numeric = numeric_gradient(&net, &seq, target, |n| &mut n.wx[x]);
+            check("input weight", net.gwx[x], numeric);
+            let numeric = numeric_gradient(&net, &seq, target, |n| &mut n.wh[h]);
+            check("recurrent weight", net.gwh[h], numeric);
+            let numeric = numeric_gradient(&net, &seq, target, |n| &mut n.b[row]);
+            check("gate bias", net.gb[row], numeric);
+        }
+        for k in 0..hidden {
+            let numeric = numeric_gradient(&net, &seq, target, |n| &mut n.why[k]);
+            check("head weight", net.gwhy[k], numeric);
+        }
+        let numeric = numeric_gradient(&net, &seq, target, |n| &mut n.by);
+        check("head bias", net.gby, numeric);
     }
 }

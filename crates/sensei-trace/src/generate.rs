@@ -677,12 +677,12 @@ pub fn evaluation_set(seed: u64) -> Vec<ThroughputTrace> {
     for (i, &m) in fcc_means.iter().enumerate() {
         traces.push(fcc_like(m, duration, seed ^ (0xF_0000 + i as u64)));
     }
-    traces.sort_by(|a, b| {
-        a.mean_kbps()
-            .partial_cmp(&b.mean_kbps())
-            .expect("trace means are finite")
-    });
-    traces
+    // Each mean is an O(n) sum: take it once per trace, not per
+    // comparison. The sort stays stable, so equal means keep their order.
+    let mut by_mean: Vec<(f64, ThroughputTrace)> =
+        traces.into_iter().map(|t| (t.mean_kbps(), t)).collect();
+    by_mean.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("trace means are finite"));
+    by_mean.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]

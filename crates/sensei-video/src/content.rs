@@ -98,7 +98,9 @@ impl SceneKind {
     }
 }
 
-/// Latent per-chunk content profile.
+/// Latent per-chunk content profile: four `f64`s, 32 bytes with no
+/// padding. The chunk's scene label lives beside it in [`SourceVideo`]
+/// (one byte, read through [`SourceVideo::scene`]).
 ///
 /// `sensitivity` is the ground-truth quantity the paper crowdsources;
 /// `motion` is what dynamics-based QoE heuristics observe; `complexity`
@@ -106,8 +108,6 @@ impl SceneKind {
 /// object-richness channel CV highlight detectors key on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChunkContent {
-    /// Scene archetype this chunk belongs to.
-    pub scene: SceneKind,
     /// Latent quality sensitivity, positive, corpus mean near 1.
     pub sensitivity: f64,
     /// Apparent motion / scene dynamics in `[0, 1]`.
@@ -161,30 +161,43 @@ impl SceneSpec {
     }
 }
 
-/// A source video: an ordered list of chunk content profiles.
+/// A source video: an ordered list of chunk content profiles and, beside
+/// them, each chunk's scene label. A chunk costs 33 bytes: its 32-byte
+/// [`ChunkContent`] and a 1-byte [`SceneKind`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceVideo {
     name: String,
     genre: Genre,
     chunk_duration_s: f64,
     chunks: Vec<ChunkContent>,
+    /// `scenes[k]`: the archetype chunk `k` was sampled from.
+    scenes: Vec<SceneKind>,
 }
 
 impl SourceVideo {
-    /// Builds a video from explicit chunk profiles.
+    /// Builds a video from explicit chunk profiles and their scene labels,
+    /// one label per profile.
     ///
     /// # Errors
     ///
-    /// Returns an error when the chunk list is empty, the chunk duration
+    /// Returns an error when the chunk list is empty, the two lists differ
+    /// in length ([`VideoError::SceneCountMismatch`]), the chunk duration
     /// is not finite and positive, or any profile is invalid.
     pub fn new(
         name: impl Into<String>,
         genre: Genre,
         chunk_duration_s: f64,
         chunks: Vec<ChunkContent>,
+        scenes: Vec<SceneKind>,
     ) -> Result<Self, VideoError> {
         if chunks.is_empty() {
             return Err(VideoError::NoChunks);
+        }
+        if scenes.len() != chunks.len() {
+            return Err(VideoError::SceneCountMismatch {
+                chunks: chunks.len(),
+                scenes: scenes.len(),
+            });
         }
         validate_chunk_duration(chunk_duration_s)?;
         for c in &chunks {
@@ -195,6 +208,7 @@ impl SourceVideo {
             genre,
             chunk_duration_s,
             chunks,
+            scenes,
         })
     }
 
@@ -211,13 +225,15 @@ impl SourceVideo {
         seed: u64,
     ) -> Result<Self, VideoError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut chunks = Vec::with_capacity(script.iter().map(|spec| spec.len_chunks).sum());
+        let len = script.iter().map(|spec| spec.len_chunks).sum();
+        let (mut chunks, mut scenes) = (Vec::with_capacity(len), Vec::with_capacity(len));
         for spec in script {
             for _ in 0..spec.len_chunks {
                 chunks.push(sample_chunk(spec.kind, &mut rng));
+                scenes.push(spec.kind);
             }
         }
-        Self::new(name, genre, crate::CHUNK_DURATION_S, chunks)
+        Self::new(name, genre, crate::CHUNK_DURATION_S, chunks, scenes)
     }
 
     /// Video name (Table-1 identifier).
@@ -262,6 +278,21 @@ impl SourceVideo {
         })
     }
 
+    /// The scene archetype of one chunk.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `index` is out of range.
+    pub fn scene(&self, index: usize) -> Result<SceneKind, VideoError> {
+        self.scenes
+            .get(index)
+            .copied()
+            .ok_or(VideoError::ChunkOutOfRange {
+                index,
+                len: self.scenes.len(),
+            })
+    }
+
     /// The latent sensitivity vector (ground truth the crowd pipeline tries
     /// to recover). Normalized to mean 1 so videos are comparable.
     pub fn true_sensitivity(&self) -> Vec<f64> {
@@ -296,7 +327,6 @@ fn sample_chunk<R: rand::Rng>(kind: SceneKind, rng: &mut R) -> ChunkContent {
     let (s, m, c, o) = kind.profile();
     let jitter = |rng: &mut R, scale: f64| sensei_gaussian(rng) * scale;
     ChunkContent {
-        scene: kind,
         sensitivity: (s + jitter(rng, kind.sensitivity_jitter())).max(0.05),
         motion: (m + jitter(rng, 0.06)).clamp(0.0, 1.0),
         complexity: (c + jitter(rng, 0.06)).clamp(0.0, 1.0),
@@ -345,8 +375,8 @@ mod tests {
         ];
         let v = SourceVideo::from_script("t", Genre::Sports, &script, 1).unwrap();
         assert_eq!(v.num_chunks(), 5);
-        assert_eq!(v.chunks()[0].scene, SceneKind::NormalPlay);
-        assert_eq!(v.chunks()[4].scene, SceneKind::KeyMoment);
+        assert_eq!(v.scene(0), Ok(SceneKind::NormalPlay));
+        assert_eq!(v.scene(4), Ok(SceneKind::KeyMoment));
         assert_eq!(v.duration_s(), 20.0);
         // Key moments sampled more sensitive than normal play.
         assert!(v.chunks()[3].sensitivity > v.chunks()[0].sensitivity);
@@ -373,7 +403,6 @@ mod tests {
     #[test]
     fn invalid_content_is_rejected() {
         let mut c = ChunkContent {
-            scene: SceneKind::NormalPlay,
             sensitivity: 1.0,
             motion: 0.5,
             complexity: 0.5,
@@ -410,15 +439,15 @@ mod tests {
     #[test]
     fn chunk_duration_must_be_finite_and_positive() {
         let chunk = ChunkContent {
-            scene: SceneKind::NormalPlay,
             sensitivity: 1.0,
             motion: 0.5,
             complexity: 0.5,
             objects: 0.5,
         };
-        assert!(SourceVideo::new("t", Genre::Sports, 4.0, vec![chunk]).is_ok());
+        let scenes = || vec![SceneKind::NormalPlay];
+        assert!(SourceVideo::new("t", Genre::Sports, 4.0, vec![chunk], scenes()).is_ok());
         for bad in [f64::NAN, 0.0, -4.0, f64::INFINITY] {
-            let err = SourceVideo::new("t", Genre::Sports, bad, vec![chunk]).unwrap_err();
+            let err = SourceVideo::new("t", Genre::Sports, bad, vec![chunk], scenes()).unwrap_err();
             match err {
                 VideoError::InvalidContent { field, value } => {
                     assert_eq!(field, "chunk_duration_s");
@@ -438,5 +467,41 @@ mod tests {
             v.chunk(2).unwrap_err(),
             VideoError::ChunkOutOfRange { index: 2, len: 2 }
         ));
+        assert_eq!(v.scene(1), Ok(SceneKind::NormalPlay));
+        assert_eq!(
+            v.scene(2),
+            Err(VideoError::ChunkOutOfRange { index: 2, len: 2 })
+        );
+    }
+
+    #[test]
+    fn chunk_content_is_four_unpadded_floats() {
+        assert_eq!(std::mem::size_of::<ChunkContent>(), 32);
+        assert_eq!(std::mem::size_of::<SceneKind>(), 1);
+    }
+
+    #[test]
+    fn scene_labels_must_match_the_profiles() {
+        let chunk = ChunkContent {
+            sensitivity: 1.0,
+            motion: 0.5,
+            complexity: 0.5,
+            objects: 0.5,
+        };
+        for (chunks, scenes) in [(1, 0), (1, 2), (3, 2)] {
+            let err = SourceVideo::new(
+                "t",
+                Genre::Sports,
+                4.0,
+                vec![chunk; chunks],
+                vec![SceneKind::Scenic; scenes],
+            )
+            .unwrap_err();
+            assert_eq!(err, VideoError::SceneCountMismatch { chunks, scenes });
+        }
+        // No chunks at all is still `NoChunks`, whatever the labels.
+        let err = SourceVideo::new("t", Genre::Sports, 4.0, Vec::new(), vec![SceneKind::Scenic])
+            .unwrap_err();
+        assert_eq!(err, VideoError::NoChunks);
     }
 }

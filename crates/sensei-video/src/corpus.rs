@@ -725,8 +725,8 @@ mod tests {
         let mut saw = (false, false, false);
         for e in &family {
             assert!(e.video.num_chunks() >= 34, "{}", e.video.name());
-            for c in e.video.chunks() {
-                match c.scene {
+            for k in 0..e.video.num_chunks() {
+                match e.video.scene(k).unwrap() {
                     SceneKind::KeyMoment => saw.0 = true,
                     SceneKind::Replay => saw.1 = true,
                     SceneKind::AdBreak => saw.2 = true,
@@ -747,11 +747,8 @@ mod tests {
             let (mut scenic, mut total) = (0usize, 0usize);
             for e in entries {
                 total += e.video.num_chunks();
-                scenic += e
-                    .video
-                    .chunks()
-                    .iter()
-                    .filter(|c| c.scene == SceneKind::Scenic)
+                scenic += (0..e.video.num_chunks())
+                    .filter(|&k| e.video.scene(k) == Ok(SceneKind::Scenic))
                     .count();
             }
             scenic as f64 / total as f64
@@ -798,5 +795,38 @@ mod tests {
             "goal at chunk {peak} of {}",
             soccer.num_chunks()
         );
+    }
+
+    /// Asserts `video`'s scene labels are `script` expanded chunk by chunk.
+    fn assert_scenes_follow(video: &SourceVideo, script: &[SceneSpec]) {
+        let expanded: Vec<SceneKind> = script
+            .iter()
+            .flat_map(|spec| std::iter::repeat_n(spec.kind, spec.len_chunks))
+            .collect();
+        assert_eq!(video.num_chunks(), expanded.len(), "{}", video.name());
+        for (k, &kind) in expanded.iter().enumerate() {
+            assert_eq!(video.scene(k), Ok(kind), "{} chunk {k}", video.name());
+        }
+    }
+
+    #[test]
+    fn table1_scene_labels_follow_their_scripts() {
+        for (entry, spec) in table1(2021).iter().zip(&SPECS) {
+            assert_scenes_follow(&entry.video, spec.script);
+        }
+    }
+
+    #[test]
+    fn generated_scene_labels_follow_their_scripts() {
+        // Replays `generate_family`'s family-level draws to recover each
+        // video's composed script.
+        let (mix, seed) = (GenreMix::uniform(), 77);
+        let family = generate_family(&mix, 24, seed).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9_FA417);
+        for entry in &family {
+            let genre = mix.sample(&mut rng);
+            assert_eq!(entry.video.genre(), genre);
+            assert_scenes_follow(&entry.video, &compose_script(genre, &mut rng));
+        }
     }
 }

@@ -6,20 +6,27 @@
 //! deviates from `bitrate × duration` depending on content complexity. The
 //! [`EncodedVideo`] model reproduces that: complex chunks come out slightly
 //! larger, simple chunks slightly smaller, with seeded per-chunk jitter.
+//!
+//! An encoding stores 16 bytes per chunk, whatever the ladder's length: the
+//! chunk's VBR factor and its half-saturation bitrate (the one parameter of
+//! the rate–quality curve in [`crate::quality`]). Sizes and visual
+//! qualities are derived from them on demand.
 
 use crate::content::SourceVideo;
-use crate::quality::visual_quality;
+use crate::quality::{half_saturation_kbps, saturating_quality};
 use crate::VideoError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The paper's five-level bitrate ladder in kbps.
 pub const DEFAULT_LADDER_KBPS: [f64; 5] = [300.0, 750.0, 1200.0, 1850.0, 2850.0];
 
-/// An ordered set of available encoding bitrates.
+/// An ordered set of available encoding bitrates. Cloning shares the
+/// levels, so every encoding of one ladder holds the same allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BitrateLadder {
-    kbps: Vec<f64>,
+    kbps: Arc<[f64]>,
 }
 
 impl BitrateLadder {
@@ -41,7 +48,7 @@ impl BitrateLadder {
         if kbps.iter().any(|&b| !b.is_finite() || b <= 0.0) {
             return Err(VideoError::InvalidLadder);
         }
-        Ok(Self { kbps })
+        Ok(Self { kbps: kbps.into() })
     }
 
     /// The paper's default {300, 750, 1200, 1850, 2850} kbps ladder.
@@ -109,19 +116,26 @@ impl BitrateLadder {
 /// and per-chunk, per-level visual quality (the manifest metadata a real
 /// system ships — Puffer carries per-chunk SSIM the same way).
 ///
-/// The encoding keeps what the encoder draws, flat: one VBR factor per
-/// chunk (8 bytes) and one row-major `chunk·L + level` visual-quality
-/// table (`8·L` bytes per chunk). A chunk's size is derived from its
-/// factor on demand, so no per-level size table is stored.
+/// The encoding keeps what the encoder decides per chunk, flat: one VBR
+/// factor and one half-saturation bitrate, 16 bytes per chunk whatever
+/// the ladder's length. A chunk's size and its quality at each level are
+/// derived from those two values on demand, so no per-level table is
+/// stored. The ladder is shared with every other encoding of it.
 #[derive(Debug, Clone)]
 pub struct EncodedVideo {
     ladder: BitrateLadder,
     chunk_duration_s: f64,
-    /// `factors[chunk]`: the chunk's VBR factor, shared by every level.
-    factors: Vec<f64>,
-    /// `vq[chunk·L + level]`, precomputed at encode time so the session
-    /// hot path never recomputes the perceptual-quality curve.
-    vq: Vec<f64>,
+    chunks: Vec<EncodedChunk>,
+}
+
+/// What the encoder decides for one chunk, shared by every level.
+#[derive(Debug, Clone, Copy)]
+struct EncodedChunk {
+    /// The VBR factor sizes scale by.
+    factor: f64,
+    /// `half_saturation_kbps(complexity)`: the rate–quality curve's one
+    /// parameter.
+    half_sat_kbps: f64,
 }
 
 impl EncodedVideo {
@@ -132,38 +146,31 @@ impl EncodedVideo {
     /// bitrate, simple chunks undershoot, mirroring real H.264 encodes.
     pub fn encode(source: &SourceVideo, ladder: &BitrateLadder, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let chunks = source.chunks();
-        let factors = chunks
+        let chunks = source
+            .chunks()
             .iter()
             .map(|c| {
-                // One VBR factor per chunk: all levels share the content.
                 let eps: f64 = {
                     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                     let u2: f64 = rng.gen_range(0.0..1.0);
                     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * 0.03
                 };
-                (0.92 + 0.16 * c.complexity + eps).clamp(0.8, 1.25)
+                EncodedChunk {
+                    factor: (0.92 + 0.16 * c.complexity + eps).clamp(0.8, 1.25),
+                    half_sat_kbps: half_saturation_kbps(c.complexity),
+                }
             })
             .collect();
-        let mut vq = Vec::with_capacity(chunks.len() * ladder.len());
-        for c in chunks {
-            vq.extend(
-                ladder
-                    .levels()
-                    .iter()
-                    .map(|&b| visual_quality(b, c.complexity)),
-            );
-        }
         Self {
             ladder: ladder.clone(),
             chunk_duration_s: source.chunk_duration_s(),
-            factors,
-            vq,
+            chunks,
         }
     }
 
-    /// Visual quality of one chunk at one level — an encode artifact,
-    /// computed once at encode time rather than per session.
+    /// Visual quality of one chunk at one level:
+    /// `visual_quality(kbps, complexity)`, bit for bit, from the chunk's
+    /// stored half-saturation bitrate.
     ///
     /// # Panics
     ///
@@ -171,7 +178,8 @@ impl EncodedVideo {
     /// table would.
     #[inline]
     pub fn vq(&self, chunk: usize, level: usize) -> f64 {
-        self.vq_row(chunk)[level]
+        let half_sat_kbps = self.half_sat_kbps(chunk);
+        saturating_quality(self.ladder.levels()[level], half_sat_kbps)
     }
 
     /// Visual quality of one chunk at every level, lowest level first.
@@ -180,9 +188,24 @@ impl EncodedVideo {
     ///
     /// Panics when the chunk is out of range.
     #[inline]
-    pub fn vq_row(&self, chunk: usize) -> &[f64] {
-        let n_levels = self.ladder.len();
-        &self.vq[chunk * n_levels..(chunk + 1) * n_levels]
+    pub fn vq_row(&self, chunk: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let half_sat_kbps = self.half_sat_kbps(chunk);
+        self.ladder
+            .levels()
+            .iter()
+            .map(move |&kbps| saturating_quality(kbps, half_sat_kbps))
+    }
+
+    /// The chunk's half-saturation bitrate.
+    #[inline]
+    fn half_sat_kbps(&self, chunk: usize) -> f64 {
+        match self.chunks.get(chunk) {
+            Some(c) => c.half_sat_kbps,
+            None => panic!(
+                "chunk {chunk} out of range for {}-chunk video",
+                self.chunks.len()
+            ),
+        }
     }
 
     /// The ladder this video was encoded with.
@@ -197,7 +220,7 @@ impl EncodedVideo {
 
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.factors.len()
+        self.chunks.len()
     }
 
     /// Size in bits of one chunk at one level: the level's nominal
@@ -208,16 +231,16 @@ impl EncodedVideo {
     /// Returns an error when the chunk or level is out of range.
     #[inline]
     pub fn size_bits(&self, chunk: usize, level: usize) -> Result<f64, VideoError> {
-        let factor = self.factors.get(chunk).ok_or(VideoError::ChunkOutOfRange {
+        let c = self.chunks.get(chunk).ok_or(VideoError::ChunkOutOfRange {
             index: chunk,
-            len: self.factors.len(),
+            len: self.chunks.len(),
         })?;
         let kbps = self
             .ladder
             .levels()
             .get(level)
             .ok_or(VideoError::UnknownBitrate(level as f64))?;
-        Ok(kbps * 1000.0 * self.chunk_duration_s * factor)
+        Ok(kbps * 1000.0 * self.chunk_duration_s * c.factor)
     }
 }
 

@@ -10,7 +10,8 @@
 //! that granularity:
 //!
 //! * [`content`] — genres, scene kinds, per-chunk [`content::ChunkContent`],
-//!   and [`content::SourceVideo`] built from scripted scene graphs.
+//!   and [`content::SourceVideo`] built from scripted scene graphs (a
+//!   32-byte profile and a 1-byte scene label per chunk).
 //! * [`corpus`] — the 16-video Table-1 test set with per-video scene scripts
 //!   (the goal in Soccer1, the scoreboard in Soccer2, the scenic lulls in
 //!   Space, the bully-trap in BigBuckBunny, ...), plus
@@ -18,7 +19,8 @@
 //!   scale the corpus to hundreds of distinct deterministic videos for
 //!   fleet evaluation.
 //! * [`encode`] — the {300, 750, 1200, 1850, 2850} kbps ladder and a VBR
-//!   chunk-size model.
+//!   chunk-size model; an encoding stores 16 bytes per chunk (VBR factor
+//!   and half-saturation bitrate) and derives sizes and qualities.
 //! * [`quality`] — the `vq(bitrate, complexity)` perceptual-quality curve
 //!   standing in for VMAF.
 //! * [`render`] — [`render::RenderedVideo`]: a video as actually streamed
@@ -77,6 +79,13 @@ pub enum VideoError {
     /// A procedural genre mix must have non-negative finite weights with a
     /// positive sum.
     InvalidGenreMix(String),
+    /// A video needs exactly one scene label per chunk profile.
+    SceneCountMismatch {
+        /// Number of chunk profiles.
+        chunks: usize,
+        /// Number of scene labels.
+        scenes: usize,
+    },
 }
 
 impl std::fmt::Display for VideoError {
@@ -96,6 +105,9 @@ impl std::fmt::Display for VideoError {
             VideoError::UnknownBitrate(b) => write!(f, "bitrate {b} kbps is not in the ladder"),
             VideoError::InvalidWeights(msg) => write!(f, "invalid sensitivity weights: {msg}"),
             VideoError::InvalidGenreMix(msg) => write!(f, "invalid genre mix: {msg}"),
+            VideoError::SceneCountMismatch { chunks, scenes } => {
+                write!(f, "{scenes} scene labels for {chunks} chunk profiles")
+            }
         }
     }
 }

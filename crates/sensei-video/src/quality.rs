@@ -34,14 +34,22 @@ pub fn visual_quality(bitrate_kbps: f64, complexity: f64) -> f64 {
         (0.0..=1.0).contains(&complexity),
         "complexity must be in [0, 1], got {complexity}"
     );
-    let half_sat = 250.0 + 900.0 * complexity;
-    bitrate_kbps / (bitrate_kbps + half_sat)
+    saturating_quality(bitrate_kbps, half_saturation_kbps(complexity))
 }
 
-/// Half-saturation bitrate (kbps) for a complexity level; exposed for tests
-/// and documentation.
+/// Half-saturation bitrate `h(c)` (kbps) for a complexity level. An
+/// encoding stores this one value per chunk and derives every level's
+/// quality from it.
+#[inline]
 pub fn half_saturation_kbps(complexity: f64) -> f64 {
     250.0 + 900.0 * complexity
+}
+
+/// `b / (b + h)`: the curve at `bitrate_kbps` for a chunk whose
+/// half-saturation bitrate is `half_sat_kbps`.
+#[inline]
+pub(crate) fn saturating_quality(bitrate_kbps: f64, half_sat_kbps: f64) -> f64 {
+    bitrate_kbps / (bitrate_kbps + half_sat_kbps)
 }
 
 #[cfg(test)]

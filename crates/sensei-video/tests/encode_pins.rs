@@ -62,8 +62,11 @@ fn assert_pinned(source: &SourceVideo, ladder: &BitrateLadder, seed: u64) {
     let (sizes_bits, vq) = nested_tables(source, ladder, seed);
     let name = source.name();
     assert_eq!(encoded.num_chunks(), sizes_bits.len(), "{name}");
+    let mut row = Vec::new();
     for (chunk, (sizes, vqs)) in sizes_bits.iter().zip(&vq).enumerate() {
-        assert_eq!(encoded.vq_row(chunk).len(), ladder.len(), "{name}");
+        row.clear();
+        row.extend(encoded.vq_row(chunk));
+        assert_eq!(row.len(), ladder.len(), "{name}");
         for level in 0..ladder.len() {
             let size = encoded.size_bits(chunk, level).unwrap();
             assert_eq!(
@@ -76,7 +79,7 @@ fn assert_pinned(source: &SourceVideo, ladder: &BitrateLadder, seed: u64) {
                 vqs[level].to_bits(),
                 "{name} vq of chunk {chunk} level {level}"
             );
-            assert_eq!(encoded.vq_row(chunk)[level].to_bits(), vqs[level].to_bits());
+            assert_eq!(row[level].to_bits(), vqs[level].to_bits());
         }
     }
     // The nested lookup's errors: the chunk is checked first, with the

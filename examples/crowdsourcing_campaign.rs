@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "most sensitive stall position: chunk {} (MOS {:.3}) — scene {:?}",
         worst.0,
         worst.1,
-        entry.video.chunks()[worst.0].scene
+        entry.video.scene(worst.0)?
     );
     Ok(())
 }

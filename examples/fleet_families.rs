@@ -45,7 +45,7 @@
 
 use sensei_core::experiment::{ExperimentConfig, PolicyKind};
 use sensei_fleet::{
-    merge_reports, Fleet, FleetConfig, FleetReport, ScenarioFamilies, TracePerturbation,
+    merge_reports, Fleet, FleetConfig, FleetReport, RunPhases, ScenarioFamilies, TracePerturbation,
 };
 use sensei_telemetry::{Counter, Phase};
 use sensei_trace::generate::TraceFamily;
@@ -333,9 +333,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if write_baseline {
         // The baseline captures only the deterministic aggregates the
-        // diff gate reads; a telemetry section (run-dependent timings)
-        // would just churn the checked-in file.
+        // diff gate reads; run-dependent timings (the telemetry section,
+        // the wall-clock fields) are written empty so that a refresh
+        // shows only real changes.
         report.telemetry = None;
+        report.wall_time_s = 0.0;
+        report.sessions_per_sec = 0.0;
+        report.phases = RunPhases::default();
         std::fs::write(BASELINE_PATH, report.to_json())?;
         println!("[baseline] wrote {BASELINE_PATH}");
         return Ok(());

@@ -122,6 +122,48 @@ proptest! {
         prop_assert!((0.0..1.0).contains(&lo));
     }
 
+    /// An encoding derives each chunk's visual quality from its stored
+    /// half-saturation bitrate; on any ladder and any complexities it
+    /// equals `visual_quality(kbps, complexity)` bit for bit.
+    #[test]
+    fn encoded_vq_matches_visual_quality(
+        complexities in prop::collection::vec(0.0f64..=1.0, 1..30),
+        steps in prop::collection::vec(1.0f64..2000.0, 1..8),
+        seed in 0u64..1000,
+    ) {
+        use sensei_video::{ChunkContent, EncodedVideo, Genre, SceneKind, SourceVideo};
+        let ladder: Vec<f64> = steps
+            .iter()
+            .scan(0.0, |kbps, step| {
+                *kbps += step;
+                Some(*kbps)
+            })
+            .collect();
+        let ladder = BitrateLadder::new(ladder).unwrap();
+        let chunks: Vec<ChunkContent> = complexities
+            .iter()
+            .map(|&complexity| ChunkContent {
+                sensitivity: 1.0,
+                motion: 0.5,
+                complexity,
+                objects: 0.5,
+            })
+            .collect();
+        let scenes = vec![SceneKind::NormalPlay; chunks.len()];
+        let source = SourceVideo::new("p", Genre::Sports, 4.0, chunks, scenes).unwrap();
+        let encoded = EncodedVideo::encode(&source, &ladder, seed);
+        for (chunk, &complexity) in complexities.iter().enumerate() {
+            prop_assert_eq!(encoded.vq_row(chunk).len(), ladder.len());
+            for (level, (&kbps, row_vq)) in
+                ladder.levels().iter().zip(encoded.vq_row(chunk)).enumerate()
+            {
+                let expected = sensei_video::visual_quality(kbps, complexity).to_bits();
+                prop_assert_eq!(encoded.vq(chunk, level).to_bits(), expected);
+                prop_assert_eq!(row_vq.to_bits(), expected);
+            }
+        }
+    }
+
     /// Manifest XML round-trips arbitrary weight vectors (post
     /// quantization) and segment sizes.
     #[test]
