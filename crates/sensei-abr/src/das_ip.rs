@@ -30,7 +30,7 @@
 //! roughly one ladder step of visual quality across the safe range
 //! `[0, B_safe]`.
 
-use crate::plan::{MAX_BUFFER_S, RISK_AVERSION, RTT_S};
+use crate::plan::{self, Planner, MAX_BUFFER_S, RISK_AVERSION, RTT_S};
 use crate::predictor::ThroughputPredictor;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
@@ -73,28 +73,42 @@ impl DasIp {
             scratch: IndexScratch::default(),
         }
     }
+}
 
-    /// Fills the per-level size/vq row for `next_chunk`. The row is
-    /// lane-invariant, so the batched entry point fills it once per chunk
-    /// step for the whole tile.
-    fn fill_chunk_row(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) {
-        let n_levels = ctx.num_levels();
-        self.scratch.sizes.clear();
-        self.scratch.vqs.clear();
-        for level in 0..n_levels {
-            self.scratch.sizes.push(
-                ctx.encoded
-                    .size_bits(next_chunk, level)
-                    .expect("next chunk in range"),
-            );
+impl Default for DasIp {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Planner for DasIp {
+    /// Fills the per-level size/vq row of `next_chunk`, which every lane
+    /// of a batch shares. The index looks one chunk ahead, so the horizon
+    /// is 1 (0 at the video end).
+    fn prepare_step(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
+        if next_chunk >= ctx.num_chunks() {
+            return 0;
         }
-        self.scratch.vqs.extend(ctx.encoded.vq_row(next_chunk));
+        let IndexScratch { sizes, vqs, .. } = &mut self.scratch;
+        sizes.clear();
+        sizes.extend((0..ctx.num_levels()).map(|level| {
+            let size = ctx.encoded.size_bits(next_chunk, level);
+            size.expect("next chunk in range")
+        }));
+        vqs.clear();
+        vqs.extend(ctx.encoded.vq_row(next_chunk));
+        1
     }
 
     /// Computes every level's index and returns the argmax (first winner
-    /// on ties, matching the MPC family's strictly-greater updates),
-    /// assuming [`Self::fill_chunk_row`] has run for `state.next_chunk`.
-    fn decide_prepared(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
+    /// on ties, matching the MPC family's strictly-greater updates) over
+    /// the row `prepare_step` filled.
+    fn decide_prepared(
+        &mut self,
+        state: &PlayerState<'_>,
+        ctx: &SessionContext<'_>,
+        _h: usize,
+    ) -> Decision {
         let IndexScratch { rates, sizes, vqs } = &mut self.scratch;
         self.predictor.scenario_rates_into(state, rates);
         let d = ctx.chunk_duration_s;
@@ -125,12 +139,9 @@ impl DasIp {
         }
         Decision::level(best_level)
     }
-}
 
-impl Default for DasIp {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// DAS-IP keeps no per-session state, so there is nothing to swap.
+    fn swap_lane(&mut self, _lane: usize) {}
 }
 
 impl AbrPolicy for DasIp {
@@ -139,11 +150,7 @@ impl AbrPolicy for DasIp {
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        if state.next_chunk >= ctx.num_chunks() {
-            return Decision::level(0);
-        }
-        self.fill_chunk_row(state.next_chunk, ctx);
-        self.decide_prepared(state, ctx)
+        plan::decide(self, state, ctx)
     }
 
     /// Scores every lane of the batch in one pass over the shared
@@ -156,17 +163,7 @@ impl AbrPolicy for DasIp {
         ctx: &SessionContext<'_>,
         out: &mut [Decision],
     ) {
-        if states.next_chunk() >= ctx.num_chunks() {
-            for slot in out.iter_mut().take(states.len()) {
-                *slot = Decision::level(0);
-            }
-            return;
-        }
-        self.fill_chunk_row(states.next_chunk(), ctx);
-        for (i, slot) in out.iter_mut().enumerate().take(states.len()) {
-            let state = states.state(i);
-            *slot = self.decide_prepared(&state, ctx);
-        }
+        plan::select_batch(self, states, ctx, out);
     }
 }
 

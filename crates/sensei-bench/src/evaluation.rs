@@ -1,6 +1,7 @@
 //! The paper's evaluation (§7): Figs. 12–18. Every figure but 12c and 16
 //! reads the grid experiment, and Figs. 12a, 13, 14 and 18 read one run of
-//! its [`GRID_POLICIES`] grid.
+//! its [`GRID_POLICIES`] grid. Fig. 16 borrows the grid's oracle, and
+//! Fig. 12c judges by its own experiment's.
 
 use crate::claims::{score, Claim};
 use crate::{build, figure_header, FittedModels, Mode, Table, SOCCER1};
@@ -169,9 +170,9 @@ pub fn fig12c() -> Vec<Claim> {
             if let Some(exhaustive) = exhaustive {
                 let src = &asset.source;
                 let profile = if exhaustive {
-                    profiler.profile_exhaustive(src, &ladder, 13)
+                    profiler.profile_exhaustive(&env.oracle, src, &ladder, 13)
                 } else {
-                    profiler.profile(src, &ladder, 13)
+                    profiler.profile(&env.oracle, src, &ladder, 13)
                 };
                 let profile = profile.expect("profiling completes");
                 cost += profile.cost_per_minute_usd(src);
@@ -260,7 +261,7 @@ pub fn fig15(mode: Mode, grid: &Experiment) -> Vec<Claim> {
         &format!("{}; 40 renders per video, crowd weights", mode.corpus()),
     );
     // 400 of 640 renders train, as in §7.3.
-    let fitted = FittedModels::fit(&grid.assets, 15, 40, (5, 8), 15);
+    let fitted = FittedModels::fit(&grid.oracle, &grid.assets, 15, 40, (5, 8), 15);
     let models: [(&str, &dyn QoeModel); 4] = [
         ("SENSEI", &fitted.sensei),
         ("KSQI", &fitted.ksqi),
@@ -289,11 +290,15 @@ pub fn fig15(mode: Mode, grid: &Experiment) -> Vec<Claim> {
     score(&measured)
 }
 
-/// PLCC of a SENSEI model built from `weights` on a probe set: a 2-s
-/// stall and a lowest-level drop at every chunk of Soccer1.
-fn probe_plcc(video: &sensei_video::SourceVideo, weights: &SensitivityWeights) -> f64 {
+/// PLCC of a SENSEI model built from `weights` against `oracle` on a
+/// probe set: a 2-s stall and a lowest-level drop at every chunk of
+/// Soccer1.
+fn probe_plcc(
+    oracle: &TrueQoe,
+    video: &sensei_video::SourceVideo,
+    weights: &SensitivityWeights,
+) -> f64 {
     let ladder = BitrateLadder::default_paper();
-    let oracle = TrueQoe::default();
     let model = SenseiQoe::new(Ksqi::canonical(), weights.clone());
     let (mut preds, mut truths) = (Vec::new(), Vec::new());
     for chunk in 0..video.num_chunks() {
@@ -317,7 +322,7 @@ fn probe_plcc(video: &sensei_video::SourceVideo, weights: &SensitivityWeights) -
 
 /// Fig. 16: QoE-model accuracy vs crowdsourcing cost across the four
 /// scheduler parameters (B, F, M, alpha).
-pub fn fig16() -> Vec<Claim> {
+pub fn fig16(oracle: &TrueQoe) -> Vec<Claim> {
     figure_header(
         "Fig. 16: QoE model accuracy vs crowdsourcing cost (B, F, M, alpha sweeps)",
         "each parameter can be cut to its sweet spot with <3% accuracy loss",
@@ -353,11 +358,11 @@ pub fn fig16() -> Vec<Claim> {
     for (sweep, value, cfg) in rows {
         let is_default = key(&cfg) == key(&default);
         let profiler = WeightProfiler::new(RaterPool::masters(5), cfg);
-        let profile = profiler.profile(&video, &BitrateLadder::default_paper(), 9);
+        let profile = profiler.profile(oracle, &video, &BitrateLadder::default_paper(), 9);
         let profile = profile.expect("profiling completes");
         let (cost, plcc) = (
             profile.cost_per_minute_usd(&video),
-            probe_plcc(&video, &profile.weights),
+            probe_plcc(oracle, &video, &profile.weights),
         );
         table.add(format!("{sweep}|{value}|{cost:.1}|{plcc:.3}"));
         best = best.max(plcc);

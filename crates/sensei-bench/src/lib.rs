@@ -15,6 +15,7 @@ pub mod motivation;
 use rand::{Rng, SeedableRng};
 use sensei_core::experiment::{Experiment, ExperimentConfig, VideoAsset, WeightSource};
 use sensei_core::CoreError;
+use sensei_crowd::TrueQoe;
 use sensei_qoe::{Ksqi, LstmQoe, P1203Like, QoeError, QoeModel, SenseiQoe};
 use sensei_video::{BitrateLadder, RenderedChunk, RenderedVideo};
 
@@ -159,15 +160,15 @@ impl Table {
 /// The labeled render set the QoE-model accuracy figures (Figs. 2 and
 /// 15) train and test on: `per_video` renders of each asset with random
 /// per-chunk bitrates, random stalls and a random startup stall, labeled
-/// by the true-QoE oracle. `seed` seeds only the draws, so the renders
-/// are of the very videos whose weights the SENSEI model carries.
+/// by `oracle`. `seed` seeds only the draws, so the renders are of the
+/// very videos whose weights the SENSEI model carries.
 #[must_use]
 pub fn labeled_render_set(
+    oracle: &TrueQoe,
     assets: &[VideoAsset],
     seed: u64,
     per_video: usize,
 ) -> Vec<(RenderedVideo, f64)> {
-    let oracle = sensei_crowd::TrueQoe::default();
     let ladder = BitrateLadder::default_paper();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
@@ -240,17 +241,18 @@ pub(crate) struct FittedModels {
 
 impl FittedModels {
     /// Fits on the first `num/den` of
-    /// `labeled_render_set(assets, set_seed, per_video)`, seeding the
-    /// P.1203 and LSTM fits with `fit_seed`.
+    /// `labeled_render_set(oracle, assets, set_seed, per_video)`, seeding
+    /// the P.1203 and LSTM fits with `fit_seed`.
     #[must_use]
     pub(crate) fn fit(
+        oracle: &TrueQoe,
         assets: &[VideoAsset],
         set_seed: u64,
         per_video: usize,
         (num, den): (usize, usize),
         fit_seed: u64,
     ) -> Self {
-        let data = labeled_render_set(assets, set_seed, per_video);
+        let data = labeled_render_set(oracle, assets, set_seed, per_video);
         let (train, test) = data.split_at(data.len() * num / den);
         let (train_r, train_y): (Vec<_>, Vec<_>) = train.iter().cloned().unzip();
         let (test_renders, test_labels) = test.iter().cloned().unzip();

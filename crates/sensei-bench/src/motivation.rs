@@ -1,5 +1,6 @@
 //! The paper's motivation and test set: Table 1, Figs. 1–6 (§2) and
-//! Fig. 20 (Appendix D). All but Fig. 2 run without the grid experiment.
+//! Fig. 20 (Appendix D). All but Fig. 2 run without the grid experiment,
+//! but every figure that scores QoE borrows its oracle.
 
 use crate::claims::{score, Claim};
 use crate::{figure_header, FittedModels, Mode, Table, QUICK_VIDEOS, SOCCER1};
@@ -59,7 +60,7 @@ fn argmin(xs: &[f64]) -> usize {
 /// Fig. 1: crowd MOS of Soccer1 with a 1-second rebuffering event at each
 /// chunk. The paper reports QoE 0.76 (normal gameplay) down to 0.42
 /// (shoot & goal) on its 25-second excerpt.
-pub fn fig01() -> Vec<Claim> {
+pub fn fig01(oracle: &TrueQoe) -> Vec<Claim> {
     figure_header(
         "Fig. 1: Dynamic quality sensitivity of Soccer1 (1-s rebuffer at each chunk)",
         "max-vs-min MOS gap > 40%; worst position = shoot & goal",
@@ -67,7 +68,7 @@ pub fn fig01() -> Vec<Claim> {
     );
     let video = video("Soccer1");
     let ladder = BitrateLadder::default_paper();
-    let mos = crowd_series_mos(&video, &ladder, IncidentKind::Rebuffer1s, 30, 7)
+    let mos = crowd_series_mos(oracle, &video, &ladder, IncidentKind::Rebuffer1s, 30, 7)
         .expect("campaign completes");
     let mut table = Table::new("Chunk|t (s)|Scene|MOS (0-1)|MOS (1-5)");
     for (k, &m) in mos.iter().enumerate() {
@@ -102,7 +103,7 @@ pub fn fig02(mode: Mode, grid: &Experiment) -> Vec<Claim> {
         "baselines >10.4% error / >10.2% discordant; SENSEI far lower",
         &format!("{}; 24 renders per video, crowd weights", mode.corpus()),
     );
-    let fitted = FittedModels::fit(&grid.assets, 11, 24, (3, 4), 5);
+    let fitted = FittedModels::fit(&grid.oracle, &grid.assets, 11, 24, (3, 4), 5);
     // Rank BBA/Fugu/SENSEI-Fugu per (video, trace): does the model agree
     // with the true-QoE ordering? Each session runs once, and every model
     // scores its render.
@@ -156,7 +157,7 @@ pub fn fig02(mode: Mode, grid: &Experiment) -> Vec<Claim> {
 
 /// Fig. 3: the max-min QoE gap when one incident is placed at every
 /// position of every video (whole video and 12-second windows).
-pub fn fig03(mode: Mode) -> Vec<Claim> {
+pub fn fig03(mode: Mode, oracle: &TrueQoe) -> Vec<Claim> {
     figure_header(
         "Fig. 3: Distribution of max-min QoE gaps across video series",
         "21 of 48 series gap > 40.1%; similar trend in 12-s windows",
@@ -166,7 +167,7 @@ pub fn fig03(mode: Mode) -> Vec<Claim> {
     let (mut whole, mut windowed) = (Vec::new(), Vec::new());
     for video in videos(mode) {
         for kind in IncidentKind::ALL {
-            let qoe = oracle_series_qoe(&video, &ladder, kind).expect("series evaluates");
+            let qoe = oracle_series_qoe(oracle, &video, &ladder, kind).expect("series evaluates");
             whole.push(max_min_gap_pct(&qoe));
             windowed.push(windowed_gap_pct(&qoe, 3)); // 12 s = 3 chunks
         }
@@ -188,7 +189,7 @@ pub fn fig03(mode: Mode) -> Vec<Claim> {
 
 /// Fig. 4: QoE vs incident position for a 1-s rebuffer, a 4-s rebuffer
 /// and a bitrate drop: the same variability pattern under all three.
-pub fn fig04() -> Vec<Claim> {
+pub fn fig04(oracle: &TrueQoe) -> Vec<Claim> {
     figure_header(
         "Fig. 4: QoE variability per incident position (Soccer1)",
         "absolute QoE depends on the incident; the pattern does not",
@@ -197,7 +198,7 @@ pub fn fig04() -> Vec<Claim> {
     let video = video("Soccer1");
     let ladder = BitrateLadder::default_paper();
     let series: Vec<Vec<f64>> = (IncidentKind::ALL.iter())
-        .map(|&k| oracle_series_qoe(&video, &ladder, k).expect("series"))
+        .map(|&k| oracle_series_qoe(oracle, &video, &ladder, k).expect("series"))
         .collect();
     let mut table = Table::new("Chunk|1-s rebuf|4-s rebuf|bitrate drop");
     for k in 0..video.num_chunks() {
@@ -216,7 +217,7 @@ pub fn fig04() -> Vec<Claim> {
 
 /// Fig. 5: Spearman rank correlation of QoE series between incident
 /// types, per video: quality sensitivity is inherent to the content.
-pub fn fig05(mode: Mode) -> Vec<Claim> {
+pub fn fig05(mode: Mode, oracle: &TrueQoe) -> Vec<Claim> {
     figure_header(
         "Fig. 5: QoE rank correlation between quality incidents",
         "strong rank correlation for both comparisons (most videos > 0.6)",
@@ -226,7 +227,7 @@ pub fn fig05(mode: Mode) -> Vec<Claim> {
     let mut table = Table::new("Video|1s-vs-4s rebuf SRCC|1s rebuf vs bitrate-drop SRCC");
     let (mut all_a, mut all_b) = (Vec::new(), Vec::new());
     for video in videos(mode) {
-        let series = |kind| oracle_series_qoe(&video, &ladder, kind).unwrap();
+        let series = |kind| oracle_series_qoe(oracle, &video, &ladder, kind).unwrap();
         let one = series(IncidentKind::Rebuffer1s);
         let a = spearman(&one, &series(IncidentKind::Rebuffer4s)).unwrap_or(0.0);
         let b = spearman(&one, &series(IncidentKind::BitrateDrop4s)).unwrap_or(0.0);
@@ -293,14 +294,13 @@ fn assign(encoded: &EncodedVideo, weights: &[f64], budget_bits: f64) -> Vec<usiz
 /// directly by Lagrangian relaxation: for a price λ on bits, each chunk
 /// picks argmax(weighted quality − λ·size), and λ is bisected until the
 /// assignment meets the budget. The unaware variant uses uniform weights.
-pub fn fig06(mode: Mode) -> Vec<Claim> {
+pub fn fig06(mode: Mode, oracle: &TrueQoe) -> Vec<Claim> {
     figure_header(
         "Fig. 6: Potential QoE gains of dynamic-sensitivity awareness (offline assignment)",
         "22-52% higher QoE at equal bandwidth; 39-49% bandwidth savings",
         &format!("{}; evaluation trace 6, scaled", mode.corpus()),
     );
     let ladder = BitrateLadder::default_paper();
-    let oracle = TrueQoe::default();
     let base_trace = sensei_trace::generate::evaluation_set(2021 ^ 0x7AACE)[6].clone();
     let mut table = Table::new("Scale|Mean kbps|Aware QoE|Unaware QoE|Gain %");
     let mut gains = Vec::new();

@@ -6,6 +6,7 @@ use sensei_bench::claims::{check, ledger_json, parse_ledger, Claim, Direction, D
 use sensei_bench::claims::{LedgerError, Status, Substitution, SPECS};
 use sensei_bench::{evaluation, grid_config, labeled_render_set, motivation, Mode, Table};
 use sensei_core::experiment::{Experiment, ExperimentConfig, WeightSource};
+use sensei_crowd::TrueQoe;
 
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BASELINE_claims.json");
 
@@ -22,14 +23,15 @@ fn one_record(fields: &str) -> String {
 
 #[test]
 fn rl_free_figures_write_byte_identical_ledgers() {
+    let oracle = TrueQoe::default();
     let run = || {
         let mut claims = motivation::table1();
-        claims.extend(motivation::fig01());
-        claims.extend(motivation::fig03(Mode::Quick));
-        claims.extend(motivation::fig04());
-        claims.extend(motivation::fig05(Mode::Quick));
-        claims.extend(motivation::fig06(Mode::Quick));
-        claims.extend(evaluation::fig16());
+        claims.extend(motivation::fig01(&oracle));
+        claims.extend(motivation::fig03(Mode::Quick, &oracle));
+        claims.extend(motivation::fig04(&oracle));
+        claims.extend(motivation::fig05(Mode::Quick, &oracle));
+        claims.extend(motivation::fig06(Mode::Quick, &oracle));
+        claims.extend(evaluation::fig16(&oracle));
         claims.extend(motivation::fig20());
         ledger_json(Mode::Quick, &claims)
     };
@@ -240,7 +242,7 @@ fn labeled_renders_have_valid_labels() {
         ..grid_config(Mode::Quick)
     };
     let env = Experiment::build(&config).unwrap();
-    let set = labeled_render_set(&env.assets, 3, 2);
+    let set = labeled_render_set(&env.oracle, &env.assets, 3, 2);
     assert_eq!(set.len(), 16);
     for (_, label) in &set {
         assert!((0.0..=1.0).contains(label));

@@ -344,7 +344,9 @@ pub struct Experiment {
     pub assets: Vec<VideoAsset>,
     /// The 10-trace evaluation set (sorted by mean throughput).
     pub traces: Vec<ThroughputTrace>,
-    /// The hidden true-QoE oracle.
+    /// The hidden true-QoE oracle: the one ground truth of the
+    /// experiment. Its crowd profiling and its session scoring judge by
+    /// it, and every reader of the experiment borrows it from here.
     pub oracle: TrueQoe,
     /// Trained Pensieve (when `rl_episodes > 0`).
     pub pensieve: Option<Pensieve>,
@@ -410,7 +412,9 @@ impl Experiment {
                 "experiment trace set is empty".to_string(),
             ));
         }
+        let oracle = TrueQoe::default();
         let ladder = BitrateLadder::default_paper();
+        let profiler = WeightProfiler::paper_default(config.seed ^ 0xC0);
         let mut assets = Vec::with_capacity(corpus.len());
         let mut total_cost = 0.0;
         for entry in corpus {
@@ -419,8 +423,8 @@ impl Experiment {
             let (weights, cost) = match config.weight_source {
                 WeightSource::GroundTruth => (true_weights.clone(), 0.0),
                 WeightSource::Crowd => {
-                    let profiler = WeightProfiler::paper_default(config.seed ^ 0xC0);
-                    let profile = profiler.profile(&entry.video, &ladder, config.seed ^ 0xF1)?;
+                    let profile =
+                        profiler.profile(&oracle, &entry.video, &ladder, config.seed ^ 0xF1)?;
                     total_cost += profile.cost_usd;
                     (profile.weights, profile.cost_usd)
                 }
@@ -483,7 +487,7 @@ impl Experiment {
         Ok(Self {
             assets,
             traces,
-            oracle: TrueQoe::default(),
+            oracle,
             pensieve,
             sensei_pensieve,
             player: config.player,

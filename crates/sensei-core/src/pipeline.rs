@@ -7,7 +7,7 @@
 //! is everything a CDN + player deployment needs.
 
 use crate::CoreError;
-use sensei_crowd::{ProfilerConfig, RaterPool, WeightProfile, WeightProfiler};
+use sensei_crowd::{TrueQoe, WeightProfile, WeightProfiler};
 use sensei_dash::{Manifest, Representation};
 use sensei_qoe::{Ksqi, SenseiQoe};
 use sensei_video::{BitrateLadder, EncodedVideo, SensitivityWeights, SourceVideo};
@@ -44,27 +44,25 @@ impl Sensei {
         }
     }
 
-    /// Builds the system with explicit components.
-    pub fn new(ladder: BitrateLadder, pool: RaterPool, config: ProfilerConfig) -> Self {
-        Self {
-            ladder,
-            profiler: WeightProfiler::new(pool, config),
-        }
-    }
-
     /// The bitrate ladder in use.
     pub fn ladder(&self) -> &BitrateLadder {
         &self.ladder
     }
 
-    /// Onboards one source video end to end.
+    /// Onboards one source video end to end, with the crowd's raters
+    /// judging by `oracle`.
     ///
     /// # Errors
     ///
     /// Returns an error when crowdsourcing or manifest construction fails.
-    pub fn onboard(&self, source: &SourceVideo, seed: u64) -> Result<OnboardedVideo, CoreError> {
+    pub fn onboard(
+        &self,
+        oracle: &TrueQoe,
+        source: &SourceVideo,
+        seed: u64,
+    ) -> Result<OnboardedVideo, CoreError> {
         let encoded = EncodedVideo::encode(source, &self.ladder, seed);
-        let profile = self.profiler.profile(source, &self.ladder, seed)?;
+        let profile = self.profiler.profile(oracle, source, &self.ladder, seed)?;
         let manifest = build_manifest(source, &encoded, Some(&profile.weights))?;
         let qoe = SenseiQoe::new(Ksqi::canonical(), profile.weights.clone());
         Ok(OnboardedVideo {
@@ -140,7 +138,9 @@ mod tests {
     fn onboarding_produces_consistent_artifacts() {
         let entry = corpus::by_name("Soccer1", 7).unwrap();
         let sensei = Sensei::paper_default(3);
-        let onboarded = sensei.onboard(&entry.video, 5).unwrap();
+        let onboarded = sensei
+            .onboard(&TrueQoe::default(), &entry.video, 5)
+            .unwrap();
         let n = entry.video.num_chunks();
         assert_eq!(onboarded.weights.len(), n);
         assert_eq!(onboarded.manifest.num_chunks(), n);
@@ -164,7 +164,9 @@ mod tests {
         // The Soccer1 manifest should mark the goal region as sensitive.
         let entry = corpus::by_name("Soccer1", 7).unwrap();
         let sensei = Sensei::paper_default(11);
-        let onboarded = sensei.onboard(&entry.video, 13).unwrap();
+        let onboarded = sensei
+            .onboard(&TrueQoe::default(), &entry.video, 13)
+            .unwrap();
         let truth = SensitivityWeights::ground_truth(&entry.video);
         let srcc =
             sensei_ml::stats::spearman(onboarded.weights.as_slice(), truth.as_slice()).unwrap();

@@ -2,8 +2,10 @@
 //!
 //! The paper elicits QoE ratings from real MTurk workers. This crate
 //! replaces those humans with a *simulated rater population* drawing from a
-//! hidden ground-truth QoE function — the only component of the repository
-//! allowed to see the latent per-chunk sensitivity of a source video.
+//! hidden ground-truth QoE function, which judges by the latent per-chunk
+//! sensitivity of a source video (the [`oracle`] module names everything
+//! else that reads it). Each campaign and profiling run borrows the oracle
+//! its raters draw from; an experiment owns the one it uses.
 //! Everything SENSEI's pipeline learns, it learns the way the paper did:
 //! through noisy 1–5 Likert ratings, quality-control rejections, and money.
 //!

@@ -18,8 +18,15 @@
 //!    while keeping SENSEI's *linear* Eq.-2 model a good-but-imperfect
 //!    approximation (PLCC ≈ 0.85 in Fig. 15, not 1.0).
 //!
-//! Only this module (and the rater population built on it) may read
-//! `SourceVideo::true_sensitivity`.
+//! The latent sensitivity `s_i` is [`SourceVideo::true_sensitivity`].
+//! This oracle reads it in [`TrueQoe::qoe01`], and the crowd profiler
+//! reads it to score its probes the same way. Through
+//! [`sensei_video::SensitivityWeights::ground_truth`] it is also every
+//! experiment's `true_weights`, which the experiment's lane scorer feeds
+//! this oracle's [`QoeFold`], the policies' weights under the
+//! `GroundTruth` weight source, and the ground truth of the Table 1,
+//! Fig. 6 and Fig. 20 benches. Raters see only the oracle's score, and
+//! crowd-weighted policies only the weights the raters recover.
 
 use sensei_video::quality::visual_quality;
 use sensei_video::{RenderedChunk, RenderedVideo, SourceVideo};
@@ -58,36 +65,16 @@ impl Default for TrueQoe {
 }
 
 impl TrueQoe {
-    /// Per-chunk *experienced* quality `e_i = ref_i − s_i · deg_i`,
-    /// clamped to `[-2, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the render does not match the source video
-    /// (name or chunk count).
-    pub fn experienced_quality(
-        &self,
-        source: &SourceVideo,
-        render: &RenderedVideo,
-    ) -> Result<Vec<f64>, CrowdError> {
-        let mut fold = self.fold_render(source, render)?;
-        Ok(render
-            .chunks()
-            .iter()
-            .zip(sensitivities(source))
-            .map(|(c, s)| fold.push(s, c))
-            .collect())
-    }
-
     /// True normalized QoE in `[0, 1]` — the peak-end blend mapped through
     /// the affine MOS curve.
     ///
     /// # Errors
     ///
-    /// Returns an error when the render does not match the source video.
+    /// Returns an error when the render does not match the source video
+    /// (name or chunk count).
     pub fn qoe01(&self, source: &SourceVideo, render: &RenderedVideo) -> Result<f64, CrowdError> {
         let mut fold = self.fold_render(source, render)?;
-        for (c, s) in render.chunks().iter().zip(sensitivities(source)) {
+        for (c, s) in render.chunks().iter().zip(source.true_sensitivity()) {
             fold.push(s, c);
         }
         Ok(fold.qoe01())
@@ -137,33 +124,12 @@ impl TrueQoe {
             render.startup_delay_s(),
         ))
     }
-
-    /// True QoE on the paper's 1–5 MOS scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the render does not match the source video.
-    pub fn mos(&self, source: &SourceVideo, render: &RenderedVideo) -> Result<f64, CrowdError> {
-        Ok(1.0 + 4.0 * self.qoe01(source, render)?)
-    }
-}
-
-/// The latent sensitivities of `source`'s chunks normalized to mean 1,
-/// bit for bit the entries of [`SourceVideo::true_sensitivity`]: the raw
-/// values are summed once, in the same order, and each chunk's value is
-/// divided by the mean as it is read, so scoring a render allocates
-/// nothing.
-fn sensitivities(source: &SourceVideo) -> impl Iterator<Item = f64> + '_ {
-    let chunks = source.chunks();
-    let mean = chunks.iter().map(|c| c.sensitivity).sum::<f64>() / chunks.len() as f64;
-    chunks.iter().map(move |c| c.sensitivity / mean)
 }
 
 /// The oracle's running fold over one session's chunks, fed in playback
-/// order — the one per-chunk loop behind [`TrueQoe::qoe01`] and
-/// [`TrueQoe::experienced_quality`]. A caller that holds a session as
-/// arrays rather than a [`RenderedVideo`] (the fleet's lane scoring)
-/// feeds it the same chunks and gets the same bits.
+/// order — the one per-chunk loop behind [`TrueQoe::qoe01`]. A caller
+/// that holds a session as arrays rather than a [`RenderedVideo`] (the
+/// fleet's lane scoring) feeds it the same chunks and gets the same bits.
 #[derive(Debug, Clone)]
 pub struct QoeFold<'a> {
     oracle: &'a TrueQoe,
@@ -274,8 +240,6 @@ mod tests {
         let oracle = TrueQoe::default();
         let q = oracle.qoe01(&source(), &pristine()).unwrap();
         assert!(q > 0.7, "pristine QoE = {q}");
-        let mos = oracle.mos(&source(), &pristine()).unwrap();
-        assert!((1.0..=5.0).contains(&mos));
     }
 
     #[test]
@@ -345,18 +309,21 @@ mod tests {
         assert!(q_scenic > q_key);
     }
 
-    /// `experienced_quality` and `qoe01` as they were computed from a
-    /// normalized `true_sensitivity()` vector.
-    fn vector_path(oracle: &TrueQoe, src: &SourceVideo, render: &RenderedVideo) -> (Vec<f64>, f64) {
+    /// The mean-1 sensitivity vector normalized the way
+    /// [`sensei_video::SensitivityWeights::new`] normalizes raw weights.
+    fn normalized_vector(src: &SourceVideo) -> Vec<f64> {
+        let raw = src.chunks().iter().map(|c| c.sensitivity).collect();
+        let weights = sensei_video::SensitivityWeights::new(raw).unwrap();
+        weights.as_slice().to_vec()
+    }
+
+    /// `qoe01` as it was computed from a normalized sensitivity vector.
+    fn vector_path(oracle: &TrueQoe, src: &SourceVideo, render: &RenderedVideo) -> f64 {
         let mut fold = oracle.fold_render(src, render).unwrap();
-        let s = src.true_sensitivity();
-        let e = render
-            .chunks()
-            .iter()
-            .zip(&s)
-            .map(|(c, &s)| fold.push(s, c))
-            .collect();
-        (e, fold.qoe01())
+        for (c, &s) in render.chunks().iter().zip(&normalized_vector(src)) {
+            fold.push(s, c);
+        }
+        fold.qoe01()
     }
 
     #[test]
@@ -366,10 +333,10 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for entry in sensei_video::corpus::table1(2021) {
             let src = &entry.video;
-            let folded: Vec<f64> = sensitivities(src).collect();
+            let folded: Vec<f64> = src.true_sensitivity().collect();
             assert_eq!(
                 bits(&folded),
-                bits(&src.true_sensitivity()),
+                bits(&normalized_vector(src)),
                 "{}",
                 src.name()
             );
@@ -377,12 +344,9 @@ mod tests {
                 .iter()
                 .map(|&kind| build_series(src, &ladder, kind).unwrap());
             for render in series.flatten() {
-                let (e, q) = vector_path(&oracle, src, &render);
-                let got = oracle.experienced_quality(src, &render).unwrap();
-                assert_eq!(bits(&got), bits(&e), "{}", src.name());
                 assert_eq!(
                     oracle.qoe01(src, &render).unwrap().to_bits(),
-                    q.to_bits(),
+                    vector_path(&oracle, src, &render).to_bits(),
                     "{}",
                     src.name()
                 );

@@ -92,10 +92,10 @@ impl WeightProfile {
     }
 }
 
-/// The profiling pipeline: oracle + rater pool + scheduler configuration.
+/// The profiling pipeline: rater pool + scheduler configuration. Each run
+/// borrows the oracle its raters judge by.
 #[derive(Debug, Clone)]
 pub struct WeightProfiler {
-    oracle: TrueQoe,
     pool: RaterPool,
     config: ProfilerConfig,
 }
@@ -106,11 +106,7 @@ type Estimates = Vec<Vec<(f64, f64)>>;
 impl WeightProfiler {
     /// Builds a profiler with the given rater pool and configuration.
     pub fn new(pool: RaterPool, config: ProfilerConfig) -> Self {
-        Self {
-            oracle: TrueQoe::default(),
-            pool,
-            config,
-        }
+        Self { pool, config }
     }
 
     /// A profiler with paper-default parameters and a master-worker pool.
@@ -118,19 +114,21 @@ impl WeightProfiler {
         Self::new(RaterPool::masters(seed), ProfilerConfig::default())
     }
 
-    /// Runs the full two-step profiling pipeline on one source video.
+    /// Runs the full two-step profiling pipeline on one source video,
+    /// with raters judging by `oracle`.
     ///
     /// # Errors
     ///
     /// Propagates campaign errors (quality-control exhaustion).
     pub fn profile(
         &self,
+        oracle: &TrueQoe,
         source: &SourceVideo,
         ladder: &BitrateLadder,
         seed: u64,
     ) -> Result<WeightProfile, CrowdError> {
         let n = source.num_chunks();
-        let mut reference = PristineFold::new(&self.oracle, source, ladder);
+        let mut reference = PristineFold::new(oracle, source, ladder);
         let mut estimates: Estimates = vec![Vec::new(); n];
 
         // ---- Step 1: 1-second stall at every chunk, M1 raters. ----
@@ -214,19 +212,21 @@ impl WeightProfiler {
     }
 
     /// The no-pruning strawman: every chunk × every below-top bitrate ×
-    /// rebuffering durations {1, 2, 3, 4} s, 30 raters per render.
+    /// rebuffering durations {1, 2, 3, 4} s, 30 raters per render, judging
+    /// by `oracle`.
     ///
     /// # Errors
     ///
     /// Propagates campaign errors.
     pub fn profile_exhaustive(
         &self,
+        oracle: &TrueQoe,
         source: &SourceVideo,
         ladder: &BitrateLadder,
         seed: u64,
     ) -> Result<WeightProfile, CrowdError> {
         let n = source.num_chunks();
-        let mut reference = PristineFold::new(&self.oracle, source, ladder);
+        let mut reference = PristineFold::new(oracle, source, ladder);
         let mut probes: Vec<(usize, Incident)> = Vec::new();
         for k in 0..n {
             for secs in [1.0, 2.0, 3.0, 4.0] {
@@ -325,7 +325,7 @@ impl<'a> PristineFold<'a> {
         let render = RenderedVideo::pristine(source, ladder);
         let ksqi = Ksqi::canonical();
         let scores = ksqi.chunk_scores(&render);
-        let sensitivity = source.true_sensitivity();
+        let sensitivity: Vec<f64> = source.true_sensitivity().collect();
         let chunk_duration_s = render.chunk_duration_s();
         let mut fold = oracle.fold(ladder.max_kbps(), chunk_duration_s, 0.0);
         let mut folds = Vec::with_capacity(render.num_chunks() + 1);
@@ -650,7 +650,9 @@ mod tests {
         let src = source();
         let ladder = BitrateLadder::default_paper();
         let profiler = WeightProfiler::paper_default(3);
-        let profile = profiler.profile(&src, &ladder, 5).unwrap();
+        let profile = profiler
+            .profile(&TrueQoe::default(), &src, &ladder, 5)
+            .unwrap();
         let w = profile.weights.as_slice();
         let truth = SensitivityWeights::ground_truth(&src);
         let srcc = sensei_ml::stats::spearman(w, truth.as_slice()).unwrap();
@@ -669,7 +671,7 @@ mod tests {
         let src = source();
         let ladder = BitrateLadder::default_paper();
         let profile = WeightProfiler::paper_default(7)
-            .profile(&src, &ladder, 9)
+            .profile(&TrueQoe::default(), &src, &ladder, 9)
             .unwrap();
         let mean: f64 =
             profile.weights.as_slice().iter().sum::<f64>() / profile.weights.len() as f64;
@@ -682,8 +684,11 @@ mod tests {
         let src = source();
         let ladder = BitrateLadder::default_paper();
         let profiler = WeightProfiler::paper_default(11);
-        let pruned = profiler.profile(&src, &ladder, 13).unwrap();
-        let exhaustive = profiler.profile_exhaustive(&src, &ladder, 13).unwrap();
+        let oracle = TrueQoe::default();
+        let pruned = profiler.profile(&oracle, &src, &ladder, 13).unwrap();
+        let exhaustive = profiler
+            .profile_exhaustive(&oracle, &src, &ladder, 13)
+            .unwrap();
         let ratio = exhaustive.cost_usd / pruned.cost_usd;
         assert!(ratio > 8.0, "exhaustive/pruned cost ratio = {ratio:.1}");
         // Exhaustive estimates should be at least as good (more data).
@@ -700,7 +705,7 @@ mod tests {
         let src = source();
         let ladder = BitrateLadder::default_paper();
         let profile = WeightProfiler::paper_default(15)
-            .profile(&src, &ladder, 17)
+            .profile(&TrueQoe::default(), &src, &ladder, 17)
             .unwrap();
         let per_min = profile.cost_per_minute_usd(&src);
         assert!(
@@ -715,7 +720,7 @@ mod tests {
         let ladder = BitrateLadder::default_paper();
         let run = || {
             WeightProfiler::paper_default(19)
-                .profile(&src, &ladder, 21)
+                .profile(&TrueQoe::default(), &src, &ladder, 21)
                 .unwrap()
                 .weights
         };
@@ -732,11 +737,11 @@ mod tests {
             ..ProfilerConfig::default()
         };
         let no_step2 = WeightProfiler::new(RaterPool::masters(1), config)
-            .profile(&src, &ladder, 3)
+            .profile(&TrueQoe::default(), &src, &ladder, 3)
             .unwrap();
         assert_eq!(no_step2.renders_rated, src.num_chunks());
         let with_step2 = WeightProfiler::paper_default(1)
-            .profile(&src, &ladder, 3)
+            .profile(&TrueQoe::default(), &src, &ladder, 3)
             .unwrap();
         assert!(with_step2.renders_rated > src.num_chunks());
         assert!(with_step2.cost_usd > no_step2.cost_usd);

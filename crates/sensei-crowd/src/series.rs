@@ -78,12 +78,14 @@ pub fn build_series(
         .collect()
 }
 
-/// Rates a series through the crowd (MOS per position).
+/// Rates a series through the crowd (MOS per position), with raters
+/// judging by `oracle`.
 ///
 /// # Errors
 ///
 /// Propagates campaign errors.
 pub fn crowd_series_mos(
+    oracle: &TrueQoe,
     source: &SourceVideo,
     ladder: &BitrateLadder,
     kind: IncidentKind,
@@ -92,17 +94,16 @@ pub fn crowd_series_mos(
 ) -> Result<Vec<f64>, CrowdError> {
     let renders = build_series(source, ladder, kind)?;
     let reference = RenderedVideo::pristine(source, ladder);
-    let oracle = TrueQoe::default();
     let pool = RaterPool::masters(seed ^ 0x5E1E5);
     let config = CampaignConfig {
         raters_per_render,
         ..CampaignConfig::default()
     };
-    let campaign = Campaign::new(source, reference, &renders, &oracle, &pool, config)?;
+    let campaign = Campaign::new(source, reference, &renders, oracle, &pool, config)?;
     Ok(campaign.run(seed)?.mos01)
 }
 
-/// Noise-free series QoE per position (the oracle directly, "infinite
+/// Noise-free series QoE per position (`oracle` directly, "infinite
 /// raters") — used when the experiment's point is the content, not the
 /// crowd.
 ///
@@ -110,11 +111,11 @@ pub fn crowd_series_mos(
 ///
 /// Propagates oracle errors.
 pub fn oracle_series_qoe(
+    oracle: &TrueQoe,
     source: &SourceVideo,
     ladder: &BitrateLadder,
     kind: IncidentKind,
 ) -> Result<Vec<f64>, CrowdError> {
-    let oracle = TrueQoe::default();
     build_series(source, ladder, kind)?
         .iter()
         .map(|r| oracle.qoe01(source, r))
@@ -172,9 +173,9 @@ mod tests {
 
     #[test]
     fn oracle_series_dips_at_key_moments() {
-        let src = source();
+        let (src, oracle) = (source(), TrueQoe::default());
         let ladder = BitrateLadder::default_paper();
-        let qoe = oracle_series_qoe(&src, &ladder, IncidentKind::Rebuffer1s).unwrap();
+        let qoe = oracle_series_qoe(&oracle, &src, &ladder, IncidentKind::Rebuffer1s).unwrap();
         // Positions 3-4 are key moments; 5-7 scenic.
         let key_min = qoe[3].min(qoe[4]);
         let scenic_max = qoe[5].max(qoe[6]).max(qoe[7]);
@@ -185,9 +186,9 @@ mod tests {
     fn gap_exceeds_forty_percent_for_sports_content() {
         // §2.3: "21 of the 48 video series have a max-min QoE gap of over
         // 40.1%" — sports content with key moments is in that set.
-        let src = source();
+        let (src, oracle) = (source(), TrueQoe::default());
         let ladder = BitrateLadder::default_paper();
-        let qoe = oracle_series_qoe(&src, &ladder, IncidentKind::Rebuffer4s).unwrap();
+        let qoe = oracle_series_qoe(&oracle, &src, &ladder, IncidentKind::Rebuffer4s).unwrap();
         let gap = max_min_gap_pct(&qoe);
         assert!(gap > 40.0, "gap = {gap:.1}%");
     }
@@ -195,22 +196,23 @@ mod tests {
     #[test]
     fn rank_correlation_across_incidents_is_strong() {
         // Fig. 5: QoE rankings within a series are agnostic to the incident.
-        let src = source();
+        let (src, oracle) = (source(), TrueQoe::default());
         let ladder = BitrateLadder::default_paper();
-        let a = oracle_series_qoe(&src, &ladder, IncidentKind::Rebuffer1s).unwrap();
-        let b = oracle_series_qoe(&src, &ladder, IncidentKind::Rebuffer4s).unwrap();
-        let c = oracle_series_qoe(&src, &ladder, IncidentKind::BitrateDrop4s).unwrap();
+        let a = oracle_series_qoe(&oracle, &src, &ladder, IncidentKind::Rebuffer1s).unwrap();
+        let b = oracle_series_qoe(&oracle, &src, &ladder, IncidentKind::Rebuffer4s).unwrap();
+        let c = oracle_series_qoe(&oracle, &src, &ladder, IncidentKind::BitrateDrop4s).unwrap();
         assert!(sensei_ml::stats::spearman(&a, &b).unwrap() > 0.8);
         assert!(sensei_ml::stats::spearman(&a, &c).unwrap() > 0.7);
     }
 
     #[test]
     fn crowd_series_approximates_oracle_series() {
-        let src = source();
+        let (src, oracle) = (source(), TrueQoe::default());
         let ladder = BitrateLadder::default_paper();
-        let crowd = crowd_series_mos(&src, &ladder, IncidentKind::Rebuffer1s, 25, 5).unwrap();
-        let oracle = oracle_series_qoe(&src, &ladder, IncidentKind::Rebuffer1s).unwrap();
-        let srcc = sensei_ml::stats::spearman(&crowd, &oracle).unwrap();
+        let crowd =
+            crowd_series_mos(&oracle, &src, &ladder, IncidentKind::Rebuffer1s, 25, 5).unwrap();
+        let truth = oracle_series_qoe(&oracle, &src, &ladder, IncidentKind::Rebuffer1s).unwrap();
+        let srcc = sensei_ml::stats::spearman(&crowd, &truth).unwrap();
         assert!(srcc > 0.6, "crowd vs oracle SRCC = {srcc}");
     }
 

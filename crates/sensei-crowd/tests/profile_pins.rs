@@ -7,7 +7,7 @@
 //! scheduler must reproduce every bit: crowd-weighted experiments (and
 //! the benchmark's `mpc_lineup` fingerprint) depend on them.
 
-use sensei_crowd::{WeightProfile, WeightProfiler};
+use sensei_crowd::{TrueQoe, WeightProfile, WeightProfiler};
 use sensei_video::{corpus, BitrateLadder};
 
 const SEED: u64 = 2021;
@@ -69,7 +69,12 @@ fn pinned_profile(name: &str, pin: &Pin) {
     let video = corpus::by_name(name, SEED).unwrap().video;
     let (profiler, seed) = profiler();
     let profile = profiler
-        .profile(&video, &BitrateLadder::default_paper(), seed)
+        .profile(
+            &TrueQoe::default(),
+            &video,
+            &BitrateLadder::default_paper(),
+            seed,
+        )
         .unwrap();
     check(name, &profile, pin);
 }
@@ -94,7 +99,12 @@ fn mountain_exhaustive_profile_is_pinned() {
     let video = corpus::by_name("Mountain", SEED).unwrap().video;
     let (profiler, seed) = profiler();
     let profile = profiler
-        .profile_exhaustive(&video, &BitrateLadder::default_paper(), seed)
+        .profile_exhaustive(
+            &TrueQoe::default(),
+            &video,
+            &BitrateLadder::default_paper(),
+            seed,
+        )
         .unwrap();
     check("Mountain (exhaustive)", &profile, &MOUNTAIN_EXHAUSTIVE);
 }

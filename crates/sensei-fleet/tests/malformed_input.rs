@@ -263,3 +263,140 @@ proptest! {
         }
     }
 }
+
+/// Whether `slices` are a split `merge_reports` accepts: one slice per
+/// index `0..n` for `n` slices, every one counting `n` shards over the
+/// same total, whose ranges, in index order, run from tile 0 to the
+/// total with no gap, overlap or reversed range.
+fn partitions(slices: &[ShardSlice]) -> bool {
+    let Some(first) = slices.first() else {
+        return false;
+    };
+    let n = slices.len() as u64;
+    let mut ordered = slices.to_vec();
+    ordered.sort_by_key(|s| s.index);
+    let mut next_tile = 0;
+    for (i, s) in (0u64..).zip(&ordered) {
+        let agrees = s.count == n && s.total_tiles == first.total_tiles;
+        if s.index != i || !agrees || s.tile_lo != next_tile || s.tile_hi < s.tile_lo {
+            return false;
+        }
+        next_tile = s.tile_hi;
+    }
+    next_tile == first.total_tiles
+}
+
+/// The contiguous split of `0..total` at `cuts` (each taken modulo
+/// `total + 1`), one slice per range, listed from shard `rotate`
+/// onwards.
+fn split(total: u64, cuts: &[u64], rotate: usize) -> Vec<ShardSlice> {
+    let mut bounds: Vec<u64> = cuts.iter().map(|c| c % (total + 1)).collect();
+    bounds.sort_unstable();
+    bounds.insert(0, 0);
+    bounds.push(total);
+    let count = bounds.len() as u64 - 1;
+    let mut slices: Vec<ShardSlice> = (0u64..)
+        .zip(bounds.windows(2))
+        .map(|(index, w)| ShardSlice {
+            index,
+            count,
+            tile_lo: w[0],
+            tile_hi: w[1],
+            total_tiles: total,
+        })
+        .collect();
+    let len = slices.len();
+    slices.rotate_left(rotate % len);
+    slices
+}
+
+/// Applies `(kind, at, value)` edits to a split: kinds 0–4 overwrite
+/// the index, count, `tile_lo`, `tile_hi` or total of slice `at`; 5
+/// repeats slice `at`; 6 drops it.
+fn edit_split(slices: &mut Vec<ShardSlice>, edits: &[(u8, usize, u64)]) {
+    for &(kind, at, value) in edits {
+        if slices.is_empty() {
+            return;
+        }
+        let at = at % slices.len();
+        let s = slices[at];
+        match kind {
+            0 => slices[at].index = value,
+            1 => slices[at].count = value,
+            2 => slices[at].tile_lo = value,
+            3 => slices[at].tile_hi = value,
+            4 => slices[at].total_tiles = value,
+            5 => slices.push(s),
+            _ => {
+                slices.remove(at);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Generated shard inputs — overlaps, gaps, duplicates, missing
+    /// shards, mixed counts and totals, and partials whose JSON carries
+    /// another format tag — either merge, exactly when their slices
+    /// partition the tiles, or fail with a typed error; nothing panics.
+    #[test]
+    fn merge_reports_accepts_exactly_the_partitions(
+        total in 0u64..9,
+        cuts in prop::collection::vec(0u64..9, 0..5),
+        rotate in 0usize..6,
+        edits in prop::collection::vec((0u8..7, 0usize..8, 0u64..9), 0..3),
+        foreign_tags in prop::collection::vec(0u8..8, 8..9),
+    ) {
+        let mut slices = split(total, &cuts, rotate);
+        edit_split(&mut slices, &edits);
+        let partials: Vec<FleetReport> = slices
+            .iter()
+            .map(|&slice| FleetReport {
+                shard: Some(slice),
+                ..sample_report()
+            })
+            .collect();
+        let want = partitions(&slices);
+        match merge_reports(&partials) {
+            Ok(merged) => {
+                prop_assert!(want, "merged a split that does not partition: {slices:?}");
+                let sessions = sample_report().stats.sessions * slices.len() as u64;
+                prop_assert_eq!(merged.stats.sessions, sessions);
+                prop_assert!(merged.shard.is_none());
+            }
+            Err(FleetError::Shard(_)) => {
+                prop_assert!(!want, "rejected a partition: {slices:?}");
+            }
+            Err(other) => {
+                prop_assert!(false, "untyped shard failure: {other:?}");
+            }
+        }
+
+        // The same partials through their files: one with another format
+        // tag fails to read, and the rest merge as in memory.
+        let mut foreign = false;
+        let mut read = Vec::new();
+        for (i, partial) in partials.iter().enumerate() {
+            let mut text = partial.to_json();
+            if foreign_tags[i % foreign_tags.len()] == 0 {
+                let tagged = text.replacen("sensei-fleet-report/", "sensei-fleet-report/v", 1);
+                prop_assert!(tagged != text, "the report carries no format tag");
+                text = tagged;
+                foreign = true;
+            }
+            match FleetReport::from_json(&text) {
+                Ok(report) => read.push(report),
+                Err(FleetError::Persist(msg)) => {
+                    prop_assert!(msg.contains("format"), "{msg}");
+                }
+                Err(other) => {
+                    prop_assert!(false, "untyped read failure: {other:?}");
+                }
+            }
+        }
+        prop_assert_eq!(read.len() < partials.len(), foreign);
+        if !foreign {
+            prop_assert_eq!(merge_reports(&read).is_ok(), want);
+        }
+    }
+}

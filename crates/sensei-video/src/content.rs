@@ -293,15 +293,12 @@ impl SourceVideo {
             })
     }
 
-    /// The latent sensitivity vector (ground truth the crowd pipeline tries
-    /// to recover). Normalized to mean 1 so videos are comparable.
-    pub fn true_sensitivity(&self) -> Vec<f64> {
-        self.normalized_sensitivity().collect()
-    }
-
-    /// [`Self::true_sensitivity`] as an iterator, for callers that collect
-    /// it into storage of their own.
-    pub(crate) fn normalized_sensitivity(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+    /// The latent per-chunk sensitivity (the ground truth the crowd
+    /// pipeline tries to recover), normalized to mean 1 so videos are
+    /// comparable. The raw values are summed once, in chunk order, and
+    /// each is divided by the mean as it is read, so a caller that folds
+    /// it allocates nothing.
+    pub fn true_sensitivity(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         let mean =
             self.chunks.iter().map(|c| c.sensitivity).sum::<f64>() / self.chunks.len() as f64;
         self.chunks.iter().map(move |c| c.sensitivity / mean)
@@ -429,7 +426,7 @@ mod tests {
             SceneSpec::new(SceneKind::KeyMoment, 5),
         ];
         let v = SourceVideo::from_script("t", Genre::Nature, &script, 3).unwrap();
-        let s = v.true_sensitivity();
+        let s: Vec<f64> = v.true_sensitivity().collect();
         let mean = s.iter().sum::<f64>() / s.len() as f64;
         assert!((mean - 1.0).abs() < 1e-12);
         // Ordering preserved: key moments above scenic chunks.

@@ -639,7 +639,7 @@ mod tests {
         // §2.3: quality sensitivity varies substantially within videos; key
         // moments must clearly dominate scenic/ad chunks.
         let soccer = by_name("Soccer1", 7).unwrap().video;
-        let s = soccer.true_sensitivity();
+        let s: Vec<f64> = soccer.true_sensitivity().collect();
         let max = s.iter().cloned().fold(0.0, f64::max);
         let min = s.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min > 2.0, "max/min = {}", max / min);
@@ -650,7 +650,7 @@ mod tests {
         let space = by_name("Space", 7).unwrap().video;
         let soccer = by_name("Soccer1", 7).unwrap().video;
         let spread = |v: &SourceVideo| {
-            let s = v.true_sensitivity();
+            let s: Vec<f64> = v.true_sensitivity().collect();
             let max = s.iter().cloned().fold(0.0, f64::max);
             let min = s.iter().cloned().fold(f64::INFINITY, f64::min);
             max / min
@@ -783,7 +783,7 @@ mod tests {
     fn soccer1_goal_is_late_in_video() {
         // Fig. 1: the key moment sits past the midpoint of Soccer1.
         let soccer = by_name("Soccer1", 7).unwrap().video;
-        let s = soccer.true_sensitivity();
+        let s: Vec<f64> = soccer.true_sensitivity().collect();
         let peak = s
             .iter()
             .enumerate()

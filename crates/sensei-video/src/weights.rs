@@ -49,11 +49,15 @@ impl SensitivityWeights {
         Self::new(vec![1.0; num_chunks])
     }
 
-    /// The ground-truth weights of a source video (the vector the crowd
-    /// pipeline tries to recover). Only test/oracle code should use this.
+    /// The ground-truth weights of a source video: its
+    /// [`SourceVideo::true_sensitivity`], the vector the crowd pipeline
+    /// tries to recover. An experiment keeps them as every asset's
+    /// `true_weights`, which its lane scorer feeds the true-QoE oracle;
+    /// its `GroundTruth` weight source hands them to the policies as well.
+    /// Table 1, Fig. 6's offline assignment and Fig. 20 read them too.
     pub fn ground_truth(source: &SourceVideo) -> Self {
         Self {
-            w: source.normalized_sensitivity().collect(),
+            w: source.true_sensitivity().collect(),
         }
     }
 

@@ -27,8 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Onboard: encode + crowdsource weights + build the manifest.
+    // The crowd's simulated raters judge by the true-QoE oracle, the
+    // stand-in for real viewers that also scores the sessions below.
+    let oracle = TrueQoe::default();
     let sensei = Sensei::paper_default(7);
-    let onboarded = sensei.onboard(&entry.video, 42)?;
+    let onboarded = sensei.onboard(&oracle, &entry.video, 42)?;
     println!(
         "profiling: ${:.1} total (${:.1}/min), {} renders, ~{:.0} min end-to-end",
         onboarded.profile.cost_usd,
@@ -44,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Stream over a 3G-like trace with and without SENSEI.
     let trace = generate::hsdpa_like(1500.0, 600, 3);
     let config = PlayerConfig::default();
-    let oracle = TrueQoe::default();
     let sensei_run = simulate(
         &entry.video,
         &onboarded.encoded,

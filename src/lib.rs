@@ -39,7 +39,9 @@
 //! use sensei::sim::{simulate, PlayerConfig};
 //!
 //! let entry = sensei::video::corpus::by_name("Soccer1", 2021).unwrap();
-//! let onboarded = Sensei::paper_default(7).onboard(&entry.video, 42).unwrap();
+//! // Simulated raters judge by the true-QoE oracle (README "Substitutions").
+//! let oracle = sensei::crowd::TrueQoe::default();
+//! let onboarded = Sensei::paper_default(7).onboard(&oracle, &entry.video, 42).unwrap();
 //! let trace = sensei::trace::generate::fcc_like(2000.0, 600, 1);
 //! let session = simulate(
 //!     &entry.video,

@@ -16,7 +16,8 @@ fn onboard_then_stream_via_manifest_roundtrip() {
     // it -> weights drive the ABR -> true QoE improves over the base ABR.
     let entry = corpus::by_name("Soccer1", 2021).unwrap();
     let sensei = Sensei::paper_default(7);
-    let onboarded = sensei.onboard(&entry.video, 42).unwrap();
+    let oracle = TrueQoe::default();
+    let onboarded = sensei.onboard(&oracle, &entry.video, 42).unwrap();
 
     // Wire format round trip.
     let xml = onboarded.manifest.to_xml().unwrap();
@@ -27,7 +28,6 @@ fn onboard_then_stream_via_manifest_roundtrip() {
     // Stream with the recovered weights.
     let trace = generate::hsdpa_like(1500.0, 600, 3);
     let config = PlayerConfig::default();
-    let oracle = TrueQoe::default();
     let s = simulate(
         &entry.video,
         &onboarded.encoded,
@@ -57,10 +57,11 @@ fn onboard_then_stream_via_manifest_roundtrip() {
 #[test]
 fn crowdsourced_weights_approximate_ground_truth_at_corpus_scale() {
     let sensei = Sensei::paper_default(11);
+    let oracle = TrueQoe::default();
     let mut srccs = Vec::new();
     for name in ["Soccer1", "FPS2", "Wrestling"] {
         let entry = corpus::by_name(name, 2021).unwrap();
-        let onboarded = sensei.onboard(&entry.video, 17).unwrap();
+        let onboarded = sensei.onboard(&oracle, &entry.video, 17).unwrap();
         let truth = SensitivityWeights::ground_truth(&entry.video);
         let srcc =
             sensei_ml::stats::spearman(onboarded.weights.as_slice(), truth.as_slice()).unwrap();

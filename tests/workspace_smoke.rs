@@ -15,7 +15,7 @@ fn onboarding_and_manifest_roundtrip_through_the_facade() {
     let entry = sensei::video::corpus::by_name("Soccer1", 2021).expect("Soccer1 is in Table 1");
     let system = Sensei::paper_default(5);
     let onboarded = system
-        .onboard(&entry.video, 23)
+        .onboard(&sensei::crowd::TrueQoe::default(), &entry.video, 23)
         .expect("onboarding succeeds");
 
     // Onboarding produced one weight per chunk, all positive.
