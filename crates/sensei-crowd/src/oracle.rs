@@ -29,17 +29,18 @@
 //! crowd-weighted policies only the weights the raters recover.
 
 use sensei_video::quality::visual_quality;
-use sensei_video::{RenderedChunk, RenderedVideo, SourceVideo};
+use sensei_video::{IncidentWalk, RenderedChunk, RenderedVideo, SourceVideo};
 
 use crate::CrowdError;
 
 /// The hidden QoE oracle.
 #[derive(Debug, Clone)]
 pub struct TrueQoe {
-    /// Stall penalty per unit normalized stall (mirrors the canonical
-    /// chunk-quality β).
+    /// Stall penalty per unit normalized stall (the same β as
+    /// [`sensei_qoe::Ksqi::canonical`]).
     pub rebuffer_penalty: f64,
-    /// Switch penalty per unit |Δvq| (mirrors the canonical γ).
+    /// Switch penalty per unit |Δvq| (the same γ as
+    /// [`sensei_qoe::Ksqi::canonical`]).
     pub switch_penalty: f64,
     /// Weight of the mean term in the peak-end blend.
     pub mean_weight: f64,
@@ -93,8 +94,7 @@ impl TrueQoe {
             oracle: self,
             top_kbps: max_bitrate_kbps.max(2850.0),
             chunk_duration_s,
-            startup_left_s: startup_delay_s,
-            prev: None,
+            incidents: IncidentWalk::new(startup_delay_s),
             sum: 0.0,
             worst: f64::INFINITY,
             count: 0,
@@ -137,10 +137,9 @@ pub struct QoeFold<'a> {
     /// highest streamed bitrate, floored at the paper ladder's top.
     top_kbps: f64,
     chunk_duration_s: f64,
-    /// Startup delay, charged like a stall to the first chunk only.
-    startup_left_s: f64,
-    /// `(vq, bitrate_kbps)` of the previous chunk.
-    prev: Option<(f64, f64)>,
+    /// Each chunk's stall (the startup delay charged to the first) and
+    /// switch terms.
+    incidents: IncidentWalk,
     sum: f64,
     worst: f64,
     count: u32,
@@ -154,13 +153,7 @@ impl QoeFold<'_> {
     pub fn push(&mut self, sensitivity: f64, c: &RenderedChunk) -> f64 {
         let oracle = self.oracle;
         let reference = visual_quality(self.top_kbps, c.complexity);
-        let stall = c.rebuffer_s + self.startup_left_s;
-        self.startup_left_s = 0.0;
-        let switch = match self.prev {
-            Some((pvq, pbr)) if (pbr - c.bitrate_kbps).abs() > 1e-9 => (c.vq - pvq).abs(),
-            _ => 0.0,
-        };
-        self.prev = Some((c.vq, c.bitrate_kbps));
+        let (stall, switch) = self.incidents.step(c);
         // The stall term grows without a cap: sitting through a
         // 14-second freeze is strictly worse than a 4-second one.
         let deg = (reference - c.vq).max(0.0)

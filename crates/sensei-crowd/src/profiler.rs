@@ -31,7 +31,8 @@ use crate::rater::RaterPool;
 use crate::CrowdError;
 use sensei_qoe::Ksqi;
 use sensei_video::{
-    BitrateLadder, Incident, RenderedChunk, RenderedVideo, SensitivityWeights, SourceVideo,
+    BitrateLadder, Incident, IncidentWalk, RenderedChunk, RenderedVideo, SensitivityWeights,
+    SourceVideo,
 };
 
 /// Configuration of the two-step scheduler.
@@ -408,19 +409,18 @@ impl<'a> PristineFold<'a> {
         };
 
         // KSQI scores outside the window equal the reference's, so their
-        // deltas are +0.0 and only the window's are summed.
-        let mut prev = k.checked_sub(1).map(|i| &self.chunks[i]);
+        // deltas are +0.0 and only the window's are summed. The reference
+        // starts without delay, so a walk from its first chunk charges none.
+        let mut walk = k.checked_sub(1).map_or(IncidentWalk::new(0.0), |i| {
+            IncidentWalk::after(&self.chunks[i])
+        });
         let mut dq = 0.0;
         for (c, &reference) in self.window.iter().zip(&self.scores[k..end]) {
-            let switch = match prev {
-                Some(p) if (p.bitrate_kbps - c.bitrate_kbps).abs() > 1e-9 => (c.vq - p.vq).abs(),
-                _ => 0.0,
-            };
+            let (stall, switch) = walk.step(c);
             let score = self
                 .ksqi
-                .chunk_quality(c.vq, c.rebuffer_s, switch, self.chunk_duration_s);
+                .chunk_quality(c.vq, stall, switch, self.chunk_duration_s);
             dq += (reference - score).max(0.0);
-            prev = Some(c);
         }
 
         // The reference stalls nowhere, so the probe's stall is its window's.

@@ -34,8 +34,10 @@ pub struct Ksqi {
 }
 
 impl Ksqi {
-    /// The canonical (untrained) coefficients, mirroring
-    /// [`crate::ChunkQualityParams::default`] with a unit quality slope.
+    /// The canonical (untrained) coefficients: a unit quality slope, a
+    /// stall penalty β = 0.9 per chunk duration stalled (a 4-second stall
+    /// wipes out slightly more than a top-bitrate chunk's quality) and a
+    /// switch penalty γ = 0.35 per unit |Δvq|, the oracle's β and γ.
     pub fn canonical() -> Self {
         Self {
             a: 1.0,
@@ -87,29 +89,12 @@ impl Ksqi {
     }
 
     /// Per-chunk decomposition `q_i` such that `predict = clamp(mean(q_i))`.
-    /// This is the `q_i` of Eq. 1/2; SENSEI reweights it. The switch term
-    /// fires only at boundaries where the bitrate changed.
+    /// This is the `q_i` of Eq. 1/2; SENSEI reweights it. Each chunk's
+    /// stall and switch terms are [`RenderedVideo::incident_terms`].
     pub fn chunk_scores(&self, render: &RenderedVideo) -> Vec<f64> {
         let d = render.chunk_duration_s();
-        let mut prev: Option<(f64, f64)> = None; // (vq, bitrate)
-        render
-            .chunks()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let stall = c.rebuffer_s
-                    + if i == 0 {
-                        render.startup_delay_s()
-                    } else {
-                        0.0
-                    };
-                let switch = match prev {
-                    Some((pvq, pbr)) if (pbr - c.bitrate_kbps).abs() > 1e-9 => (c.vq - pvq).abs(),
-                    _ => 0.0,
-                };
-                prev = Some((c.vq, c.bitrate_kbps));
-                self.chunk_quality(c.vq, stall, switch, d)
-            })
+        (render.incident_terms())
+            .map(|(c, (stall, switch))| self.chunk_quality(c.vq, stall, switch, d))
             .collect()
     }
 
@@ -251,6 +236,97 @@ mod tests {
             render.chunk_duration_s(),
         );
         assert!((scores[1] - manual).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pristine_chunk_scores_equal_vq() {
+        let render = RenderedVideo::pristine(&source(), &BitrateLadder::default_paper());
+        let scores = Ksqi::canonical().chunk_scores(&render);
+        for (s, c) in scores.iter().zip(render.chunks()) {
+            assert_eq!(s.to_bits(), c.vq.to_bits());
+        }
+    }
+
+    #[test]
+    fn rebuffering_lowers_exactly_one_chunk() {
+        let model = Ksqi::canonical();
+        let series = rebuffer_series();
+        let pristine = model.chunk_scores(&series[0]);
+        // series[k] stalls 1 s before chunk k - 1.
+        for (k, render) in series.iter().enumerate().skip(1) {
+            let scores = model.chunk_scores(render);
+            for (i, (s, p)) in scores.iter().zip(&pristine).enumerate() {
+                if i == k - 1 {
+                    // 1 s over a 4 s chunk at β = 0.9.
+                    assert!((p - s - 0.9 * 0.25).abs() < 1e-9, "chunk {i}: {p} -> {s}");
+                } else {
+                    assert_eq!(s.to_bits(), p.to_bits(), "chunk {i} unexpectedly changed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drop_pays_the_switch_at_both_boundary_chunks() {
+        let model = Ksqi::canonical();
+        let src = source();
+        let ladder = BitrateLadder::default_paper();
+        let render = RenderedVideo::with_incidents(
+            &src,
+            &ladder,
+            &[Incident::BitrateDrop {
+                chunk: 4,
+                len_chunks: 2,
+                level: 0,
+            }],
+        )
+        .unwrap();
+        let pristine = model.chunk_scores(&RenderedVideo::pristine(&src, &ladder));
+        let scores = model.chunk_scores(&render);
+        let d = render.chunk_duration_s();
+        let c = render.chunks();
+        // Chunk 4: lower vq and the switch down.
+        let down = (c[4].vq - c[3].vq).abs();
+        assert!(down > 0.0);
+        assert_eq!(scores[4], model.chunk_quality(c[4].vq, 0.0, down, d));
+        // Chunk 5: the same low bitrate, no switch.
+        assert_eq!(scores[5], model.chunk_quality(c[5].vq, 0.0, 0.0, d));
+        // Chunk 6: the pristine vq, but it pays the switch up.
+        let up = (c[6].vq - c[5].vq).abs();
+        assert!(scores[6] < pristine[6]);
+        assert_eq!(scores[6], model.chunk_quality(c[6].vq, 0.0, up, d));
+        // Chunks before and after the boundaries are untouched.
+        assert_eq!(scores[3], pristine[3]);
+        assert_eq!(scores[7], pristine[7]);
+    }
+
+    #[test]
+    fn startup_delay_is_charged_to_chunk_0_only() {
+        let model = Ksqi::canonical();
+        let base = RenderedVideo::pristine(&source(), &BitrateLadder::default_paper());
+        let delayed = RenderedVideo::new(
+            base.source_name(),
+            base.chunk_duration_s(),
+            2.0,
+            base.chunks().to_vec(),
+        )
+        .unwrap();
+        let s0 = model.chunk_scores(&base);
+        let s1 = model.chunk_scores(&delayed);
+        // 2 s over a 4 s chunk at β = 0.9.
+        assert!((s0[0] - s1[0] - 0.9 * 0.5).abs() < 1e-9);
+        assert_eq!(s1[1..], s0[1..]);
+    }
+
+    #[test]
+    fn stall_penalty_keeps_growing_down_to_the_floor() {
+        let model = Ksqi::canonical();
+        let a = model.chunk_quality(0.8, 4.0, 0.0, 4.0);
+        let b = model.chunk_quality(0.8, 8.0, 0.0, 4.0);
+        assert!(b < a, "longer stalls must hurt more: {b} vs {a}");
+        assert!((a - (0.8 - 0.9)).abs() < 1e-12);
+        // ... down to the finite floor.
+        assert_eq!(model.chunk_quality(0.8, 1000.0, 0.0, 4.0), -4.0);
     }
 
     #[test]

@@ -11,23 +11,22 @@
 //! Q = Σ_i w_i · q_i    (Eq. 2 — SENSEI reweighting)
 //! ```
 //!
-//! This crate implements all four against the [`QoeModel`] trait, plus the
-//! canonical per-chunk quality `q(b, t, switch)` ([`chunk`]) that KSQI-style
-//! models and the ABR objectives share, and the evaluation metrics of §7
-//! ([`eval`]).
+//! This crate implements all four against the [`QoeModel`] trait, and the
+//! evaluation metrics of §7 ([`eval`]). KSQI's per-chunk quality
+//! `q(vq, stall, switch)` ([`Ksqi::chunk_quality`]) is also the ABR
+//! objectives' (Fugu's `q(b, t)`). The per-chunk stall and switch terms the
+//! models charge are one walk, [`sensei_video::IncidentWalk`].
 
 // Chunk indices and counts convert to f64 for model math; all are
 // far below 2^52, so the conversions are exact.
 #![allow(clippy::cast_precision_loss)]
 
-pub mod chunk;
 pub mod eval;
 pub mod ksqi;
 pub mod lstm_qoe;
 pub mod p1203;
 pub mod sensei_model;
 
-pub use chunk::ChunkQualityParams;
 pub use ksqi::Ksqi;
 pub use lstm_qoe::LstmQoe;
 pub use p1203::P1203Like;

@@ -44,28 +44,13 @@ impl Default for LstmQoeConfig {
 
 impl LstmQoe {
     /// Per-chunk feature sequence: `[vq, stall_norm, motion, |Δvq| on
-    /// bitrate switches]`.
+    /// bitrate switches]`, the stall and switch from
+    /// [`RenderedVideo::incident_terms`] and the stall normalized by the
+    /// chunk duration, capped at 2.
     pub fn features(render: &RenderedVideo) -> Vec<Vec<f64>> {
         let d = render.chunk_duration_s();
-        let mut prev: Option<(f64, f64)> = None; // (vq, bitrate)
-        render
-            .chunks()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let stall = c.rebuffer_s
-                    + if i == 0 {
-                        render.startup_delay_s()
-                    } else {
-                        0.0
-                    };
-                let switch = match prev {
-                    Some((pvq, pbr)) if (pbr - c.bitrate_kbps).abs() > 1e-9 => (c.vq - pvq).abs(),
-                    _ => 0.0,
-                };
-                prev = Some((c.vq, c.bitrate_kbps));
-                vec![c.vq, (stall / d).min(2.0), c.motion, switch]
-            })
+        (render.incident_terms())
+            .map(|(c, (stall, switch))| vec![c.vq, (stall / d).min(2.0), c.motion, switch])
             .collect()
     }
 

@@ -45,7 +45,7 @@ pub use content::{ChunkContent, Genre, SceneKind, SourceVideo};
 pub use corpus::{generate_family, CorpusEntry, GenreMix};
 pub use encode::{BitrateLadder, EncodedVideo};
 pub use quality::visual_quality;
-pub use render::{Incident, RenderedChunk, RenderedVideo};
+pub use render::{Incident, IncidentWalk, RenderedChunk, RenderedVideo};
 pub use weights::SensitivityWeights;
 
 /// Canonical chunk duration used throughout the paper (§2.4, §7.1).

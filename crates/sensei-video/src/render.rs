@@ -103,9 +103,9 @@ impl Incident {
                 len_chunks,
                 level,
             } => {
-                if chunk >= n || chunk + len_chunks > n {
+                if chunk >= n || len_chunks > n - chunk {
                     return Err(VideoError::ChunkOutOfRange {
-                        index: chunk + len_chunks,
+                        index: chunk.saturating_add(len_chunks),
                         len: n,
                     });
                 }
@@ -135,6 +135,64 @@ impl Incident {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether the bitrate changed between adjacent chunks streamed at
+/// `prev_kbps` and `kbps`: by more than 1e-9 kbps. Content-driven vq
+/// fluctuation at one bitrate is not an adaptation artifact, so only a
+/// bitrate change counts as a switch.
+#[inline]
+fn switched(prev_kbps: f64, kbps: f64) -> bool {
+    (prev_kbps - kbps).abs() > 1e-9
+}
+
+/// The incident terms every per-chunk QoE decomposition charges, walked
+/// over a session's chunks in playback order: the one implementation of
+/// the switch rule and the startup charge. [`Self::step`] returns a
+/// chunk's `(stall_s, switch_delta)`: the stall before it, with the
+/// startup delay charged to the first chunk only, and `|Δvq|` against the
+/// previous chunk where the bitrate changed ([`RenderedVideo::num_switches`]
+/// counts the same boundaries), 0 otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct IncidentWalk {
+    /// Startup delay not yet charged: all of it before the first chunk.
+    startup_left_s: f64,
+    /// `(vq, bitrate_kbps)` of the previous chunk.
+    prev: Option<(f64, f64)>,
+}
+
+impl IncidentWalk {
+    /// A walk from a session's first chunk, which is charged
+    /// `startup_delay_s`.
+    #[must_use]
+    pub fn new(startup_delay_s: f64) -> Self {
+        Self {
+            startup_left_s: startup_delay_s,
+            prev: None,
+        }
+    }
+
+    /// A walk resumed mid-session, after `prev` played.
+    #[must_use]
+    pub fn after(prev: &RenderedChunk) -> Self {
+        Self {
+            startup_left_s: 0.0,
+            prev: Some((prev.vq, prev.bitrate_kbps)),
+        }
+    }
+
+    /// The `(stall_s, switch_delta)` of `c`, the next chunk played.
+    #[inline]
+    pub fn step(&mut self, c: &RenderedChunk) -> (f64, f64) {
+        let stall = c.rebuffer_s + self.startup_left_s;
+        self.startup_left_s = 0.0;
+        let switch = match self.prev {
+            Some((vq, kbps)) if switched(kbps, c.bitrate_kbps) => (c.vq - vq).abs(),
+            _ => 0.0,
+        };
+        self.prev = Some((c.vq, c.bitrate_kbps));
+        (stall, switch)
     }
 }
 
@@ -322,24 +380,27 @@ impl RenderedVideo {
         self.chunks.iter().map(|c| c.vq).sum::<f64>() / self.chunks.len() as f64
     }
 
+    /// Each chunk with its `(stall_s, switch_delta)`, in playback order:
+    /// the [`IncidentWalk`] over the whole session.
+    pub fn incident_terms(&self) -> impl Iterator<Item = (&RenderedChunk, (f64, f64))> + '_ {
+        let mut walk = IncidentWalk::new(self.startup_delay_s);
+        self.chunks.iter().map(move |c| (c, walk.step(c)))
+    }
+
+    /// The adjacent chunk pairs whose bitrate changed.
+    fn switches(&self) -> impl Iterator<Item = &[RenderedChunk]> + '_ {
+        (self.chunks.windows(2)).filter(|w| switched(w[0].bitrate_kbps, w[1].bitrate_kbps))
+    }
+
     /// Number of chunk boundaries where the bitrate changed.
     pub fn num_switches(&self) -> usize {
-        self.chunks
-            .windows(2)
-            .filter(|w| (w[0].bitrate_kbps - w[1].bitrate_kbps).abs() > 1e-9)
-            .count()
+        self.switches().count()
     }
 
     /// Sum of |Δvq| across chunk boundaries where the bitrate actually
     /// changed — the quality-switch magnitude KSQI-style models penalize.
-    /// Content-driven vq fluctuation at constant bitrate is not an
-    /// adaptation artifact and is not counted.
     pub fn switch_magnitude(&self) -> f64 {
-        self.chunks
-            .windows(2)
-            .filter(|w| (w[0].bitrate_kbps - w[1].bitrate_kbps).abs() > 1e-9)
-            .map(|w| (w[0].vq - w[1].vq).abs())
-            .sum()
+        self.switches().map(|w| (w[0].vq - w[1].vq).abs()).sum()
     }
 
     /// Total bits delivered (bitrate × chunk duration summed), a proxy for
@@ -464,6 +525,27 @@ mod tests {
             }]
         )
         .is_err());
+    }
+
+    #[test]
+    fn huge_drop_length_is_out_of_range() {
+        let (s, l) = (source(), ladder());
+        for (chunk, len_chunks) in [(1, usize::MAX), (5, usize::MAX - 4), (6, usize::MAX)] {
+            let drop = Incident::BitrateDrop {
+                chunk,
+                len_chunks,
+                level: 0,
+            };
+            assert_eq!(
+                drop.span(6, &l),
+                Err(VideoError::ChunkOutOfRange {
+                    index: usize::MAX,
+                    len: 6
+                }),
+                "chunk {chunk}, {len_chunks} chunks"
+            );
+            assert!(RenderedVideo::with_incidents(&s, &l, &[drop]).is_err());
+        }
     }
 
     #[test]
