@@ -43,14 +43,9 @@ fn traces() -> Vec<ThroughputTrace> {
 fn assert_sessions_identical(warm: &SessionResult, cold: &SessionResult, label: &str) {
     assert_eq!(warm.levels, cold.levels, "{label}: levels diverged");
     assert_eq!(
-        warm.wall_time_s.to_bits(),
-        cold.wall_time_s.to_bits(),
-        "{label}: wall time diverged"
-    );
-    assert_eq!(
-        warm.bits_downloaded.to_bits(),
-        cold.bits_downloaded.to_bits(),
-        "{label}: bits downloaded diverged"
+        warm.render.startup_delay_s().to_bits(),
+        cold.render.startup_delay_s().to_bits(),
+        "{label}: startup delay diverged"
     );
     assert_eq!(
         warm.render.total_rebuffer_s().to_bits(),

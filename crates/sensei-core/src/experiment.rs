@@ -19,7 +19,6 @@ use sensei_video::{
     corpus, BitrateLadder, CorpusEntry, EncodedVideo, RenderedVideo, SensitivityWeights,
     SourceVideo,
 };
-use std::ops::Range;
 use std::sync::Arc;
 
 /// How per-video weights are obtained for deployment.
@@ -607,7 +606,14 @@ impl Experiment {
         player: &PlayerConfig,
     ) -> Result<CellResult, CoreError> {
         let mut scores = Vec::with_capacity(1);
-        self.score_batch_in(runtime, asset, trace, &[(kind, *player)], &mut scores)?;
+        self.score_batch_in(
+            runtime,
+            asset,
+            trace,
+            &[kind],
+            std::slice::from_ref(player),
+            &mut scores,
+        )?;
         let score = scores
             .pop()
             .ok_or_else(|| CoreError::BadConfig("one-lane batch scored no lane".into()))?;
@@ -626,11 +632,13 @@ impl Experiment {
         })
     }
 
-    /// Simulates one **batch** of sessions — every `(policy, player)`
+    /// Simulates one **tile** of sessions — every `(player, policy)`
     /// lane of one `(video, network)` pair — through the
     /// structure-of-arrays batch engine ([`sensei_sim::simulate_lanes_in`]),
     /// scores each lane with the true-QoE oracle, and appends one
-    /// [`LaneScore`] per lane to `out` **in lane order**.
+    /// [`LaneScore`] per lane to `out` in the tile's scenario order:
+    /// players outer, policies inner, so player `p`'s score under
+    /// `policies[j]` lands at `out[mark + p · policies.len() + j]`.
     ///
     /// Lanes are scored straight from the batch's arrays
     /// ([`LaneScore::of_lane`]): no [`sensei_sim::SessionResult`] or
@@ -638,128 +646,109 @@ impl Experiment {
     /// to scoring assembled results with [`TrueQoe::qoe01`] and the
     /// render's metrics.
     ///
-    /// Lanes are regrouped by policy internally, so each policy instance
-    /// is built once and asked for all its lanes' decisions with a single
-    /// [`AbrPolicy::select_batch`] call per chunk. Kinds that
-    /// [read the whole trace](PolicyKind::reads_trace) are rebound to it
-    /// **once per batch** (their rebind is `O(trace)`), and need a
+    /// Each policy is one [`BatchLanes`] group over all of `players`, so
+    /// its instance is built once and asked for all its lanes' decisions
+    /// with a single [`AbrPolicy::select_batch`] call per chunk. Kinds
+    /// that [read the whole trace](PolicyKind::reads_trace) are rebound
+    /// to it **once per batch** (their rebind is `O(trace)`), and need a
     /// network that holds it ([`Network::full_trace`]); every other kind
     /// runs over any network — an on-demand stream included — and is
     /// never rebound.
     ///
     /// # Errors
     ///
-    /// Returns a [`BatchFailure`] naming the offending lane (a lane whose
-    /// kind reads the trace fails when the network holds none). No
-    /// scores are appended on error.
+    /// Returns a [`BatchFailure`] naming the offending lane by its output
+    /// index. A policy that appears twice on the axis is a
+    /// [`CoreError::BadConfig`], and so is a trace-reading kind over a
+    /// network that holds no trace; both name the policy's player-0 lane.
+    /// No scores are appended on error.
     pub fn score_batch_in<N: Network>(
         &self,
         runtime: &mut SessionRuntime,
         asset: &VideoAsset,
         network: N,
-        lanes: &[(PolicyKind, PlayerConfig)],
+        policies: &[PolicyKind],
+        players: &[PlayerConfig],
         out: &mut Vec<LaneScore>,
     ) -> Result<(), BatchFailure> {
-        if lanes.is_empty() {
+        let lanes = policies.len() * players.len();
+        if lanes == 0 {
             return Ok(());
         }
         let trace = network.full_trace();
-        let SessionRuntime {
-            policies,
-            batch,
-            configs,
-            order,
-            groups: group_ranges,
-            ..
-        } = runtime;
-        // Regroup the lanes by policy kind, in policy-table order:
-        // `order[p]` is the input lane at flat batch position `p`.
-        configs.clear();
-        order.clear();
-        group_ranges.clear();
-        for kind in PolicyKind::ALL {
-            let start = configs.len();
-            for (i, &(lane_kind, config)) in lanes.iter().enumerate() {
-                if lane_kind == kind {
-                    order.push(i);
-                    configs.push(config);
-                }
+        let SessionRuntime { table, batch } = runtime;
+        for (j, &kind) in policies.iter().enumerate() {
+            let failure = |error| BatchFailure { lane: j, error };
+            if policies[..j].contains(&kind) {
+                return Err(failure(CoreError::BadConfig(format!(
+                    "{} appears twice on the policy axis",
+                    kind.label()
+                ))));
             }
-            if configs.len() > start {
-                group_ranges.push((kind, start..configs.len()));
-                let failure = |error| BatchFailure {
-                    lane: order[start],
-                    error,
-                };
-                if kind.reads_trace() && trace.is_none() {
-                    return Err(failure(missing_trace(kind)));
-                }
-                // Build the policy up front so the group loop below can
-                // borrow every slot mutably in one pass.
-                let slot = &mut policies[kind.index()];
-                if slot.is_none() {
-                    *slot = Some(self.build_policy(kind, trace).map_err(failure)?);
-                }
+            if kind.reads_trace() && trace.is_none() {
+                return Err(failure(missing_trace(kind)));
+            }
+            let slot = &mut table[kind.index()];
+            if slot.is_none() {
+                *slot = Some(self.build_policy(kind, trace).map_err(failure)?);
             }
         }
-        // One `BatchLanes` group per kind, borrowing each policy slot
-        // mutably in table order. Rebinding happens once per batch, and
-        // only for kinds that read the trace — they re-index the network
-        // here instead of once per session.
-        let mut groups: Vec<BatchLanes<'_, '_>> = Vec::with_capacity(group_ranges.len());
-        let mut next_group = 0;
-        for (idx, slot) in policies.iter_mut().enumerate() {
-            if next_group >= group_ranges.len() {
-                break;
-            }
-            let (kind, range) = &group_ranges[next_group];
-            if idx != kind.index() {
-                continue;
-            }
-            let policy = slot.as_mut().expect("policy built above").as_mut();
+        // One `BatchLanes` group per policy, in axis order; the kinds are
+        // distinct, so each takes its own slot. Rebinding happens once
+        // per batch, and only for kinds that read the trace — they
+        // re-index the network here instead of once per session.
+        let mut slots = table.each_mut().map(|slot| slot.as_mut());
+        let mut groups: Vec<BatchLanes<'_, '_>> = Vec::with_capacity(policies.len());
+        for &kind in policies {
+            let policy = slots[kind.index()]
+                .take()
+                .expect("built above, once per kind")
+                .as_mut();
             if kind.reads_trace() {
-                policy.rebind(trace.expect("checked when the group was formed"));
+                policy.rebind(trace.expect("checked above"));
                 telemetry::count(telemetry::Counter::PolicyRebinds, 1);
             }
             groups.push(BatchLanes {
                 policy,
                 weights: kind.uses_weights().then_some(&asset.weights),
-                configs: &configs[range.clone()],
+                configs: players,
             });
-            next_group += 1;
         }
+        // The engine's flat lane `f` is player `f % players.len()` of
+        // policy group `f / players.len()`.
+        let lane_of = |flat: usize| (flat % players.len()) * policies.len() + flat / players.len();
         {
             let _span = telemetry::span(telemetry::Phase::LaneSimulate);
             simulate_lanes_in(batch, &asset.source, &asset.encoded, network, &mut groups).map_err(
                 |failure| BatchFailure {
-                    lane: order[failure.lane],
+                    lane: lane_of(failure.lane),
                     error: failure.error.into(),
                 },
             )?;
         }
         drop(groups);
 
-        // Score straight from the batch's lane arrays, in flat batch
-        // order (so a failing lane is the one the result assembly would
-        // have named first), writing each score to its caller-order
-        // slot. A failure rolls `out` back to its entry mark so the
+        // Score straight from the batch's lane arrays, in output order.
+        // A failure rolls `out` back to its entry mark so the
         // no-scores-on-error contract holds.
         let out_mark = out.len();
-        out.resize(out_mark + lanes.len(), LaneScore::default());
         let score_span = telemetry::span(telemetry::Phase::Score);
-        for (flat, &lane) in order.iter().enumerate() {
-            match LaneScore::of_lane(&self.oracle, asset, &batch.lane(flat)) {
-                Ok(score) => out[out_mark + lane] = score,
-                Err(error) => {
-                    out.truncate(out_mark);
-                    return Err(BatchFailure { lane, error });
+        for p in 0..players.len() {
+            for j in 0..policies.len() {
+                match LaneScore::of_lane(&self.oracle, asset, &batch.lane(j * players.len() + p)) {
+                    Ok(score) => out.push(score),
+                    Err(error) => {
+                        let lane = out.len() - out_mark;
+                        out.truncate(out_mark);
+                        return Err(BatchFailure { lane, error });
+                    }
                 }
             }
         }
         drop(score_span);
         telemetry::count(telemetry::Counter::Batches, 1);
-        telemetry::count(telemetry::Counter::Sessions, lanes.len() as u64);
-        telemetry::observe(telemetry::Hist::LanesPerBatch, lanes.len() as u64);
+        telemetry::count(telemetry::Counter::Sessions, lanes as u64);
+        telemetry::observe(telemetry::Hist::LanesPerBatch, lanes as u64);
         Ok(())
     }
 
@@ -805,11 +794,13 @@ fn missing_trace(kind: PolicyKind) -> CoreError {
     ))
 }
 
-/// A batch failure attributed to the lane (batch position) that caused
-/// it, so a fleet tile can map it back to the exact scenario.
+/// A batch failure attributed to the lane that caused it, so a fleet
+/// tile can map it back to the exact scenario.
 #[derive(Debug)]
 pub struct BatchFailure {
-    /// Index into the `lanes` argument of [`Experiment::score_batch_in`].
+    /// The failing lane's index in [`Experiment::score_batch_in`]'s
+    /// output order: `p · policies.len() + j` for player `p` under
+    /// policy `j`, the tile's scenario order.
     pub lane: usize,
     /// The underlying failure.
     pub error: CoreError,
@@ -836,8 +827,7 @@ impl From<BatchFailure> for CoreError {
 /// Reusable per-worker session state: one policy instance per
 /// [`PolicyKind`] (built lazily on first use, rebound once per batch
 /// when its kind reads the trace, and reset per session) plus the batch
-/// engine's [`SessionBatch`] structure-of-arrays buffers and the
-/// lane-regrouping scratch.
+/// engine's [`SessionBatch`] structure-of-arrays buffers.
 ///
 /// The policy-reuse contract — a reset-and-reused instance produces results
 /// identical to fresh per-session construction — is what makes this a pure
@@ -845,15 +835,9 @@ impl From<BatchFailure> for CoreError {
 /// `tests/policy_reuse.rs`.
 pub struct SessionRuntime {
     /// Policy table indexed by [`PolicyKind::ALL`] position.
-    policies: Vec<Option<Box<dyn AbrPolicy>>>,
+    table: [Option<Box<dyn AbrPolicy>>; PolicyKind::ALL.len()],
     /// The structure-of-arrays batch engine scratch.
     batch: SessionBatch,
-    /// Flat per-lane player configs, regrouped by policy.
-    configs: Vec<PlayerConfig>,
-    /// `order[p]` = input lane at flat batch position `p`.
-    order: Vec<usize>,
-    /// Policy groups as `(kind, range into configs)`, in table order.
-    groups: Vec<(PolicyKind, Range<usize>)>,
 }
 
 impl SessionRuntime {
@@ -861,11 +845,8 @@ impl SessionRuntime {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            policies: (0..PolicyKind::ALL.len()).map(|_| None).collect(),
+            table: std::array::from_fn(|_| None),
             batch: SessionBatch::new(),
-            configs: Vec::new(),
-            order: Vec::new(),
-            groups: Vec::new(),
         }
     }
 }

@@ -1,24 +1,27 @@
 //! The batch==scalar soundness contract the batch-first engine rests on.
 //!
-//! `Experiment::score_batch_in` runs N lanes through the
-//! structure-of-arrays session batch and scores them in place, with
-//! every policy kind's batched override (`begin_batch`/`select_batch`)
-//! deciding for its lanes. That is only a pure optimization if every
-//! lane's score is **byte-identical** to an independent reference: one
+//! `Experiment::score_batch_in` runs a tile — a policy axis × a player
+//! axis — through the structure-of-arrays session batch and scores it in
+//! place, with every policy kind's batched override
+//! (`begin_batch`/`select_batch`) deciding for its group of lanes. That
+//! is only a pure optimization if every lane's score is
+//! **byte-identical** to an independent reference: one
 //! `sensei_sim::simulate` session per lane with a fresh policy that
 //! decides through plain per-lane `decide` (`DecideOnly`). This asserts
 //! exactly that for every `PolicyKind` (trained RL policies and
-//! trace-bound oracles included) and for every batch width in
-//! {1, 3, 8, 64} — width 1 being the degenerate case `run_session_in`
-//! delegates to. The lane engine itself is held to the scalar session
-//! loop by `sensei-sim`'s own tests.
+//! trace-bound oracles included) on one policy axis, over player axes of
+//! 1, 3 and 8 variants — one player under one policy being the
+//! degenerate case `run_session_in` delegates to. Comparing lane by lane
+//! also checks the output order (players outer, policies inner). The
+//! lane engine itself is held to the scalar session loop by
+//! `sensei-sim`'s own tests.
 
 mod common;
 
 use common::DecideOnly;
 use sensei_core::experiment::VideoAsset;
-use sensei_core::{Experiment, ExperimentConfig, LaneScore, PolicyKind, SessionRuntime};
-use sensei_sim::{simulate, PlayerConfig};
+use sensei_core::{CoreError, Experiment, ExperimentConfig, LaneScore, PolicyKind, SessionRuntime};
+use sensei_sim::{simulate, PlayerConfig, SimError};
 use sensei_trace::ThroughputTrace;
 
 /// Quick 3-video environment with *tiny* RL training so `Pensieve` and
@@ -81,28 +84,10 @@ fn assert_scores_identical(got: &LaneScore, want: &LaneScore, what: &str) {
     }
 }
 
-/// Scores `lanes` in sub-batches of `width` through one runtime, as a
-/// fleet worker would hold it, returning every lane's score in order.
-fn score_in_batches(
-    env: &Experiment,
-    asset: &VideoAsset,
-    trace: &ThroughputTrace,
-    lanes: &[(PolicyKind, PlayerConfig)],
-    width: usize,
-) -> Vec<LaneScore> {
-    let mut runtime = SessionRuntime::new();
-    let mut scores = Vec::new();
-    for chunk in lanes.chunks(width) {
-        env.score_batch_in(&mut runtime, asset, trace, chunk, &mut scores)
-            .unwrap();
-    }
-    scores
-}
-
 #[test]
 fn every_kind_and_width_is_byte_identical_to_per_lane_decide() {
     let env = env_with_rl();
-    let players: [PlayerConfig; 3] = [
+    let configs: [PlayerConfig; 3] = [
         PlayerConfig::default(),
         PlayerConfig {
             max_buffer_s: 12.0,
@@ -113,25 +98,48 @@ fn every_kind_and_width_is_byte_identical_to_per_lane_decide() {
             ..PlayerConfig::default()
         },
     ];
-    // Lanes cycle kinds × players so every width exercises mixed policy
-    // groups (and, at width 64, repeated lanes of the same group). Every
-    // kind in `ALL` — including the batched MPC family and DAS-IP — gets
-    // at least one lane per player variant.
-    let n_kinds = PolicyKind::ALL.len();
-    let lane_specs: Vec<(PolicyKind, PlayerConfig)> = (0..64)
-        .map(|i| (PolicyKind::ALL[i % n_kinds], players[(i / n_kinds) % 3]))
-        .collect();
+    // Every kind in `ALL` — including the batched MPC family and DAS-IP —
+    // is on the policy axis, so each batch mixes nine policy groups.
+    let policies = PolicyKind::ALL;
     let asset = &env.assets[0];
     let trace = &env.traces[2];
-    let references: Vec<LaneScore> = lane_specs
+    // `references[c][j]`: config `c` under `policies[j]`.
+    let references: Vec<Vec<LaneScore>> = configs
         .iter()
-        .map(|(kind, player)| scalar_reference(&env, asset, trace, *kind, player))
+        .map(|player| {
+            policies
+                .iter()
+                .map(|&kind| scalar_reference(&env, asset, trace, kind, player))
+                .collect()
+        })
         .collect();
-    for width in [1usize, 3, 8, 64] {
-        let scores = score_in_batches(&env, asset, trace, &lane_specs, width);
-        assert_eq!(scores.len(), references.len());
-        for (lane, (got, want)) in scores.iter().zip(&references).enumerate() {
-            assert_scores_identical(got, want, &format!("width {width}, lane {lane}"));
+    // One runtime across every batch, as a fleet worker holds it.
+    let mut runtime = SessionRuntime::new();
+    for width in [1usize, 3, 8] {
+        // The player axis cycles the three configs, so at width 8 each
+        // policy group holds repeated lanes.
+        let players: Vec<PlayerConfig> = (0..width).map(|p| configs[p % 3]).collect();
+        let mut scores = Vec::new();
+        env.score_batch_in(&mut runtime, asset, trace, &policies, &players, &mut scores)
+            .unwrap();
+        assert_eq!(scores.len(), width * policies.len());
+        for p in 0..width {
+            for (j, kind) in policies.iter().enumerate() {
+                assert_scores_identical(
+                    &scores[p * policies.len() + j],
+                    &references[p % 3][j],
+                    &format!("width {width}, player {p}, {kind:?}"),
+                );
+            }
+        }
+        if width == 8 {
+            // Identical lanes produce identical scores; different
+            // players differ.
+            let lane = |p: usize, j: usize| scores[p * policies.len() + j];
+            for (j, kind) in policies.iter().enumerate() {
+                assert_eq!(lane(0, j), lane(3, j), "{kind:?}");
+            }
+            assert_ne!(lane(0, 0), lane(1, 0), "BBA under two buffer caps");
         }
     }
 }
@@ -148,18 +156,22 @@ fn batches_across_videos_and_traces_stay_identical() {
         PolicyKind::OracleAware,
         PolicyKind::SenseiFuguNoPause,
     ];
-    let lanes: Vec<(PolicyKind, PlayerConfig)> = kinds
-        .iter()
-        .map(|&k| (k, PlayerConfig::default()))
-        .collect();
+    let player = PlayerConfig::default();
     let mut runtime = SessionRuntime::new();
     for asset in &env.assets {
         for trace in &env.traces[..4] {
             let mut scores = Vec::new();
-            env.score_batch_in(&mut runtime, asset, trace, &lanes, &mut scores)
-                .unwrap();
-            for (lane, (kind, player)) in lanes.iter().enumerate() {
-                let want = scalar_reference(&env, asset, trace, *kind, player);
+            env.score_batch_in(
+                &mut runtime,
+                asset,
+                trace,
+                &kinds,
+                std::slice::from_ref(&player),
+                &mut scores,
+            )
+            .unwrap();
+            for (lane, &kind) in kinds.iter().enumerate() {
+                let want = scalar_reference(&env, asset, trace, kind, &player);
                 assert_scores_identical(
                     &scores[lane],
                     &want,
@@ -171,36 +183,36 @@ fn batches_across_videos_and_traces_stay_identical() {
 }
 
 #[test]
-fn lane_order_is_preserved_across_policy_regrouping() {
-    // Input lanes deliberately interleave kinds so the engine's
-    // group-then-scatter path is exercised: scores must come back in the
-    // caller's lane order, not group order — each lane equal to its own
-    // scalar reference.
+fn bad_axes_fail_at_their_scenario_lane() {
     let env = Experiment::build(&ExperimentConfig::quick(17)).unwrap();
-    let lanes = [
-        (PolicyKind::SenseiFugu, PlayerConfig::default()),
-        (PolicyKind::Bba, PlayerConfig::default()),
-        (
-            PolicyKind::Bba,
-            PlayerConfig {
-                max_buffer_s: 10.0,
-                ..PlayerConfig::default()
-            },
-        ),
-        (PolicyKind::Fugu, PlayerConfig::default()),
-        (PolicyKind::SenseiFugu, PlayerConfig::default()),
-    ];
     let (asset, trace) = (&env.assets[0], &env.traces[0]);
+    let ok = PlayerConfig::default();
+    let bad = PlayerConfig {
+        max_buffer_s: -1.0,
+        ..ok
+    };
     let mut runtime = SessionRuntime::new();
-    let mut scores = Vec::new();
-    env.score_batch_in(&mut runtime, asset, trace, &lanes, &mut scores)
-        .unwrap();
-    assert_eq!(scores.len(), lanes.len());
-    for (lane, (kind, player)) in lanes.iter().enumerate() {
-        let want = scalar_reference(&env, asset, trace, *kind, player);
-        assert_scores_identical(&scores[lane], &want, &format!("lane {lane}"));
-    }
-    // Identical lanes produce identical scores; different players differ.
-    assert_eq!(scores[0], scores[4]);
-    assert_ne!(scores[1], scores[2]);
+    let mut scores = vec![LaneScore::default()];
+    let mut fail = |policies: &[PolicyKind], players: &[PlayerConfig]| {
+        env.score_batch_in(&mut runtime, asset, trace, policies, players, &mut scores)
+            .unwrap_err()
+    };
+    // A repeated policy is a typed error naming the repeat's player-0
+    // lane.
+    let failure = fail(
+        &[PolicyKind::Bba, PolicyKind::Fugu, PolicyKind::Bba],
+        &[ok; 2],
+    );
+    assert_eq!(failure.lane, 2);
+    assert!(matches!(failure.error, CoreError::BadConfig(_)));
+    // An invalid player is named in scenario order: player 1 under the
+    // first policy is lane 2, not the engine's flat lane 1.
+    let failure = fail(&[PolicyKind::Bba, PolicyKind::Fugu], &[ok, bad]);
+    assert_eq!(failure.lane, 2);
+    assert!(matches!(
+        failure.error,
+        CoreError::Sim(SimError::InvalidPlayerConfig { .. })
+    ));
+    // Nothing is appended on error.
+    assert_eq!(scores.len(), 1);
 }

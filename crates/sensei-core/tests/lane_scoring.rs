@@ -208,7 +208,6 @@ proptest! {
             levels: &levels,
             stalls: &stalls,
             startup_delay_s: if startup.0 < 0.3 { 0.0 } else { startup.1 },
-            bits_downloaded: 0.0,
         };
         check_lane(&asset, &lane)?;
     }
@@ -242,7 +241,6 @@ proptest! {
             levels: &levels,
             stalls: &stalls,
             startup_delay_s: startup,
-            bits_downloaded: 0.0,
         };
         prop_assert!(render(&asset, &lane).is_err());
         check_lane(&asset, &lane)?;
@@ -258,7 +256,6 @@ fn rows_that_do_not_cover_the_video_are_rejected() {
         levels: &levels,
         stalls: &stalls,
         startup_delay_s: 0.0,
-        bits_downloaded: 0.0,
     };
     assert!(matches!(
         LaneScore::of_lane(&TrueQoe::default(), &asset, &lane),

@@ -123,9 +123,9 @@ fn stale_warm_start_state_never_leaks_into_the_next_session() {
         .unwrap();
         assert_eq!(got.levels, want.levels, "{kind:?} levels diverged");
         assert_eq!(
-            got.wall_time_s.to_bits(),
-            want.wall_time_s.to_bits(),
-            "{kind:?} wall time diverged"
+            got.render.startup_delay_s().to_bits(),
+            want.render.startup_delay_s().to_bits(),
+            "{kind:?} startup delay diverged"
         );
         assert_eq!(
             got.render.total_rebuffer_s().to_bits(),

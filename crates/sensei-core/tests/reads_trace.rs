@@ -60,13 +60,11 @@ fn kinds_that_do_not_read_the_trace_ignore_the_one_they_were_built_around() {
                     weights,
                 )
                 .unwrap();
-                // Every field, floats by their bits.
+                // Every field, the startup delay also by its bits.
                 (
+                    result.render.startup_delay_s().to_bits(),
                     result.render,
                     result.levels,
-                    result.wall_time_s.to_bits(),
-                    result.bits_downloaded.to_bits(),
-                    result.policy_name,
                 )
             };
             let (wrong, right) = (session(unrelated), session(own));

@@ -38,10 +38,10 @@
 //! to the single-process run.
 
 use crate::report::{FleetReport, FleetStats, RunPhases, ShardSlice};
-use crate::runtime::{TileNetwork, TraceCache, WorkerRuntime};
+use crate::runtime::{TileNetwork, TraceCache};
 use crate::scenario::{Scenario, ScenarioMatrix, ShardPlan};
 use crate::FleetError;
-use sensei_core::{CoreError, Experiment, LaneScore, PolicyKind};
+use sensei_core::{CoreError, Experiment, LaneScore, SessionRuntime};
 use sensei_sim::PlayerConfig;
 use sensei_telemetry as telemetry;
 use sensei_telemetry::{TelemetryShard, TelemetrySnapshot};
@@ -195,28 +195,13 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// The lane list every tile shares: `(policy, player)` pairs in
-    /// canonical order (player variants outer, policies inner — the
-    /// tile's scenario IDs in sequence). Tile-invariant, so workers
-    /// build it once per run.
-    fn tile_lanes(&self) -> Vec<(PolicyKind, PlayerConfig)> {
-        let mut lanes =
-            Vec::with_capacity(self.matrix.num_players() * self.matrix.policies().len());
-        for player_idx in 0..self.matrix.num_players() {
-            let player = *self.matrix.player(self.experiment, player_idx);
-            for &policy in self.matrix.policies() {
-                lanes.push((policy, player));
-            }
-        }
-        lanes
-    }
-
     /// Simulates and scores one tile — every `(player, policy)` lane of
     /// one `(video, trace, perturbation)` triple — against a worker's
-    /// runtime, appending the lanes' scores in canonical lane order to
+    /// session runtime and trace cache, appending the lanes' scores in
+    /// the tile's scenario order (players outer, policies inner) to
     /// `scores` and returning the base trace's name, which the tile's
     /// scores fold under (a perturbation keeps its base trace's family).
-    /// This is the stats path: unless a lane reads the whole trace
+    /// This is the stats path: unless a policy reads the whole trace
     /// (`reads_trace`, tile-invariant), the network is drawn on demand,
     /// and no trace mean is ever computed.
     ///
@@ -228,22 +213,23 @@ impl<'a> Fleet<'a> {
     /// failing scenario ID.
     fn score_tile(
         &self,
-        rt: &mut WorkerRuntime,
+        session: &mut SessionRuntime,
+        traces: &mut TraceCache,
         tile: u64,
-        lanes: &[(PolicyKind, PlayerConfig)],
+        players: &[PlayerConfig],
         reads_trace: bool,
         scores: &mut Vec<LaneScore>,
     ) -> Result<&'a str, (u64, CoreError)> {
         let (first_id, sc) = self.tile_scenario(tile);
-        let WorkerRuntime { session, traces } = rt;
         let mut network = self
             .tile_network(traces, &sc, reads_trace)
             .map_err(|e| (first_id, e))?;
         let asset = &self.experiment.assets[sc.video_idx];
         // One batch runs every lane of the tile over the one network, so
         // a stream draws each sample at most once per tile.
+        let policies = self.matrix.policies();
         self.experiment
-            .score_batch_in(session, asset, &mut network, lanes, scores)
+            .score_batch_in(session, asset, &mut network, policies, players, scores)
             .map_err(|failure| (first_id + failure.lane as u64, failure.error))?;
         network.count_draws();
         Ok(self.experiment.traces[sc.trace_idx].name())
@@ -351,16 +337,20 @@ impl<'a> Fleet<'a> {
                     // workers stop pulling tiles; the scope then
                     // propagates the panic.
                     let _guard = PoisonOnPanic { poison };
-                    // One runtime per worker for the whole run: policies,
-                    // batch scratch, and perturbed networks are reused
-                    // across every tile this worker executes. The lane
-                    // list (and whether any lane reads the whole trace)
-                    // is tile-invariant, so it is built once here — as
-                    // are the shard-local partial and the score buffer.
-                    let mut runtime = WorkerRuntime::new();
-                    let lanes = fleet.tile_lanes();
-                    let reads_trace = lanes.iter().any(|(kind, _)| kind.reads_trace());
+                    // One session runtime and one trace cache per worker
+                    // for the whole run: policies, batch scratch, and
+                    // perturbed networks are reused across every tile
+                    // this worker executes. The player axis (and whether
+                    // any policy reads the whole trace) is tile-invariant,
+                    // so it is resolved once here — as are the
+                    // shard-local partial and the score buffer.
+                    let mut session = SessionRuntime::new();
+                    let mut traces = TraceCache::new();
                     let policies = fleet.matrix.policies();
+                    let players: Vec<PlayerConfig> = (0..fleet.matrix.num_players())
+                        .map(|p| *fleet.matrix.player(fleet.experiment, p))
+                        .collect();
+                    let reads_trace = policies.iter().any(|kind| kind.reads_trace());
                     // The gain baseline is the matrix's first policy.
                     let mut partial = FleetStats::new(policies, policies[0]);
                     let mut scores: Vec<LaneScore> =
@@ -378,8 +368,14 @@ impl<'a> Fleet<'a> {
                         }
                         scores.clear();
                         let tile_started = telemetry::stopwatch();
-                        let run =
-                            fleet.score_tile(&mut runtime, tile, &lanes, reads_trace, &mut scores);
+                        let run = fleet.score_tile(
+                            &mut session,
+                            &mut traces,
+                            tile,
+                            &players,
+                            reads_trace,
+                            &mut scores,
+                        );
                         let trace_name = match run {
                             Ok(trace_name) => trace_name,
                             Err(failure) => {

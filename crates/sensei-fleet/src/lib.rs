@@ -75,7 +75,7 @@ pub use report::{
     FleetStats, GainCdf, Histogram, Moments, PolicyDrift, PolicyStats, RunPhases, ShardSlice,
     TileStats,
 };
-pub use runtime::{TraceCache, WorkerRuntime};
+pub use runtime::TraceCache;
 pub use scenario::{Scenario, ScenarioMatrix, ScenarioMatrixBuilder, ShardPlan, TracePerturbation};
 // Re-exported so fleet consumers (benches, integration tests, downstream
 // binaries) can name the metric catalog and snapshot types without

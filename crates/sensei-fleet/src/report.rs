@@ -1606,15 +1606,6 @@ pub struct FleetDiff {
 }
 
 impl FleetDiff {
-    /// Drifts whose QoE mean **dropped** by more than `tolerance`.
-    #[must_use]
-    pub fn regressions(&self, tolerance: f64) -> Vec<&PolicyDrift> {
-        self.drifts
-            .iter()
-            .filter(|d| d.delta() < -tolerance)
-            .collect()
-    }
-
     /// Drifts whose QoE mean moved by more than `tolerance` in either
     /// direction, or whose session count changed (a matrix-shape change
     /// masquerading as a same-scenario run).
@@ -2000,7 +1991,6 @@ mod tests {
         let same = FleetReport::from_json(&baseline.to_json()).unwrap();
         let clean = same.diff(&baseline);
         assert!(clean.is_clean(0.0));
-        assert!(clean.regressions(0.0).is_empty());
         assert_eq!(clean.summary(0.0), "");
         // Perturb one policy's QoE mean: flagged beyond tolerance, quiet
         // within it. A mean shift of δ is a sum shift of δ·count on the
@@ -2018,18 +2008,16 @@ mod tests {
         let diff = drifted.diff(&baseline);
         assert!(!diff.is_clean(0.005));
         assert!(diff.is_clean(0.05));
-        let regs = diff.regressions(0.005);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].policy, PolicyKind::SenseiFugu);
-        assert!(regs[0].delta() < 0.0);
+        let drifts = diff.drifted(0.005);
+        assert_eq!(drifts.len(), 1);
+        assert_eq!(drifts[0].policy, PolicyKind::SenseiFugu);
+        assert!(drifts[0].delta() < 0.0);
         assert!(diff.summary(0.005).contains("SENSEI"));
-        // An improvement is drift (baseline should be refreshed) but not
-        // a regression.
+        // An improvement is drift too (the baseline should be refreshed).
         let mut improved = FleetReport::from_json(&baseline.to_json()).unwrap();
         let qoe = &mut improved.stats.per_policy[1].qoe;
         *qoe = shift_mean(qoe, 0.01);
         let diff = improved.diff(&baseline);
-        assert!(diff.regressions(0.005).is_empty());
         assert!(!diff.is_clean(0.005));
         // Axis changes are structural differences.
         let mut reshaped = FleetReport::from_json(&baseline.to_json()).unwrap();

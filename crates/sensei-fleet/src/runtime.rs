@@ -1,10 +1,8 @@
-//! Per-worker runtime state: reused policies, scratch buffers, and the
-//! trace-perturbation cache.
+//! The per-worker trace-perturbation cache.
 //!
-//! `Fleet::execute` gives every worker thread one [`WorkerRuntime`] for the
-//! whole run. Policies and simulator buffers are reused through the
-//! embedded [`SessionRuntime`]; perturbed networks are the fleet-specific
-//! part, handled by [`TraceCache`]. Every non-identity perturbation takes
+//! [`crate::Fleet::run`] gives every worker thread one [`TraceCache`] for
+//! the whole run, next to its `sensei_core::SessionRuntime` (the reused
+//! policies and simulator buffers). Every non-identity perturbation takes
 //! one path, the on-demand [`PerturbedStream`]:
 //!
 //! * **Scalings** (no jitter) do not depend on any seed. Their stream is
@@ -14,8 +12,8 @@
 //! * **Jittered perturbations** are a pure function of their seed, and
 //!   the matrix derives that seed from the tile (see `Scenario::seed`),
 //!   so a jittered network never repeats across tiles. It is set up once
-//!   per tile and shared by every lane (player variant × policy) and
-//!   sub-batch replaying it. The stream draws Gaussian pairs only as far
+//!   per tile and shared by every lane (player variant × policy) of the
+//!   tile's one batch. The stream draws Gaussian pairs only as far
 //!   as the tile's downloads reach — on the Table-1 evaluation traces
 //!   (1,200 one-second samples) the farthest sample a BBA tile reads is
 //!   about a fifth of the way in, so most of each regeneration is never
@@ -26,7 +24,7 @@
 //! whole trace ([`TraceCache::resolve`]), value-identical to the
 //! stream's answers. The last completed trace stays in one slot, keyed
 //! by pair and seed (the seed is ignored without jitter), so every lane
-//! and sub-batch of that tile shares it.
+//! of that tile shares it.
 //!
 //! Memory stays bounded per worker: two sample buffers — the stream's
 //! and the completed slot's, recycled into each other — however many
@@ -40,35 +38,8 @@
 //! aggregates.
 
 use crate::scenario::TracePerturbation;
-use sensei_core::SessionRuntime;
 use sensei_telemetry as telemetry;
 use sensei_trace::{Network, PerturbedStream, ThroughputTrace, TraceError};
-
-/// Everything one executor worker owns across its scenarios.
-pub struct WorkerRuntime {
-    /// Per-worker policy table and simulator scratch (see
-    /// [`sensei_core::SessionRuntime`]).
-    pub session: SessionRuntime,
-    /// Perturbed-trace cache.
-    pub traces: TraceCache,
-}
-
-impl WorkerRuntime {
-    /// An empty runtime; everything materializes on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            session: SessionRuntime::new(),
-            traces: TraceCache::new(),
-        }
-    }
-}
-
-impl Default for WorkerRuntime {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Key of a perturbed trace: indices into the experiment's trace table and
 /// the matrix's perturbation axis.

@@ -186,21 +186,38 @@ fn failing_scenario_aborts_with_its_stable_id() {
     let env = quick_experiment(7);
     // Pensieve was not trained in the quick environment, so every
     // Pensieve scenario fails. Policy axis [Bba, Pensieve] → the first
-    // failure in canonical order is scenario 1.
-    let matrix = ScenarioMatrix::builder()
-        .policies([PolicyKind::Bba, PolicyKind::Pensieve])
+    // failure in canonical order is scenario 1, with one player variant
+    // or two (players outer, policies inner: a tile's IDs run (p0, Bba),
+    // (p0, Pensieve), (p1, Bba), (p1, Pensieve)).
+    let policies = [PolicyKind::Bba, PolicyKind::Pensieve];
+    let one_player = ScenarioMatrix::builder()
+        .policies(policies)
+        .build()
+        .unwrap();
+    let two_players = ScenarioMatrix::builder()
+        .policies(policies)
+        .players([
+            PlayerConfig::default(),
+            PlayerConfig {
+                max_buffer_s: 12.0,
+                ..PlayerConfig::default()
+            },
+        ])
         .build()
         .unwrap();
     // Attribution must not depend on the progress line: with it on, the
     // collector also wakes on its poll interval, but failures still
     // arrive only through the channel.
-    for progress in [false, true] {
+    for (matrix, progress) in [
+        (&one_player, false),
+        (&one_player, true),
+        (&two_players, false),
+        (&two_players, true),
+    ] {
+        let players = matrix.num_players();
         let failing_id = |workers| {
             let config = FleetConfig::new(workers).with_progress(progress);
-            let err = Fleet::new(&env, &matrix, config)
-                .unwrap()
-                .run()
-                .unwrap_err();
+            let err = Fleet::new(&env, matrix, config).unwrap().run().unwrap_err();
             match err {
                 sensei_fleet::FleetError::Scenario { id, .. } => id,
                 other => panic!("expected Scenario error, got {other}"),
@@ -212,14 +229,14 @@ fn failing_scenario_aborts_with_its_stable_id() {
         assert_eq!(
             failing_id(1),
             1,
-            "the first Pensieve scenario in canonical order (progress {progress})"
+            "the first Pensieve scenario in canonical order ({players} players, progress {progress})"
         );
         // Racing workers may stop a lower failure from running at all,
         // so only the parity of the reported ID is fixed.
         assert_eq!(
             failing_id(2) % 2,
             1,
-            "failing scenarios are the odd (Pensieve) IDs (progress {progress})"
+            "failing scenarios are the odd (Pensieve) IDs ({players} players, progress {progress})"
         );
     }
 }

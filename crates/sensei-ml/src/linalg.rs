@@ -1,7 +1,7 @@
 //! Minimal dense linear algebra: row-major matrices and a pivoted solver.
 //!
 //! Scoped to exactly what the regression and neural-network code needs:
-//! matrix products, transposes, and solving small symmetric-positive systems
+//! matrix products and solving small symmetric-positive systems
 //! (normal equations). Gaussian elimination with partial pivoting is plenty
 //! at the sizes SENSEI encounters (tens to a few hundred unknowns).
 
@@ -70,17 +70,6 @@ impl Matrix {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Matrix product `self · other`.
@@ -257,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_and_transpose() {
+    fn matmul_works() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
         let c = a.matmul(&b).unwrap();
@@ -265,8 +254,6 @@ mod tests {
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
         assert_eq!(c[(1, 1)], 50.0);
-        let t = a.transpose();
-        assert_eq!(t[(0, 1)], 3.0);
         assert!(a.matmul(&Matrix::zeros(3, 3)).is_err());
     }
 

@@ -142,23 +142,6 @@ impl LinearModel {
     }
 }
 
-/// Solves the weight-inference problem of §4.2 with a positivity floor:
-/// ridge-regresses `y ≈ X·w`, then clamps weights to `min_weight` (user
-/// sensitivity is positive by definition — a negative estimate is noise).
-///
-/// # Errors
-///
-/// Propagates [`LinearModel::fit`] errors.
-pub fn fit_nonnegative_weights(
-    x: &[Vec<f64>],
-    y: &[f64],
-    lambda: f64,
-    min_weight: f64,
-) -> Result<Vec<f64>, MlError> {
-    let model = LinearModel::fit(x, y, lambda, false)?;
-    Ok(model.weights().iter().map(|&w| w.max(min_weight)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,15 +213,6 @@ mod tests {
         for (est, tru) in m.weights().iter().zip(&true_w) {
             assert!((est - tru).abs() < 0.05, "est {est} vs true {tru}");
         }
-    }
-
-    #[test]
-    fn nonnegative_weight_floor() {
-        let x = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
-        let y = vec![1.0, -2.0, -1.0]; // second weight would be negative
-        let w = fit_nonnegative_weights(&x, &y, 1e-9, 0.05).unwrap();
-        assert!((w[0] - 1.0).abs() < 1e-6);
-        assert_eq!(w[1], 0.05);
     }
 
     #[test]

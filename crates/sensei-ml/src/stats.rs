@@ -85,36 +85,6 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     pearson(&ranks(xs), &ranks(ys))
 }
 
-/// Fraction of discordant pairs between two orderings: pairs `(i, j)` where
-/// `xs` and `ys` rank them in opposite directions. Ties in either vector are
-/// skipped (neither concordant nor discordant).
-///
-/// Returns `None` when lengths differ or fewer than 2 elements.
-pub fn discordant_fraction(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let mut discordant = 0usize;
-    let mut total = 0usize;
-    for i in 0..xs.len() {
-        for j in i + 1..xs.len() {
-            let dx = xs[i] - xs[j];
-            let dy = ys[i] - ys[j];
-            if dx == 0.0 || dy == 0.0 {
-                continue;
-            }
-            total += 1;
-            if dx.signum() != dy.signum() {
-                discordant += 1;
-            }
-        }
-    }
-    if total == 0 {
-        return None;
-    }
-    Some(discordant as f64 / total as f64)
-}
-
 /// Mean relative error `|pred − truth| / truth`, the Fig. 2 x-axis metric.
 /// Entries with `truth == 0` are skipped.
 ///
@@ -137,18 +107,6 @@ pub fn mean_relative_error(pred: &[f64], truth: &[f64]) -> Option<f64> {
     } else {
         Some(total / count as f64)
     }
-}
-
-/// Empirical CDF points `(value, fraction ≤ value)` of a sample, sorted.
-pub fn ecdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len() as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, (i + 1) as f64 / n))
-        .collect()
 }
 
 /// Percentile (0–100) by linear interpolation on the sorted sample.
@@ -210,30 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn discordant_pairs_counting() {
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(discordant_fraction(&x, &[1.0, 2.0, 3.0]).unwrap(), 0.0);
-        assert_eq!(discordant_fraction(&x, &[3.0, 2.0, 1.0]).unwrap(), 1.0);
-        // One swap in three pairs.
-        let frac = discordant_fraction(&x, &[2.0, 1.0, 3.0]).unwrap();
-        assert!((frac - 1.0 / 3.0).abs() < 1e-12);
-        // Ties are skipped entirely.
-        assert!(discordant_fraction(&[1.0, 1.0], &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
     fn relative_error_skips_zero_truth() {
         let e = mean_relative_error(&[1.1, 0.9, 5.0], &[1.0, 1.0, 0.0]).unwrap();
         assert!((e - 0.1).abs() < 1e-9);
         assert!(mean_relative_error(&[1.0], &[0.0]).is_none());
         assert!(mean_relative_error(&[1.0], &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn ecdf_is_monotone() {
-        let points = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(points[0], (1.0, 1.0 / 3.0));
-        assert_eq!(points[2], (3.0, 1.0));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! The engine has two layers. [`simulate_lanes_in`] runs the lane loops
 //! and leaves every lane's outcome (levels, per-chunk stalls, startup
-//! delay, bits) in the [`SessionBatch`], readable in place through
+//! delay) in the [`SessionBatch`], readable in place through
 //! [`SessionBatch::lane`] as a [`LaneView`]; the fleet's stats path
 //! scores sessions straight from these views. [`simulate_batch_in`] adds
 //! the result assembly on top: one [`SessionResult`] (with its
@@ -35,7 +35,7 @@
 //! are therefore byte-identical for any batch width: this module's tests
 //! hold lanes to a test-only scalar loop, and
 //! `sensei-core/tests/batch_soundness.rs` holds every policy kind's
-//! batched override to per-lane `decide` at widths 1 to 64.
+//! batched override to per-lane `decide` with 1 to 8 lanes per group.
 //!
 //! The transfer loop integrates through [`Network::download_time`] (for a
 //! whole trace, [`sensei_trace::ThroughputTrace::download_time`]) rather
@@ -269,8 +269,8 @@ impl BatchStates<'_> {
 }
 
 /// One finished lane of a batch, read straight from the batch's flat
-/// arrays after [`simulate_lanes_in`]: everything a [`SessionResult`] is
-/// assembled from, without assembling it.
+/// arrays after [`simulate_lanes_in`]: the levels, stalls and startup
+/// delay a [`SessionResult`] is assembled from, without assembling it.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneView<'a> {
     /// Ladder level chosen per chunk.
@@ -279,8 +279,6 @@ pub struct LaneView<'a> {
     pub stalls: &'a [(f64, f64)],
     /// Startup delay before the first chunk played, in seconds.
     pub startup_delay_s: f64,
-    /// Total bits downloaded.
-    pub bits_downloaded: f64,
 }
 
 impl LaneView<'_> {
@@ -328,7 +326,6 @@ struct SpareResult {
     levels: Vec<usize>,
     chunks: Vec<RenderedChunk>,
     source_name: String,
-    policy_name: String,
 }
 
 /// Reusable structure-of-arrays state for [`simulate_lanes_in`] and
@@ -349,7 +346,6 @@ pub struct SessionBatch {
     elapsed: Vec<f64>,
     playing: Vec<bool>,
     startup_delay: Vec<f64>,
-    bits_downloaded: Vec<f64>,
     configs: Vec<PlayerConfig>,
     decisions: Vec<Decision>,
     // Lane × chunk axis (length = lanes × chunks, stride = chunks).
@@ -379,7 +375,6 @@ impl SessionBatch {
             levels: result.levels,
             chunks,
             source_name,
-            policy_name: result.policy_name,
         });
     }
 
@@ -396,7 +391,6 @@ impl SessionBatch {
             levels: &self.levels[row.clone()],
             stalls: &self.stalls[row],
             startup_delay_s: self.startup_delay[lane],
-            bits_downloaded: self.bits_downloaded[lane],
         }
     }
 
@@ -418,8 +412,6 @@ impl SessionBatch {
         self.playing.resize(lanes, false);
         self.startup_delay.clear();
         self.startup_delay.resize(lanes, 0.0);
-        self.bits_downloaded.clear();
-        self.bits_downloaded.resize(lanes, 0.0);
         self.decisions.clear();
         self.decisions.resize(lanes, Decision::level(0));
         self.stalls.clear();
@@ -603,7 +595,6 @@ pub fn simulate_lanes_in<N: Network>(
             }
             batch.elapsed[i] = t + dt;
             batch.downloaded_end[i] += d;
-            batch.bits_downloaded[i] += size;
             let row = i * n;
             batch.levels[row + k] = decision.level;
             batch.tput[row + k] = size / transfer.max(1e-6) / 1000.0;
@@ -668,45 +659,28 @@ pub fn simulate_batch_in<N: Network>(
     // during assembly after earlier lanes were emitted.
     let out_mark = out.len();
     let d = source.chunk_duration_s();
-    let mut lane = 0;
-    for group in groups.iter() {
-        for _ in 0..group.configs.len() {
-            let mut spare = batch.spares.pop().unwrap_or_default();
-            let view = batch.lane(lane);
-            spare.levels.clear();
-            spare.levels.extend_from_slice(view.levels);
-            spare.chunks.clear();
-            spare.chunks.extend(view.chunks(source, encoded));
-            spare.source_name.clear();
-            spare.source_name.push_str(source.name());
-            let render = match RenderedVideo::new(
-                spare.source_name,
-                d,
-                view.startup_delay_s,
-                spare.chunks,
-            ) {
-                Ok(render) => render,
-                Err(e) => {
-                    out.truncate(out_mark);
-                    return Err(LaneFailure {
-                        lane,
-                        error: e.into(),
-                    });
-                }
-            };
-            let wall_time_s =
-                view.startup_delay_s + render.content_duration_s() + render.total_rebuffer_s()
-                    - render.startup_delay_s();
-            spare.policy_name.clear();
-            spare.policy_name.push_str(group.policy.name());
-            out.push(SessionResult {
-                wall_time_s,
-                bits_downloaded: view.bits_downloaded,
-                levels: spare.levels,
-                policy_name: spare.policy_name,
+    let lanes: usize = groups.iter().map(|g| g.configs.len()).sum();
+    for lane in 0..lanes {
+        let mut spare = batch.spares.pop().unwrap_or_default();
+        let view = batch.lane(lane);
+        spare.levels.clear();
+        spare.levels.extend_from_slice(view.levels);
+        spare.chunks.clear();
+        spare.chunks.extend(view.chunks(source, encoded));
+        spare.source_name.clear();
+        spare.source_name.push_str(source.name());
+        match RenderedVideo::new(spare.source_name, d, view.startup_delay_s, spare.chunks) {
+            Ok(render) => out.push(SessionResult {
                 render,
-            });
-            lane += 1;
+                levels: spare.levels,
+            }),
+            Err(e) => {
+                out.truncate(out_mark);
+                return Err(LaneFailure {
+                    lane,
+                    error: e.into(),
+                });
+            }
         }
     }
     Ok(())
@@ -831,17 +805,6 @@ mod tests {
             let got = &out[lane];
             assert_eq!(got.levels, reference.levels, "lane {lane} levels");
             assert_eq!(got.render, reference.render, "lane {lane} render");
-            assert_eq!(
-                got.wall_time_s.to_bits(),
-                reference.wall_time_s.to_bits(),
-                "lane {lane} wall time"
-            );
-            assert_eq!(
-                got.bits_downloaded.to_bits(),
-                reference.bits_downloaded.to_bits(),
-                "lane {lane} bits"
-            );
-            assert_eq!(got.policy_name, reference.policy_name, "lane {lane} name");
             // The lane view the result was assembled from reads the
             // same outcome in place.
             let view = batch.lane(lane);
@@ -859,11 +822,6 @@ mod tests {
                 view.startup_delay_s.to_bits(),
                 reference.render.startup_delay_s().to_bits(),
                 "lane {lane} view startup"
-            );
-            assert_eq!(
-                view.bits_downloaded.to_bits(),
-                reference.bits_downloaded.to_bits(),
-                "lane {lane} view bits"
             );
         }
         // Reclaim and rerun: the pool must not change results.

@@ -63,7 +63,6 @@ pub(crate) fn simulate_scalar(
     let mut levels = Vec::with_capacity(n);
     let mut throughput_hist = Vec::with_capacity(n);
     let mut download_hist = Vec::with_capacity(n);
-    let mut bits_downloaded = 0.0;
 
     for i in 0..n {
         // Wait for buffer space (playback keeps draining; an intentional
@@ -113,7 +112,6 @@ pub(crate) fn simulate_scalar(
         }
         t += dt;
         pb.downloaded_end += d;
-        bits_downloaded += size;
         levels.push(decision.level);
         throughput_hist.push(size / transfer.max(1e-6) / 1000.0);
         download_hist.push(dt);
@@ -149,13 +147,5 @@ pub(crate) fn simulate_scalar(
         })
         .collect();
     let render = RenderedVideo::new(source.name().to_string(), d, startup_delay, chunks)?;
-    let wall_time_s = startup_delay + render.content_duration_s() + render.total_rebuffer_s()
-        - render.startup_delay_s();
-    Ok(SessionResult {
-        wall_time_s,
-        bits_downloaded,
-        levels,
-        policy_name: policy.name().to_string(),
-        render,
-    })
+    Ok(SessionResult { render, levels })
 }

@@ -491,17 +491,21 @@ impl ThroughputTrace {
     /// Returns an error when the window exceeds the trace bounds or the
     /// extracted window is all-zero.
     pub fn window(&self, start: usize, len: usize) -> Result<Self, TraceError> {
-        if len == 0 || start + len > self.kbps.len() {
+        let available = self.kbps.len();
+        // `len > available - start`, not `start + len > available`: the
+        // sum can overflow.
+        if len == 0 || start > available || len > available - start {
             return Err(TraceError::WindowOutOfRange {
                 start,
                 len,
-                available: self.kbps.len(),
+                available,
             });
         }
+        let end = start + len;
         Self::new(
-            format!("{}[{start}..{}]", self.name, start + len),
+            format!("{}[{start}..{end}]", self.name),
             self.interval_s,
-            self.kbps[start..start + len].to_vec(),
+            self.kbps[start..end].to_vec(),
         )
     }
 }
@@ -902,6 +906,17 @@ mod tests {
         assert_eq!(w.samples(), &[2.0, 3.0]);
         assert!(t.window(3, 2).is_err());
         assert!(t.window(0, 0).is_err());
+        assert_eq!(t.window(3, 1).unwrap().samples(), &[4.0]);
+        // Ranges whose end overflows `usize` are out of range too.
+        for (start, len) in [(1, usize::MAX), (usize::MAX, 1), (5, 1)] {
+            assert!(
+                matches!(
+                    t.window(start, len),
+                    Err(TraceError::WindowOutOfRange { available: 4, .. })
+                ),
+                "window({start}, {len})"
+            );
+        }
     }
 
     #[test]

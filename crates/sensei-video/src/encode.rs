@@ -93,18 +93,6 @@ impl BitrateLadder {
         *self.kbps.last().expect("ladder is non-empty")
     }
 
-    /// Index of an exact bitrate value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the bitrate is not a ladder level.
-    pub fn index_of(&self, kbps: f64) -> Result<usize, VideoError> {
-        self.kbps
-            .iter()
-            .position(|&b| (b - kbps).abs() < 1e-9)
-            .ok_or(VideoError::UnknownBitrate(kbps))
-    }
-
     /// Highest level whose bitrate does not exceed `kbps` (level 0 if all
     /// exceed it).
     pub fn highest_at_most(&self, kbps: f64) -> usize {
@@ -284,8 +272,6 @@ mod tests {
     #[test]
     fn ladder_lookups() {
         let l = BitrateLadder::default_paper();
-        assert_eq!(l.index_of(1200.0).unwrap(), 2);
-        assert!(l.index_of(1000.0).is_err());
         assert_eq!(l.highest_at_most(1000.0), 1);
         assert_eq!(l.highest_at_most(100.0), 0);
         assert_eq!(l.highest_at_most(9999.0), 4);

@@ -95,7 +95,7 @@ impl SensitivityWeights {
     /// the video end — the ABR lookahead input of §5.1.
     pub fn window(&self, from: usize, horizon: usize) -> &[f64] {
         let start = from.min(self.w.len());
-        let end = (from + horizon).min(self.w.len());
+        let end = from.saturating_add(horizon).min(self.w.len());
         &self.w[start..end]
     }
 
@@ -178,6 +178,9 @@ mod tests {
         assert_eq!(w.window(3, 5).len(), 1);
         assert_eq!(w.window(4, 5).len(), 0);
         assert_eq!(w.window(9, 5).len(), 0);
+        // A horizon whose end overflows `usize` truncates the same way.
+        assert_eq!(w.window(1, usize::MAX), &w.as_slice()[1..]);
+        assert_eq!(w.window(usize::MAX, usize::MAX).len(), 0);
     }
 
     #[test]
