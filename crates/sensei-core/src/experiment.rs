@@ -19,7 +19,11 @@ use sensei_video::{
     corpus, BitrateLadder, CorpusEntry, EncodedVideo, RenderedVideo, SensitivityWeights,
     SourceVideo,
 };
+use std::cmp::Reverse;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 /// How per-video weights are obtained for deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,10 +369,25 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns an error when the video filter matches nothing or any
-    /// substrate fails.
+    /// Returns [`CoreError::BadConfig`] naming every `config.videos` name
+    /// that is not a Table-1 video, or when the filter matches nothing; or
+    /// an error when any substrate fails.
     pub fn build(config: &ExperimentConfig) -> Result<Self, CoreError> {
-        let entries: Vec<CorpusEntry> = corpus::table1(config.seed)
+        let table1 = corpus::table1(config.seed);
+        if let Some(filter) = &config.videos {
+            let unknown: Vec<&str> = filter
+                .iter()
+                .map(String::as_str)
+                .filter(|&name| table1.iter().all(|entry| entry.video.name() != name))
+                .collect();
+            if !unknown.is_empty() {
+                return Err(CoreError::BadConfig(format!(
+                    "video filter names unknown Table-1 videos: {}",
+                    unknown.join(", ")
+                )));
+            }
+        }
+        let entries: Vec<CorpusEntry> = table1
             .into_iter()
             .filter(|entry| {
                 config
@@ -397,6 +416,14 @@ impl Experiment {
     /// curated. Everything else in the config (weight source, RL training,
     /// player, seed) applies as usual.
     ///
+    /// Under [`WeightSource::Crowd`] each video runs its own crowdsourcing
+    /// experiment (a [`WeightProfiler::profile`] call, a pure function of
+    /// the oracle, the video, the ladder and the seed). The profiles run
+    /// on every available core, longest video (most chunks) first, and are
+    /// consumed in corpus order: weights, costs, `total_profile_cost_usd`
+    /// and the error of a failing profile (the first in corpus order) do
+    /// not depend on the core count. Ground-truth weights spawn no thread.
+    ///
     /// # Errors
     ///
     /// Returns an error when the corpus or trace set is empty, or any
@@ -413,7 +440,20 @@ impl Experiment {
         }
         let oracle = TrueQoe::default();
         let ladder = BitrateLadder::default_paper();
-        let profiler = WeightProfiler::paper_default(config.seed ^ 0xC0);
+        let mut profiles = match config.weight_source {
+            WeightSource::GroundTruth => Vec::new(),
+            WeightSource::Crowd => {
+                let profiler = WeightProfiler::paper_default(config.seed ^ 0xC0);
+                let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+                map_longest_first(
+                    &corpus,
+                    cores,
+                    |entry| entry.video.num_chunks(),
+                    |entry| profiler.profile(&oracle, &entry.video, &ladder, config.seed ^ 0xF1),
+                )?
+            }
+        }
+        .into_iter();
         let mut assets = Vec::with_capacity(corpus.len());
         let mut total_cost = 0.0;
         for entry in corpus {
@@ -422,8 +462,7 @@ impl Experiment {
             let (weights, cost) = match config.weight_source {
                 WeightSource::GroundTruth => (true_weights.clone(), 0.0),
                 WeightSource::Crowd => {
-                    let profile =
-                        profiler.profile(&oracle, &entry.video, &ladder, config.seed ^ 0xF1)?;
+                    let profile = profiles.next().expect("one crowd profile per corpus entry");
                     total_cost += profile.cost_usd;
                     (profile.weights, profile.cost_usd)
                 }
@@ -884,6 +923,68 @@ pub fn mean_qoe(results: &[CellResult], policy: &str) -> f64 {
     sensei_ml::stats::mean(&vals)
 }
 
+/// Maps `f` over `items` on up to `threads` threads and returns the
+/// results in input order.
+///
+/// The calling thread and `threads - 1` scoped threads pull items off one
+/// atomic cursor, costliest first (descending `cost`, equal costs in
+/// input order), so the longest item starts at once instead of closing
+/// the run. Each spawned thread hands its `(index, result)` pairs back
+/// through `join`. Every item is mapped, and the error returned is the
+/// first failing item's in input order, as a sequential loop returns it.
+/// With one thread (or at most one item) the map runs inline in input
+/// order and spawns nothing.
+fn map_longest_first<T, R, E>(
+    items: &[T],
+    threads: usize,
+    cost: impl Fn(&T) -> usize,
+    f: impl Fn(&T) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let order = longest_first(items, cost);
+    let cursor = AtomicUsize::new(0);
+    // Borrows only, so the worker loop is `Copy`: each spawned thread
+    // gets one, and the calling thread runs one more.
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, f(&items[i])));
+        }
+        done
+    };
+    let mut done: Vec<(usize, Result<R, E>)> = thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for worker in workers {
+            done.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// The indices of `items` by descending `cost`, equal costs in input
+/// order: the order [`map_longest_first`] hands them out in.
+fn longest_first<T>(items: &[T], cost: impl Fn(&T) -> usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    // A stable sort keeps equal costs in input order.
+    order.sort_by_key(|&i| Reverse(cost(&items[i])));
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,8 +1006,90 @@ mod tests {
         cfg.videos = Some(vec!["NotAVideo".to_string()]);
         assert!(matches!(
             Experiment::build(&cfg),
+            Err(CoreError::BadConfig(msg)) if msg.contains("NotAVideo")
+        ));
+        // One known name does not hide the misspelt ones.
+        cfg.videos = Some(["Mountain", "Mountian", "Sapce"].map(String::from).to_vec());
+        assert!(matches!(
+            Experiment::build(&cfg),
+            Err(CoreError::BadConfig(msg))
+                if msg.ends_with(": Mountian, Sapce")
+        ));
+        cfg.videos = Some(Vec::new());
+        assert!(matches!(
+            Experiment::build(&cfg),
             Err(CoreError::BadConfig(_))
         ));
+    }
+
+    /// Items `(id, cost)` with ties in cost; the map's output names the
+    /// input it came from.
+    const ITEMS: [(usize, usize); 8] = [
+        (0, 55),
+        (1, 50),
+        (2, 55),
+        (3, 149),
+        (4, 21),
+        (5, 55),
+        (6, 149),
+        (7, 0),
+    ];
+
+    #[test]
+    fn longest_first_keeps_ties_in_input_order() {
+        assert_eq!(longest_first(&ITEMS, |&(_, c)| c), [3, 6, 0, 2, 5, 1, 4, 7]);
+        assert!(longest_first(&[] as &[usize], |&c| c).is_empty());
+    }
+
+    #[test]
+    fn map_longest_first_returns_input_order_at_any_thread_count() {
+        let expected: Vec<usize> = ITEMS.iter().map(|&(id, c)| id * 1000 + c).collect();
+        for threads in [1, 2, 3, ITEMS.len() + 5] {
+            let out = map_longest_first(
+                &ITEMS,
+                threads,
+                |&(_, c)| c,
+                |&(id, c)| Ok::<_, ()>(id * 1000 + c),
+            );
+            assert_eq!(out, Ok(expected.clone()), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn map_longest_first_runs_inline_on_one_thread_or_no_items() {
+        let caller = thread::current().id();
+        let out = map_longest_first(
+            &ITEMS,
+            1,
+            |&(_, c)| c,
+            |&(id, _)| Ok::<_, ()>((id, thread::current().id())),
+        )
+        .unwrap();
+        assert!(out.iter().all(|&(_, t)| t == caller));
+        let empty: Result<Vec<()>, ()> =
+            map_longest_first(&[] as &[usize], 4, |&c| c, |_| panic!("no item to map"));
+        assert_eq!(empty, Ok(Vec::new()));
+    }
+
+    #[test]
+    fn map_longest_first_returns_the_first_failure_in_input_order() {
+        // Items 3, 5 and 6 fail. 3 and 6 (cost 149) are handed out
+        // first and 5 later, and any of them may finish first; 3's error
+        // wins because it comes first in input order.
+        let fails = |&(id, _): &(usize, usize)| {
+            if [3, 5, 6].contains(&id) {
+                Err(id)
+            } else {
+                Ok(id)
+            }
+        };
+        for threads in [1, 2, 3, ITEMS.len() + 5] {
+            assert_eq!(
+                map_longest_first(&ITEMS, threads, |&(_, c)| c, fails),
+                Err(3),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
