@@ -440,43 +440,38 @@ impl Experiment {
         }
         let oracle = TrueQoe::default();
         let ladder = BitrateLadder::default_paper();
-        let mut profiles = match config.weight_source {
-            WeightSource::GroundTruth => Vec::new(),
-            WeightSource::Crowd => {
-                let profiler = WeightProfiler::paper_default(config.seed ^ 0xC0);
-                let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-                map_longest_first(
-                    &corpus,
-                    cores,
-                    |entry| entry.video.num_chunks(),
-                    |entry| profiler.profile(&oracle, &entry.video, &ladder, config.seed ^ 0xF1),
-                )?
-            }
-        }
-        .into_iter();
-        let mut assets = Vec::with_capacity(corpus.len());
-        let mut total_cost = 0.0;
-        for entry in corpus {
-            let encoded = EncodedVideo::encode(&entry.video, &ladder, config.seed ^ 0xE0C);
-            let true_weights = SensitivityWeights::ground_truth(&entry.video);
-            let (weights, cost) = match config.weight_source {
-                WeightSource::GroundTruth => (true_weights.clone(), 0.0),
-                WeightSource::Crowd => {
-                    let profile = profiles.next().expect("one crowd profile per corpus entry");
-                    total_cost += profile.cost_usd;
-                    (profile.weights, profile.cost_usd)
+        let mut assets: Vec<VideoAsset> = corpus
+            .into_iter()
+            .map(|entry| {
+                let encoded = EncodedVideo::encode(&entry.video, &ladder, config.seed ^ 0xE0C);
+                let true_weights = SensitivityWeights::ground_truth(&entry.video);
+                VideoAsset {
+                    name: Arc::from(entry.video.name()),
+                    genre: entry.video.genre().label(),
+                    dataset: entry.source_dataset,
+                    source: entry.video,
+                    encoded,
+                    weights: true_weights.clone(),
+                    true_weights,
+                    profile_cost_usd: 0.0,
                 }
-            };
-            assets.push(VideoAsset {
-                name: Arc::from(entry.video.name()),
-                genre: entry.video.genre().label(),
-                dataset: entry.source_dataset,
-                source: entry.video,
-                encoded,
-                weights,
-                true_weights,
-                profile_cost_usd: cost,
-            });
+            })
+            .collect();
+        let mut total_cost = 0.0;
+        if config.weight_source == WeightSource::Crowd {
+            let profiler = WeightProfiler::paper_default(config.seed ^ 0xC0);
+            let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            let profiles = map_longest_first(
+                &assets,
+                cores,
+                |asset| asset.source.num_chunks(),
+                |asset| profiler.profile(&oracle, &asset.source, &ladder, config.seed ^ 0xF1),
+            )?;
+            for (asset, profile) in assets.iter_mut().zip(profiles) {
+                total_cost += profile.cost_usd;
+                asset.weights = profile.weights;
+                asset.profile_cost_usd = profile.cost_usd;
+            }
         }
         if assets.is_empty() {
             return Err(CoreError::BadConfig(
@@ -932,8 +927,6 @@ pub fn mean_qoe(results: &[CellResult], policy: &str) -> f64 {
 /// the run. Each spawned thread hands its `(index, result)` pairs back
 /// through `join`. Every item is mapped, and the error returned is the
 /// first failing item's in input order, as a sequential loop returns it.
-/// With one thread (or at most one item) the map runs inline in input
-/// order and spawns nothing.
 fn map_longest_first<T, R, E>(
     items: &[T],
     threads: usize,
@@ -946,9 +939,6 @@ where
     E: Send,
 {
     let threads = threads.min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
     let order = longest_first(items, cost);
     let cursor = AtomicUsize::new(0);
     // Borrows only, so the worker loop is `Copy`: each spawned thread
