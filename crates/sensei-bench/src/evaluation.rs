@@ -72,14 +72,16 @@ fn sweep(
     let mut table = Table::new(header);
     let mut rows = Vec::new();
     for (mut row, trace) in variants {
-        let mut qoe = Vec::new();
-        for &kind in kinds {
-            let mut total = 0.0;
-            for asset in &grid.assets {
-                total += grid.run_session(asset, &trace, kind).unwrap().qoe01;
+        let mut qoe = vec![0.0; kinds.len()];
+        for asset in &grid.assets {
+            let cells = grid.run_cells(asset, &trace, kinds, &grid.player).unwrap();
+            for (total, cell) in qoe.iter_mut().zip(cells) {
+                *total += cell.qoe01;
             }
-            qoe.push(total / grid.assets.len() as f64);
-            row.push_str(&format!("|{:.3}", qoe[qoe.len() - 1]));
+        }
+        for q in &mut qoe {
+            *q /= grid.assets.len() as f64;
+            row.push_str(&format!("|{q:.3}"));
         }
         table.add(row);
         rows.push(qoe);
@@ -180,7 +182,8 @@ pub fn fig12c() -> Vec<Claim> {
                 (patched.weights, kind) = (profile.weights, PolicyKind::SenseiFugu);
             }
             for trace in env.traces.iter().skip(2).take(3) {
-                qoe += env.run_session(&patched, trace, kind).unwrap().qoe01;
+                let cells = env.run_cells(&patched, trace, &[kind], &env.player);
+                qoe += cells.unwrap()[0].qoe01;
                 sessions += 1;
             }
         }

@@ -230,8 +230,8 @@ pub struct CellResult {
 
 /// One lane's scored session: everything a [`CellResult`] carries
 /// beyond the identifying video, trace and policy fields. The fleet's
-/// stats path folds these directly; [`Experiment::run_session_in`] wraps
-/// one into a cell.
+/// stats path folds these directly; [`Experiment::run_cells`] and
+/// [`Experiment::run_grid`] wrap them into cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneScore {
     /// True QoE in `[0, 1]`.
@@ -365,7 +365,8 @@ impl Experiment {
     /// Builds the environment: corpus, traces, weights, trained policies.
     ///
     /// Equivalent to [`Self::from_parts`] over the `config.videos`-filtered
-    /// Table-1 corpus and the 10-trace evaluation set.
+    /// Table-1 corpus (only the kept videos are built, in corpus order) and
+    /// the 10-trace evaluation set.
     ///
     /// # Errors
     ///
@@ -373,29 +374,23 @@ impl Experiment {
     /// that is not a Table-1 video, or when the filter matches nothing; or
     /// an error when any substrate fails.
     pub fn build(config: &ExperimentConfig) -> Result<Self, CoreError> {
-        let table1 = corpus::table1(config.seed);
-        if let Some(filter) = &config.videos {
-            let unknown: Vec<&str> = filter
-                .iter()
-                .map(String::as_str)
-                .filter(|&name| table1.iter().all(|entry| entry.video.name() != name))
-                .collect();
-            if !unknown.is_empty() {
-                return Err(CoreError::BadConfig(format!(
-                    "video filter names unknown Table-1 videos: {}",
-                    unknown.join(", ")
-                )));
+        let entries = match &config.videos {
+            None => corpus::table1(config.seed),
+            Some(filter) => {
+                let unknown: Vec<&str> = filter
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|&name| corpus::table1_names().all(|known| known != name))
+                    .collect();
+                if !unknown.is_empty() {
+                    return Err(CoreError::BadConfig(format!(
+                        "video filter names unknown Table-1 videos: {}",
+                        unknown.join(", ")
+                    )));
+                }
+                corpus::table1_where(config.seed, |name| filter.iter().any(|n| n == name))
             }
-        }
-        let entries: Vec<CorpusEntry> = table1
-            .into_iter()
-            .filter(|entry| {
-                config
-                    .videos
-                    .as_ref()
-                    .is_none_or(|filter| filter.iter().any(|n| n == entry.video.name()))
-            })
-            .collect();
+        };
         if entries.is_empty() {
             return Err(CoreError::BadConfig(
                 "video filter matched no corpus entries".to_string(),
@@ -582,76 +577,43 @@ impl Experiment {
         })
     }
 
-    /// Runs one session and scores it with the true-QoE oracle, using the
-    /// experiment's own [`PlayerConfig`].
-    ///
-    /// Convenience wrapper over [`Self::run_session_in`] with a throwaway
-    /// [`SessionRuntime`]; hot paths should hold a runtime per worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator/oracle failures.
-    pub fn run_session(
-        &self,
-        asset: &VideoAsset,
-        trace: &ThroughputTrace,
-        kind: PolicyKind,
-    ) -> Result<CellResult, CoreError> {
-        self.run_session_with(asset, trace, kind, &self.player)
-    }
-
-    /// Runs one session under an explicit [`PlayerConfig`] — the entry
-    /// point fleet runs use to sweep player variants without rebuilding the
-    /// (expensive) experiment environment per variant.
-    ///
-    /// Convenience wrapper over [`Self::run_session_in`] with a throwaway
-    /// [`SessionRuntime`].
+    /// Runs one tile — every kind of `kinds` on `asset` over `trace`,
+    /// under `player` — through a fresh [`SessionRuntime`] (one
+    /// [`Self::score_batch_in`] call), and returns the scored cells in
+    /// `kinds` order. A one-kind slice runs one session.
     ///
     /// # Errors
     ///
-    /// Propagates simulator/oracle failures.
-    pub fn run_session_with(
+    /// Returns [`CoreError::BadConfig`] when a kind appears twice in
+    /// `kinds`; propagates simulator/oracle failures.
+    pub fn run_cells(
         &self,
         asset: &VideoAsset,
         trace: &ThroughputTrace,
-        kind: PolicyKind,
+        kinds: &[PolicyKind],
         player: &PlayerConfig,
-    ) -> Result<CellResult, CoreError> {
-        self.run_session_in(&mut SessionRuntime::new(), asset, trace, kind, player)
+    ) -> Result<Vec<CellResult>, CoreError> {
+        let mut runtime = SessionRuntime::new();
+        let mut cells = Vec::with_capacity(kinds.len());
+        self.push_cells(&mut runtime, asset, trace, kinds, player, &mut cells)?;
+        Ok(cells)
     }
 
-    /// Runs one session through a reusable [`SessionRuntime`]: a
-    /// one-lane [`Self::score_batch_in`] over the whole trace, plus the
-    /// cell's identifying fields, so the scalar path and the batch engine
-    /// can never drift apart. The runtime's policy instance for `kind` is
-    /// built on first use, then rebound ([`AbrPolicy::rebind`]) and reset
-    /// per session, so thousands of sessions share one policy (for the RL
-    /// policies, one trained network) and one set of scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator/oracle failures.
-    pub fn run_session_in(
+    /// Scores one `(asset, trace)` tile of `kinds` under `player` through
+    /// `runtime` and appends its cells to `out`, in `kinds` order.
+    fn push_cells(
         &self,
         runtime: &mut SessionRuntime,
         asset: &VideoAsset,
         trace: &ThroughputTrace,
-        kind: PolicyKind,
+        kinds: &[PolicyKind],
         player: &PlayerConfig,
-    ) -> Result<CellResult, CoreError> {
-        let mut scores = Vec::with_capacity(1);
-        self.score_batch_in(
-            runtime,
-            asset,
-            trace,
-            &[kind],
-            std::slice::from_ref(player),
-            &mut scores,
-        )?;
-        let score = scores
-            .pop()
-            .ok_or_else(|| CoreError::BadConfig("one-lane batch scored no lane".into()))?;
-        Ok(CellResult {
+        out: &mut Vec<CellResult>,
+    ) -> Result<(), CoreError> {
+        let mut scores = Vec::with_capacity(kinds.len());
+        let players = std::slice::from_ref(player);
+        self.score_batch_in(runtime, asset, trace, kinds, players, &mut scores)?;
+        out.extend(kinds.iter().zip(scores).map(|(kind, score)| CellResult {
             video: Arc::clone(&asset.name),
             genre: asset.genre,
             trace: trace.name_handle(),
@@ -663,7 +625,8 @@ impl Experiment {
             delivered_bits: score.delivered_bits,
             intentional_stall_s: score.intentional_stall_s,
             bitrate_switches: score.bitrate_switches,
-        })
+        }));
+        Ok(())
     }
 
     /// Simulates one **tile** of sessions — every `(player, policy)`
@@ -788,7 +751,9 @@ impl Experiment {
 
     /// Runs the full `(video × trace × policy)` grid sequentially, in the
     /// canonical enumeration order (video outermost, policy innermost),
-    /// through one reused [`SessionRuntime`].
+    /// through one reused [`SessionRuntime`]: each `(video, trace)` pair
+    /// is one tile, scored by one [`Self::score_batch_in`] call over
+    /// `kinds`.
     ///
     /// This is the degenerate single-worker fleet run: `sensei-fleet`'s
     /// `ScenarioMatrix::grid` spans exactly this scenario space and its
@@ -798,21 +763,14 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates session failures.
+    /// Returns [`CoreError::BadConfig`] when a kind appears twice in
+    /// `kinds`; propagates session failures.
     pub fn run_grid(&self, kinds: &[PolicyKind]) -> Result<Vec<CellResult>, CoreError> {
         let mut runtime = SessionRuntime::new();
         let mut out = Vec::with_capacity(kinds.len() * self.assets.len() * self.traces.len());
         for asset in &self.assets {
             for trace in &self.traces {
-                for &kind in kinds {
-                    out.push(self.run_session_in(
-                        &mut runtime,
-                        asset,
-                        trace,
-                        kind,
-                        &self.player,
-                    )?);
-                }
+                self.push_cells(&mut runtime, asset, trace, kinds, &self.player, &mut out)?;
             }
         }
         Ok(out)
@@ -1114,6 +1072,11 @@ mod tests {
         // the relative-gain helper.
         let gains = qoe_gains_over(&results, "SENSEI", "BBA");
         assert!(gains.len() >= 25, "got {} gain cells", gains.len());
+        // A kind repeated on the policy axis is a config error.
+        assert!(matches!(
+            env.run_grid(&[PolicyKind::Bba, PolicyKind::Bba]),
+            Err(CoreError::BadConfig(msg)) if msg.contains("appears twice")
+        ));
     }
 
     #[test]
@@ -1134,10 +1097,15 @@ mod tests {
         assert!(env.assets[0].name.starts_with("proc-"));
         assert_eq!(env.assets[0].dataset, "procedural");
         // A procedural session runs end to end.
-        let cell = env
-            .run_session(&env.assets[0], &env.traces[0], PolicyKind::Bba)
+        let cells = env
+            .run_cells(
+                &env.assets[0],
+                &env.traces[0],
+                &[PolicyKind::Bba],
+                &env.player,
+            )
             .unwrap();
-        assert!(cell.qoe01 >= 0.0 && cell.qoe01 <= 1.0);
+        assert!(cells[0].qoe01 >= 0.0 && cells[0].qoe01 <= 1.0);
         // Empty parts are rejected.
         assert!(Experiment::from_parts(&cfg, Vec::new(), env.traces.clone()).is_err());
         let corpus2 =

@@ -10,11 +10,10 @@
 //! decides through plain per-lane `decide` (`DecideOnly`). This asserts
 //! exactly that for every `PolicyKind` (trained RL policies and
 //! trace-bound oracles included) on one policy axis, over player axes of
-//! 1, 3 and 8 variants — one player under one policy being the
-//! degenerate case `run_session_in` delegates to. Comparing lane by lane
-//! also checks the output order (players outer, policies inner). The
-//! lane engine itself is held to the scalar session loop by
-//! `sensei-sim`'s own tests.
+//! 1, 3 and 8 variants — one player being the case `run_cells` and
+//! `run_grid` run. Comparing lane by lane also checks the output order
+//! (players outer, policies inner). The lane engine itself is held to
+//! the scalar session loop by `sensei-sim`'s own tests.
 
 mod common;
 

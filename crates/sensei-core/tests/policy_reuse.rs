@@ -10,8 +10,10 @@
 mod common;
 
 use common::DecideOnly;
-use sensei_core::{Experiment, ExperimentConfig, PolicyKind, SessionRuntime};
+use sensei_core::experiment::VideoAsset;
+use sensei_core::{Experiment, ExperimentConfig, LaneScore, PolicyKind, SessionRuntime};
 use sensei_sim::{simulate, PlayerState, SessionContext};
+use sensei_trace::ThroughputTrace;
 
 /// Quick 3-video environment with *tiny* RL training so `Pensieve` and
 /// `SenseiPensieve` are constructible. The episode count only has to make
@@ -34,14 +36,10 @@ fn reused_policy_matches_fresh_construction_for_every_kind() {
         let mut runtime = SessionRuntime::new();
         for asset in &env.assets {
             for trace in traces {
-                let fresh = env
-                    .run_session_with(asset, trace, kind, &env.player)
-                    .unwrap();
-                let reused = env
-                    .run_session_in(&mut runtime, asset, trace, kind, &env.player)
-                    .unwrap();
+                let fresh = env.run_cells(asset, trace, &[kind], &env.player).unwrap();
+                let reused = score_in(&env, &mut runtime, asset, trace, kind);
                 assert_eq!(
-                    fresh,
+                    fresh[0].score(),
                     reused,
                     "{kind:?} diverged on ({}, {}) when reused",
                     asset.name,
@@ -144,14 +142,29 @@ fn one_runtime_serves_interleaved_kinds() {
     let mut runtime = SessionRuntime::new();
     let asset = &env.assets[0];
     let trace = &env.traces[0];
-    let mut cells = Vec::new();
-    for kind in kinds {
-        cells.push(
-            env.run_session_in(&mut runtime, asset, trace, kind, &env.player)
-                .unwrap(),
-        );
-    }
+    let scores = kinds.map(|kind| score_in(&env, &mut runtime, asset, trace, kind));
     // The two BBA sessions bracket a SENSEI session and must agree.
-    assert_eq!(cells[0], cells[2]);
-    assert_ne!(cells[0].policy, cells[1].policy);
+    assert_eq!(scores[0], scores[2]);
+}
+
+/// One session of `kind`, scored through `runtime` as a one-lane
+/// `score_batch_in` batch under the experiment's player.
+fn score_in(
+    env: &Experiment,
+    runtime: &mut SessionRuntime,
+    asset: &VideoAsset,
+    trace: &ThroughputTrace,
+    kind: PolicyKind,
+) -> LaneScore {
+    let mut scores = Vec::new();
+    env.score_batch_in(
+        runtime,
+        asset,
+        trace,
+        &[kind],
+        std::slice::from_ref(&env.player),
+        &mut scores,
+    )
+    .unwrap();
+    scores[0]
 }

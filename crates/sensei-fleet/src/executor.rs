@@ -14,8 +14,8 @@
 //! rebind once per tile instead of once per session; and the batch
 //! engine replaces per-session policy dispatch with one `select_batch`
 //! call per chunk. [`Fleet::run`] is the executor's one entry point and
-//! always runs a tile as one full-width batch; per-session cells come
-//! from `Experiment::run_session_with` / `run_grid`, outside the fleet.
+//! always runs a tile as one full-width batch; cells come from
+//! `Experiment::run_cells` / `run_grid`, outside the fleet.
 //!
 //! Collection is merge-based, not stream-based. The deterministic result
 //! is *defined* as the reduction of per-tile partials in canonical tile

@@ -37,9 +37,11 @@
 //! single-process run.
 //!
 //! `sensei_core::Experiment::run_grid` is the degenerate fleet run: one
-//! worker, no perturbations, one player config. [`ScenarioMatrix::grid`]
-//! spans exactly that space, and the matrix's canonical enumeration
-//! reproduces `run_grid` cell for cell (test-enforced).
+//! worker, no perturbations, one player config, one tile per
+//! `(video, trace)` pair. [`ScenarioMatrix::grid`] spans exactly that
+//! space, and the matrix's canonical enumeration, run one session at a
+//! time through `Experiment::run_cells`, reproduces `run_grid` cell for
+//! cell (test-enforced).
 //!
 //! Two layers on top of the executor open the scenario-diversity axis:
 //!

@@ -15,8 +15,9 @@ pub fn reference_cells(env: &Experiment, matrix: &ScenarioMatrix) -> Vec<CellRes
                 .apply(&env.traces[sc.trace_idx], sc.seed)
                 .unwrap();
             let player = matrix.player(env, sc.player_idx);
-            env.run_session_with(&env.assets[sc.video_idx], &trace, sc.policy, player)
+            env.run_cells(&env.assets[sc.video_idx], &trace, &[sc.policy], player)
                 .unwrap()
+                .remove(0)
         })
         .collect()
 }

@@ -4,10 +4,11 @@
 //!    bit-for-bit identical `FleetStats` aggregates with 1, 2, and 8
 //!    workers (the property the exact mergeable aggregates exist for).
 //! 2. **Grid equivalence** — the canonical enumeration of
-//!    `ScenarioMatrix::grid` (the sequential reference in `common`)
-//!    reproduces `Experiment::run_grid` cell for cell, and the fleet's
-//!    aggregates over that matrix equal the reference's canonical fold,
-//!    making the sequential harness a degenerate fleet run.
+//!    `ScenarioMatrix::grid` (the sequential reference in `common`, one
+//!    session at a time) reproduces `Experiment::run_grid`'s tiles cell
+//!    for cell, and the fleet's aggregates over that matrix equal the
+//!    reference's canonical fold, making the sequential harness a
+//!    degenerate fleet run.
 
 mod common;
 
@@ -137,6 +138,7 @@ fn single_worker_grid_fleet_matches_run_grid() {
         PolicyKind::Fugu,
         PolicyKind::SenseiFugu,
         PolicyKind::DasIp,
+        PolicyKind::OracleAware,
     ];
     let sequential = env.run_grid(&kinds).unwrap();
     let matrix = ScenarioMatrix::grid(&kinds).unwrap();

@@ -45,7 +45,8 @@ pub enum Counter {
     /// Tiles executed to completion by fleet workers.
     Tiles,
     /// Session batches run: `Experiment::score_batch_in` calls, one per
-    /// fleet tile and one per `Experiment::run_session_in` session.
+    /// fleet tile, per `Experiment::run_cells` call and per
+    /// `(video, trace)` pair of `Experiment::run_grid`.
     Batches,
     /// Policy rebinds (once per batch for each policy group whose kind
     /// reads the whole trace — the amortized `O(trace)` cost the tile

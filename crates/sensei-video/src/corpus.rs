@@ -325,33 +325,50 @@ const SPECS: [Spec; 16] = [
 
 /// Builds the full 16-video Table-1 corpus with the given seed.
 pub fn table1(seed: u64) -> Vec<CorpusEntry> {
-    SPECS
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| CorpusEntry {
-            video: SourceVideo::from_script(
-                spec.name,
-                spec.genre,
-                spec.script,
-                seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            )
-            .expect("corpus scripts are non-empty"),
-            source_dataset: spec.dataset,
-        })
+    table1_where(seed, |_| true)
+}
+
+/// The Table-1 video names, in corpus order.
+pub fn table1_names() -> impl ExactSizeIterator<Item = &'static str> {
+    SPECS.iter().map(|spec| spec.name)
+}
+
+/// Builds only the Table-1 videos whose names `keep` accepts, in corpus
+/// order, each exactly as [`table1`] builds it.
+pub fn table1_where(seed: u64, keep: impl Fn(&str) -> bool) -> Vec<CorpusEntry> {
+    (0..SPECS.len())
+        .filter(|&i| keep(SPECS[i].name))
+        .map(|i| table1_entry(i, seed))
         .collect()
 }
 
-/// Fetches a single corpus video by its Table-1 name.
+/// Fetches a single corpus video by its Table-1 name, building only that
+/// video.
 ///
 /// # Errors
 ///
-/// Returns [`VideoError::NoChunks`] when the name is unknown (no such video
-/// exists in the corpus).
+/// Returns [`VideoError::UnknownVideo`] when no Table-1 video has the name.
 pub fn by_name(name: &str, seed: u64) -> Result<CorpusEntry, VideoError> {
-    table1(seed)
-        .into_iter()
-        .find(|e| e.video.name() == name)
-        .ok_or(VideoError::NoChunks)
+    SPECS
+        .iter()
+        .position(|spec| spec.name == name)
+        .map(|i| table1_entry(i, seed))
+        .ok_or_else(|| VideoError::UnknownVideo(name.to_string()))
+}
+
+/// Builds Table-1 video `i`, seeded by its index.
+fn table1_entry(i: usize, seed: u64) -> CorpusEntry {
+    let spec = &SPECS[i];
+    CorpusEntry {
+        video: SourceVideo::from_script(
+            spec.name,
+            spec.genre,
+            spec.script,
+            seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        )
+        .expect("corpus scripts are non-empty"),
+        source_dataset: spec.dataset,
+    }
 }
 
 /// Relative genre weights for procedural corpus generation. Weights need
@@ -660,7 +677,16 @@ mod tests {
 
     #[test]
     fn by_name_rejects_unknown() {
-        assert!(by_name("NotAVideo", 7).is_err());
+        assert_eq!(
+            by_name("NotAVideo", 7).unwrap_err(),
+            VideoError::UnknownVideo("NotAVideo".to_string())
+        );
+        // Each name builds the video `table1` builds at its index.
+        for (entry, name) in table1(7).iter().zip(table1_names()) {
+            let named = by_name(name, 7).unwrap();
+            assert_eq!(named.video, entry.video, "{name}");
+            assert_eq!(named.source_dataset, entry.source_dataset, "{name}");
+        }
     }
 
     #[test]

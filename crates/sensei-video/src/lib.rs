@@ -56,6 +56,8 @@ pub const CHUNK_DURATION_S: f64 = 4.0;
 pub enum VideoError {
     /// A video must contain at least one chunk.
     NoChunks,
+    /// No Table-1 video has this name.
+    UnknownVideo(String),
     /// A chunk index is out of range.
     ChunkOutOfRange {
         /// Requested chunk index.
@@ -92,6 +94,7 @@ impl std::fmt::Display for VideoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VideoError::NoChunks => write!(f, "video has no chunks"),
+            VideoError::UnknownVideo(name) => write!(f, "no Table-1 video is named {name}"),
             VideoError::ChunkOutOfRange { index, len } => {
                 write!(f, "chunk {index} out of range for {len}-chunk video")
             }

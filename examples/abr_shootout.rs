@@ -12,6 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.videos = Some(vec!["Basket1".to_string()]);
     let env = Experiment::build(&config)?;
     let asset = env.asset("Basket1")?;
+    let kinds = [PolicyKind::Bba, PolicyKind::Fugu, PolicyKind::SenseiFugu];
     println!(
         "{:<26} {:>10} {:>10} {:>10}",
         "trace (mean kbps)", "BBA", "Fugu", "SENSEI"
@@ -21,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<26}",
             format!("{} ({:.0})", trace.name(), trace.mean_kbps())
         );
-        for kind in [PolicyKind::Bba, PolicyKind::Fugu, PolicyKind::SenseiFugu] {
-            let cell = env.run_session(asset, trace, kind)?;
+        for cell in env.run_cells(asset, trace, &kinds, &env.player)? {
             row.push_str(&format!(" {:>10.3}", cell.qoe01));
         }
         println!("{row}");

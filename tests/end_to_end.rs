@@ -110,18 +110,13 @@ fn oracle_gains_bound_the_practical_gains() {
     let env = Experiment::build(&ExperimentConfig::quick(5)).unwrap();
     let asset = env.asset("Soccer1").unwrap();
     let trace = env.traces[4].clone();
-    let aware = env
-        .run_session(asset, &trace, PolicyKind::OracleAware)
-        .unwrap()
-        .qoe01;
-    let unaware = env
-        .run_session(asset, &trace, PolicyKind::OracleUnaware)
-        .unwrap()
-        .qoe01;
-    let practical = env
-        .run_session(asset, &trace, PolicyKind::SenseiFugu)
-        .unwrap()
-        .qoe01;
+    let kinds = [
+        PolicyKind::OracleAware,
+        PolicyKind::OracleUnaware,
+        PolicyKind::SenseiFugu,
+    ];
+    let cells = env.run_cells(asset, &trace, &kinds, &env.player).unwrap();
+    let [aware, unaware, practical] = [0, 1, 2].map(|i| cells[i].qoe01);
     assert!(
         aware >= unaware * 0.98,
         "aware {aware:.3} vs unaware {unaware:.3}"
@@ -136,15 +131,16 @@ fn oracle_gains_bound_the_practical_gains() {
 fn intentional_rebuffering_only_comes_from_sensei_players() {
     let env = Experiment::build(&ExperimentConfig::quick(9)).unwrap();
     let asset = env.asset("FPS2").unwrap();
-    for (kind, may_pause) in [
-        (PolicyKind::Bba, false),
-        (PolicyKind::Fugu, false),
-        (PolicyKind::SenseiFuguNoPause, false),
-        (PolicyKind::SenseiFugu, true),
-    ] {
-        for trace in env.traces.iter().take(4) {
-            let cell = env.run_session(asset, trace, kind).unwrap();
-            if !may_pause {
+    let kinds = [
+        PolicyKind::Bba,
+        PolicyKind::Fugu,
+        PolicyKind::SenseiFuguNoPause,
+        PolicyKind::SenseiFugu,
+    ];
+    for trace in env.traces.iter().take(4) {
+        let cells = env.run_cells(asset, trace, &kinds, &env.player).unwrap();
+        for (kind, cell) in kinds.into_iter().zip(cells) {
+            if kind != PolicyKind::SenseiFugu {
                 assert_eq!(
                     cell.intentional_stall_s,
                     0.0,
